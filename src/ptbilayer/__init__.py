@@ -7,6 +7,8 @@ Subpackages by role:
 - noise: thermal occupation, commutator blocks, output noise flux, sum rule
 - effective: Bloch index of the fine-period stack, slab closed forms
 - observables: homodyne variance and Mandel Q for squeezed coherent input
+- grid: one batched evaluation of a whole sweep grid, equal to the scalar
+  functions above bit for bit
 - sweep_cli: grids, threshold bisection, theory comparison, CLI entry point
 """
 

@@ -1,0 +1,530 @@
+"""Batched evaluation of a sweep grid.
+
+evaluate_grid computes every table cell of a SweepSpec over a whole grid of
+(alpha_l, omega, temperature) in one pass of array operations: the layer
+indices, the five chain factors as stacked (N, 2, 2) arrays, S, the
+eigenpair, the noise couplings and flux, the sum-rule residual, the
+conservation residuals and the observables. A row that fails keeps the cells
+filled before its first failure, and its status names that failure.
+
+The kernel repeats the rounding of the scalar library (transfer_chain,
+scattering_from_transfer, eigenvalues, noise_flux, ...), which stays the
+public API and the reference the tests hold the kernel to:
+
+- complex products that the scalar path forms on scalars are written out in
+  real arithmetic, because numpy's SIMD complex multiply fuses multiply-adds
+  and scalar multiplication does not;
+- the Python complex divisions of interface_matrix use Python's algorithm,
+  which divides by the denominator where numpy multiplies by its reciprocal;
+- moduli are np.hypot, squares go through the C library's pow, and the
+  math-module exponentials, cosines and thermal occupations are taken
+  element by element.
+
+The effective-medium cells are filled row by row from the scalar library:
+numpy's complex arccos differs from cmath.acos in the last bits, so the Bloch
+index cannot be batched without changing the tables.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from . import effective, media, noise, scattering
+from .effective import BranchAmbiguity, LasingPole
+from .media import C_VACUUM, NM, TRAD, Bilayer
+from .noise import SumRuleViolation
+
+EXACT_FAMILIES = frozenset({"scattering", "eigenvalues", "noise", "variance", "mandel"})
+FLUX_FAMILIES = frozenset({"noise", "variance", "mandel"})
+SUM_RULE_TOL = 1e-10
+
+
+# ---------------------------------------------------------------------------
+# what a spec means at a grid value
+
+
+def default_omega_trad(spec) -> float:
+    if spec.fixed_omega_trad is not None:
+        return spec.fixed_omega_trad
+    if spec.preset is not None:
+        return media.preset_default_omega(spec.preset) / TRAD
+    return (spec.materials[0].omega0) / TRAD
+
+
+def bilayer_at(spec, alpha_l: float) -> Bilayer:
+    thickness = spec.thickness_nm * NM
+    if spec.preset is not None:
+        return media.preset(spec.preset, alpha_l, thickness)
+    gain, loss = spec.materials
+    return Bilayer(gain=gain, loss=replace(loss, alpha=alpha_l),
+                   layer_thickness=thickness)
+
+
+def point_parameters(spec, x: float) -> tuple[Bilayer, float, float]:
+    """(bilayer, omega_rad_s, temperature_k) at grid value x."""
+    if spec.variable == "alpha_l":
+        return (bilayer_at(spec, float(x)),
+                default_omega_trad(spec) * TRAD, spec.temperature_k)
+    if spec.variable == "omega":
+        return (bilayer_at(spec, spec.fixed_alpha_l),
+                float(x) * TRAD, spec.temperature_k)
+    return (bilayer_at(spec, spec.fixed_alpha_l),
+            default_omega_trad(spec) * TRAD, float(x))
+
+
+def grid_parameters(spec, xs: np.ndarray):
+    """(alpha_l, omega_rad_s, temperature_k), one array entry per grid value."""
+    n = len(xs)
+    alpha_l = xs if spec.variable == "alpha_l" else np.full(n, float(spec.fixed_alpha_l))
+    if spec.variable == "omega":
+        omega = xs * TRAD
+    else:
+        omega = np.full(n, default_omega_trad(spec) * TRAD)
+    temperature = xs if spec.variable == "temperature" else np.full(n, spec.temperature_k)
+    return alpha_l, omega, temperature
+
+
+# ---------------------------------------------------------------------------
+# elementwise arithmetic with the scalar path's rounding
+
+
+def _cx(re, im) -> np.ndarray:
+    re, im = np.broadcast_arrays(re, im)
+    z = np.empty(re.shape, dtype=complex)
+    z.real = re
+    z.imag = im
+    return z
+
+
+def _mul(a, b) -> np.ndarray:
+    """a * b as scalar complex multiplication rounds it (no fused multiply-add)."""
+    return _cx(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _py_div(a, b) -> np.ndarray:
+    """a / b with Python's complex-division algorithm."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(all="ignore"):   # both branches are computed everywhere
+        ratio = np.where(by_real, bi / br, br / bi)
+        re = np.where(by_real, (ar + ai * ratio) / (br + bi * ratio),
+                      (ar * ratio + ai) / (br * ratio + bi))
+        im = np.where(by_real, (ai - ar * ratio) / (br + bi * ratio),
+                      (ai * ratio - ar) / (br * ratio + bi))
+    return _cx(re, im)
+
+
+def _cis(theta) -> np.ndarray:
+    return np.exp(_cx(0.0, theta))
+
+
+def _abs(z) -> np.ndarray:
+    return np.hypot(z.real, z.imag)
+
+
+def _angle(z) -> np.ndarray:
+    return np.arctan2(z.imag, z.real)
+
+
+def _each(fn, x) -> np.ndarray:
+    """fn (a math-module function) applied element by element."""
+    return np.array([fn(v) for v in np.asarray(x).tolist()], dtype=float)
+
+
+def _stack(m00, m01, m10, m11) -> np.ndarray:
+    m = np.empty((len(m00), 2, 2), dtype=complex)
+    m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1] = m00, m01, m10, m11
+    return m
+
+
+def _conj_t(m) -> np.ndarray:
+    return m.conj().transpose(0, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# exact theory: chain, S, eigenpair, noise
+
+
+def _indices(spec, alpha_l, omega):
+    """(n_gain, n_loss) arrays; raises ValueError where the scalar path would."""
+    if np.any(omega <= 0):
+        raise ValueError("omega must be positive")
+    template = bilayer_at(spec, 0.0)
+    if spec.preset is not None:
+        gain_alpha, loss_alpha = media.preset_amplitudes(spec.preset, alpha_l)
+    else:
+        gain_alpha, loss_alpha = template.gain.alpha, alpha_l
+    if not np.all(np.isfinite(loss_alpha)):
+        raise ValueError("alpha must be finite")
+    return tuple(media.refractive_index(media.lorentz_permittivity(
+        m.eps_b, a, m.omega0, m.gamma, omega))
+        for m, a in ((template.gain, gain_alpha), (template.loss, loss_alpha)))
+
+
+def _interface(n_from, n_to, k, z, paper: bool) -> np.ndarray:
+    """scattering.interface_matrix over arrays."""
+    ar, br = n_from.real, n_to.real
+    a, b = (_cx(ar, 0.0), _cx(br, 0.0)) if paper else (n_from, n_to)
+    pre = np.sqrt(_py_div(a, b))
+    t11 = _mul(_mul(pre, b + a) / (2 * a), _cis((ar - br) * k * z))
+    t12 = _mul(_mul(pre, b - a) / (2 * a), _cis(-(ar + br) * k * z))
+    t21 = _mul(t12, _cis(2 * (ar + br) * k * z))
+    t22 = _mul(t11, _cis(-2 * (ar - br) * k * z))
+    return _stack(t11, t12, t21, t22)
+
+
+def _propagation(n, k, thickness) -> np.ndarray:
+    u = n.imag * k * thickness
+    zero = np.zeros_like(u)
+    return _stack(np.exp(-u), zero, zero, np.exp(u))
+
+
+class ExactStack:
+    """Indices, chain and S of every grid row (scattering.transfer_chain and
+    scattering_from_transfer over arrays)."""
+
+    def __init__(self, spec, alpha_l, omega):
+        self.paper = scattering.canonical_mode(spec.mode) == scattering.MODE_PAPER
+        self.ng, self.nl = _indices(spec, alpha_l, omega)
+        self.k = omega / C_VACUUM
+        self.l = spec.thickness_nm * NM
+        l, k = self.l, self.k
+        vac = np.full(len(omega), 1.0 + 0j)
+        t1 = _interface(vac, self.ng, k, -l, self.paper)
+        r2 = _propagation(self.ng, k, l)
+        t2 = _interface(self.ng, self.nl, k, 0.0, self.paper)
+        r3 = _propagation(self.nl, k, l)
+        self.from_loss = _interface(self.nl, vac, k, l, self.paper)
+        self.from_gain = self.from_loss @ r3 @ t2
+        self.total = self.from_gain @ r2 @ t1
+
+        A = self.total
+        a22 = A[:, 1, 1]
+        t = 1.0 / a22
+        t_alt = (_mul(A[:, 0, 0], a22) - _mul(A[:, 0, 1], A[:, 1, 0])) / a22
+        self.singular = ((_abs(a22) < 1e-300)
+                         | (_abs(t - t_alt) > 1e-8 * np.maximum(_abs(t), 1e-300)))
+        self.s = Amplitudes(-A[:, 1, 0] / a22, t, A[:, 0, 1] / a22)
+
+    def eigenpairs(self, rows: np.ndarray):
+        """(lambda1, lambda2, inconsistent) at rows, as scattering.eigenvalues."""
+        A, s = self.total[rows], self.s.take(rows)
+        lam = np.linalg.eigvals(s.matrices())
+        b = A[:, 0, 1] - A[:, 1, 0]
+        root = np.sqrt(_mul(b, b) + _mul(4 * A[:, 0, 0], A[:, 1, 1]))
+        two_a22 = 2 * A[:, 1, 1]
+        c1, c2 = (b + root) / two_a22, (b - root) / two_a22
+        l1, l2 = lam[:, 0], lam[:, 1]
+        m1, m2 = _abs(l1), _abs(l2)
+        scale = np.maximum(np.maximum(m1, m2), 1e-300)
+        mismatch = np.maximum(np.minimum(_abs(l1 - c1), _abs(l1 - c2)),
+                              np.minimum(_abs(l2 - c1), _abs(l2 - c2)))
+        tie = np.abs(m1 - m2) <= 1e-12 * np.maximum(np.maximum(m1, m2), 1e-300)
+        swap = np.where(tie, _angle(l1) > _angle(l2), m1 < m2)
+        return (np.where(swap, l2, l1), np.where(swap, l1, l2),
+                mismatch > 1e-8 * scale)
+
+    def couplings(self, rows: np.ndarray):
+        """(D_gain, D_loss) at rows, as noise.noise_couplings."""
+        A = self.total[rows]
+        a12, a22 = A[:, 0, 1], A[:, 1, 1]
+        inv = 1.0 / a22
+        out = []
+        for B in (self.from_gain[rows], self.from_loss[rows]):
+            m = _stack(-B[:, 1, 0], -B[:, 1, 1],
+                       _mul(B[:, 0, 0], a22) - _mul(a12, B[:, 1, 0]),
+                       _mul(B[:, 0, 1], a22) - _mul(a12, B[:, 1, 1]))
+            out.append(inv[:, None, None] * m)
+        return out
+
+    def commutators(self, rows: np.ndarray):
+        """(K_gain, K_loss) at rows, as noise.layer_commutator."""
+        k, l = self.k[rows], self.l
+        out = []
+        for n, sign in ((self.ng[rows], 1.0), (self.nl[rows], -1.0)):
+            nr, ni = n.real, n.imag
+            u, v = ni * k * l, nr * k * l
+            phase = _cis(sign * v)
+            x = np.where(nr == 0.0, -2.0 * ni * k * l, -2.0 * (ni / nr) * np.sin(v))
+            q = _mul(_cx(x, 0.0), phase)
+            scale = 1.0 if self.paper else nr / _abs(n)
+            same = 1.0 - _each(math.exp, -2 * u)
+            counter = _each(math.exp, 2 * u) - 1.0
+            out.append(_stack(_cx(scale * same, 0.0), _cx(scale * q.real, scale * q.imag),
+                              _cx(scale * q.real, scale * -q.imag), _cx(scale * counter, 0.0)))
+        return out
+
+    def flux(self, rows: np.ndarray, temperature: np.ndarray, omega: np.ndarray):
+        """(s_left, s_right) at rows, as noise.noise_flux."""
+        nth = np.array([noise.thermal_occupation(w, t) for w, t in
+                        zip(omega[rows].tolist(), temperature[rows].tolist())], dtype=float)
+        out = [0.0, 0.0]
+        for d, kmat, n in zip(self.couplings(rows), self.commutators(rows),
+                              (self.ng[rows], self.nl[rows])):
+            weight = np.where(n.imag >= 0, nth, -(nth + 1.0))
+            for row in (0, 1):
+                dr = d[:, row:row + 1, :]
+                val = (dr @ kmat) @ np.conj(d[:, row, :])[:, :, None]
+                out[row] = out[row] + weight * val[:, 0, 0].real
+        return out[0], out[1]
+
+
+def sum_rule_residuals(exact: ExactStack, rows: np.ndarray) -> np.ndarray:
+    """noise.sum_rule_residual at rows."""
+    (d2, d3), (k2, k3) = exact.couplings(rows), exact.commutators(rows)
+    s = exact.s.take(rows).matrices()
+    lhs = d2 @ k2 @ _conj_t(d2) + d3 @ k3 @ _conj_t(d3)
+    rhs = np.eye(2) - s @ _conj_t(s)
+    return np.max(np.abs(lhs - rhs), axis=(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# scattering amplitudes and observables, for either theory
+
+
+class Amplitudes:
+    """(r_left, t, r_right) arrays and the quantities derived from them, with
+    the rounding of ScatteringAmplitudes and the observables module."""
+
+    def __init__(self, r_left, t, r_right):
+        self.r_left, self.t, self.r_right = r_left, t, r_right
+
+    def take(self, rows) -> "Amplitudes":
+        return Amplitudes(self.r_left[rows], self.t[rows], self.r_right[rows])
+
+    def matrices(self) -> np.ndarray:
+        return _stack(self.r_left, self.t, self.t, self.r_right)
+
+    def power(self):
+        """(T, R_left, R_right)."""
+        return tuple(media.libm_square(_abs(a)) for a in (self.t, self.r_left, self.r_right))
+
+
+def _wrap(phi):
+    return (phi + np.pi) % (2 * np.pi) - np.pi
+
+
+def _scattering_cells(s: Amplitudes) -> dict:
+    T, R_left, R_right = s.power()
+    pl, pr, pt = _angle(s.r_left), _angle(s.r_right), _angle(s.t)
+    gen = np.abs(np.abs(T - 1.0) - np.sqrt(R_left * R_right))
+    no_phase = ((np.minimum(np.minimum(_abs(s.r_left), _abs(s.r_right)), _abs(s.t)) < 1e-14)
+                | (np.abs(T - 1.0) < 1e-14))
+    phase = np.where(T < 1.0, np.abs(_wrap(pl - pr)),
+                     np.maximum(np.abs(_wrap(pl - pr + np.pi)),
+                                np.abs(_wrap(pl - pt + np.pi / 2))))
+    return {"T": T, "R_left": R_left, "R_right": R_right, "phase_t": pt,
+            "phase_r_left": pl, "phase_r_right": pr, "conservation_generalized": gen,
+            "conservation_phase": np.where(no_phase, np.nan, phase)}
+
+
+def _variance(s: Amplitudes, flux_right, spec) -> np.ndarray:
+    inp = spec.input_state
+    T = s.power()[0]
+    offset = inp.phi_xi - 2.0 * spec.phi_lo
+    cos = _each(math.cos, offset - 2.0 * _angle(s.t))
+    squeeze = 2.0 * math.sinh(inp.xi) ** 2 - math.sinh(2.0 * inp.xi) * cos
+    return 1.0 + 2.0 * flux_right + T * squeeze
+
+
+def _mandel(s: Amplitudes, flux_right, spec):
+    """(Q, degenerate) with observables.mandel_q's rounding."""
+    inp = spec.input_state
+    T = s.power()[0]
+    sh2 = math.sinh(inp.xi) ** 2
+    ch2 = math.cosh(inp.xi) ** 2
+    w = inp.coherent_weight
+    den = T * (sh2 + w) + flux_right
+    nbar = T * sh2 + flux_right
+    num = nbar * nbar + T * T * sh2 * ch2 + 2.0 * T * w * nbar \
+        + T * T * w * math.sinh(2.0 * inp.xi) * math.cos(2.0 * inp.phi_rho - inp.phi_xi)
+    return num / den, np.abs(den) < 1e-30
+
+
+def _rel_dev(eff, exact):
+    return np.abs(eff - exact) / np.maximum(np.abs(exact), 1e-300)
+
+
+def _classify(l1, l2, tol: float = 1e-4) -> np.ndarray:
+    """scattering.classify_phase, with "inconsistent" for its exception."""
+    m1, m2 = _abs(l1), _abs(l2)
+    return np.select(
+        [_abs(l1 - l2) <= tol * np.maximum(np.maximum(m1, m2), 1.0),
+         (np.abs(m1 - 1) <= tol) & (np.abs(m2 - 1) <= tol),
+         (np.abs(m1 * m2 - 1) <= tol) & (np.abs(m1 - 1) > tol)],
+        ["exceptional", "exact", "broken"], "inconsistent").astype(object)
+
+
+# ---------------------------------------------------------------------------
+# the grid
+
+
+class _Cells:
+    """Column arrays, statuses and the rows still being evaluated."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.columns: dict[str, np.ndarray] = {}
+        self.status = np.full(n, "ok", dtype=object)
+        self.live = np.ones(n, dtype=bool)
+
+    def rows(self) -> np.ndarray:
+        return np.flatnonzero(self.live)
+
+    def put(self, rows: np.ndarray, values: dict) -> None:
+        """Write values (arrays with one entry per row in rows) where rows are live."""
+        keep = self.live[rows]
+        for name, v in values.items():
+            col = self.columns.get(name)
+            if col is None:
+                col = self.columns[name] = np.full(self.n, np.nan, dtype=v.dtype)
+            col[rows[keep]] = v[keep]
+
+    def fail(self, rows: np.ndarray, name: str) -> None:
+        """Give the live ones among rows the status name; they stop here."""
+        rows = rows[self.live[rows]]
+        self.status[rows] = name
+        self.live[rows] = False
+
+
+def _effective_rows(spec, wants, alpha_l, omega, temperature, cells: _Cells):
+    """Effective-medium cells row by row from the scalar library.
+
+    Returns the slab's Amplitudes and its (s_left, s_right) flux as arrays
+    over the grid (nan where not computed), or (None, None) when the spec
+    needs no effective slab.
+    """
+    n = cells.n
+    want_s = spec.theory != "exact" and bool(wants & EXACT_FAMILIES)
+    want_flux = want_s and bool(wants & FLUX_FAMILIES)
+    amp = np.full((3, n), np.nan, dtype=complex)
+    flux = np.full((2, n), np.nan)
+    eta_cells = np.full((4, n), np.nan)
+    rows = cells.rows()
+    eta_rows, failures = [], []
+    alphas, omegas, thetas = (a[rows].tolist() for a in (alpha_l, omega, temperature))
+    for j, i in enumerate(rows.tolist()):
+        bil = bilayer_at(spec, alphas[j])
+        w, l = omegas[j], bil.layer_thickness
+        try:
+            n_eff = effective.bloch_index(bil, w)
+            if "eta" in wants:
+                eta = effective.round_trip(n_eff, w, l)
+                eta_cells[:, i] = (n_eff.real, n_eff.imag, abs(eta), float(np.angle(eta)))
+                eta_rows.append(i)
+            if want_s:
+                s = effective.effective_amplitudes(n_eff, w, l)
+                amp[:, i] = (s.r_left, s.t, s.r_right)
+                if want_flux:
+                    f = effective.effective_noise(bil, w, n_eff, thetas[j])
+                    flux[:, i] = (f["s_left"], f["s_right"])
+        except (BranchAmbiguity, LasingPole) as exc:
+            failures.append((i, type(exc).__name__))
+    # eta cells are written before the effective slab can fail
+    eta_rows = np.array(eta_rows, dtype=int)
+    cells.put(eta_rows, {name: eta_cells[k, eta_rows] for k, name in
+                         enumerate(("n_eff_re", "n_eff_im", "eta_mod", "eta_arg"))}
+              if "eta" in wants else {})
+    for i, name in failures:
+        cells.fail(np.array([i]), name)
+    if not want_s:
+        return None, None
+    return Amplitudes(*amp), flux
+
+
+# Rows that overflow or divide by zero carry inf and nan into their cells and
+# statuses, as the scalar path's rows do; numpy need not warn about them.
+@np.errstate(all="ignore")
+def evaluate_grid(spec, xs):
+    """Every cell of the spec's table at every grid value.
+
+    Returns (columns, status): columns maps a column name to an array with
+    one entry per grid value (nan where that row never filled the cell);
+    status is "ok" or the exception name of the row's first failure, met in
+    the order the scalar evaluation meets them: exact scattering, the sum
+    rule (SumRuleViolation is raised, not recorded), the effective medium,
+    the eigenpair, the Mandel denominator. The grid variable's own column is
+    not included.
+    """
+    xs = np.asarray(xs, dtype=float)
+    alpha_l, omega, temperature = grid_parameters(spec, xs)
+    wants = frozenset(spec.observables)
+    cells = _Cells(len(xs))
+    use_exact = spec.theory in ("exact", "both")
+    both = spec.theory == "both"
+
+    exact = s_main = flux_main = None
+    if use_exact and wants & EXACT_FAMILIES:
+        exact = ExactStack(spec, alpha_l, omega)
+        cells.fail(np.flatnonzero(exact.singular), "SingularTransfer")
+        s_main = exact.s
+        if wants & FLUX_FAMILIES:
+            rows = cells.rows()
+            if spec.check_sum_rule:
+                res = np.broadcast_to(sum_rule_residuals(exact, rows), rows.shape)
+                bad = np.flatnonzero(~(res <= SUM_RULE_TOL))
+                if bad.size:
+                    raise SumRuleViolation(f"sum rule residual {res[bad[0]]:.3e} "
+                                           f"exceeds {SUM_RULE_TOL:.1e}")
+            flux_main = np.full((2, len(xs)), np.nan)
+            flux_main[:, rows] = exact.flux(rows, temperature, omega)
+
+    s_eff = flux_eff = None
+    if spec.theory != "exact" or "eta" in wants:
+        s_eff, flux_eff = _effective_rows(spec, wants, alpha_l, omega, temperature, cells)
+    if not use_exact:
+        s_main, flux_main = s_eff, flux_eff
+
+    every = np.arange(len(xs))
+    # s_main (and, with both theories, s_eff) exists for every exact family,
+    # flux_main (and flux_eff) for every flux family
+    if "scattering" in wants:
+        main = _scattering_cells(s_main)
+        cells.put(every, main)
+        if both:
+            for c, v in zip(("T", "R_left", "R_right"), s_eff.power()):
+                cells.put(every, {f"{c}_effective": v, f"{c}_rel_dev": _rel_dev(v, main[c])})
+
+    if "eigenvalues" in wants:
+        rows = cells.rows()
+        if use_exact:
+            l1, l2, inconsistent = exact.eigenpairs(rows)
+            cells.fail(rows[inconsistent], "InconsistentEigenvalues")
+        else:
+            lam = np.linalg.eigvals(s_main.take(rows).matrices())
+            swap = _abs(lam[:, 0]) < _abs(lam[:, 1])
+            l1, l2 = np.where(swap, lam[:, 1], lam[:, 0]), np.where(swap, lam[:, 0], lam[:, 1])
+        m1, m2 = _abs(l1), _abs(l2)
+        cells.put(rows, {"lambda1_mod": m1, "lambda1_arg": _angle(l1),
+                         "lambda2_mod": m2, "lambda2_arg": _angle(l2),
+                         "unimodularity_dev": np.maximum(np.abs(m1 - 1), np.abs(m2 - 1)),
+                         "phase_class": _classify(l1, l2)})
+
+    if "noise" in wants:
+        T, R_left, R_right = s_main.power()
+        cells.put(every, {"s_right": flux_main[1], "s_left": flux_main[0],
+                          "deficit_left": 1.0 - T - R_left,
+                          "deficit_right": 1.0 - T - R_right})
+        if both:
+            cells.put(every, {"s_right_effective": flux_eff[1],
+                              "s_left_effective": flux_eff[0],
+                              "s_right_rel_dev": _rel_dev(flux_eff[1], flux_main[1]),
+                              "s_left_rel_dev": _rel_dev(flux_eff[0], flux_main[0])})
+    if "variance" in wants:
+        v = _variance(s_main, flux_main[1], spec)
+        cells.put(every, {"variance": v})
+        if both:
+            ve = _variance(s_eff, flux_eff[1], spec)
+            cells.put(every, {"variance_effective": ve, "variance_rel_dev": _rel_dev(ve, v)})
+    if "mandel" in wants:
+        q, degenerate = _mandel(s_main, flux_main[1], spec)
+        cells.fail(every[degenerate], "DegenerateDenominator")
+        cells.put(every, {"mandel_q": q})
+        if both:
+            qe, degenerate = _mandel(s_eff, flux_eff[1], spec)
+            cells.fail(every[degenerate], "DegenerateDenominator")
+            cells.put(every, {"mandel_q_effective": qe, "mandel_q_rel_dev": _rel_dev(qe, q)})
+    return cells.columns, cells.status

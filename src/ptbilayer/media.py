@@ -66,13 +66,24 @@ class Bilayer:
             raise ValueError("layer_thickness must be positive and finite")
 
 
+def lorentz_permittivity(eps_b, alpha, omega0, gamma, omega):
+    """eps_b - alpha w0 gamma / (w^2 - w0^2 + i w gamma), elementwise.
+
+    alpha and omega may be arrays. The arithmetic is numpy's for scalars and
+    arrays alike, so an array evaluation equals the pointwise one bit for bit.
+    No argument checks.
+    """
+    w = np.asarray(omega, dtype=float)
+    return eps_b - alpha * omega0 * gamma / (w * w - omega0 ** 2 + 1j * w * gamma)
+
+
 def permittivity(medium: LorentzMedium, omega):
     """Complex permittivity at angular frequency omega (rad/s). Vectorizes."""
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0):
         raise ValueError("omega must be positive")
-    eps = medium.eps_b - medium.alpha * medium.omega0 * medium.gamma / (
-        w * w - medium.omega0 ** 2 + 1j * w * medium.gamma)
+    eps = lorentz_permittivity(medium.eps_b, medium.alpha, medium.omega0,
+                               medium.gamma, w)
     return complex(eps) if np.isscalar(omega) or np.ndim(omega) == 0 else eps
 
 
@@ -90,11 +101,35 @@ def refractive_index(eps):
     return complex(n) if np.isscalar(eps) or np.ndim(eps) == 0 else n
 
 
-def _lineshape(medium: LorentzMedium, omega: float) -> float:
-    # Im eps per unit alpha: w0 gamma^2 w / D(w), always positive.
-    w = float(omega)
-    d = (w * w - medium.omega0 ** 2) ** 2 + medium.gamma ** 2 * w * w
+def libm_square(x):
+    """x ** 2 as a Python float computes it, elementwise over arrays.
+
+    Python and numpy scalars square through the C library's pow, which
+    differs from x * x (numpy's array square) in the last bit for about one
+    input in 10^3; this keeps array results equal to scalar ones.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return float(x) ** 2
+    out = x * x
+    finite = np.isfinite(out)
+    out[finite] = [v ** 2 for v in x[finite].tolist()]
+    return out
+
+
+def _lineshape(medium: LorentzMedium, omega):
+    # Im eps per unit alpha: w0 gamma^2 w / D(w), always positive; elementwise.
+    w = np.asarray(omega, dtype=float)
+    d = libm_square(w * w - medium.omega0 ** 2) + medium.gamma ** 2 * w * w
     return medium.omega0 * medium.gamma ** 2 * w / d
+
+
+def _delta_epsilon(loss: LorentzMedium, gain: LorentzMedium, omega):
+    # pt_delta_epsilon without the argument check, elementwise over omega.
+    ag = -loss.alpha * _lineshape(loss, omega) / _lineshape(gain, omega)
+    el = lorentz_permittivity(loss.eps_b, loss.alpha, loss.omega0, loss.gamma, omega)
+    eg = lorentz_permittivity(gain.eps_b, ag, gain.omega0, gain.gamma, omega)
+    return el.real - eg.real
 
 
 def pt_balanced_gain(loss: LorentzMedium, gain: LorentzMedium, omega: float) -> float:
@@ -105,7 +140,7 @@ def pt_balanced_gain(loss: LorentzMedium, gain: LorentzMedium, omega: float) -> 
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    return -loss.alpha * _lineshape(loss, omega) / _lineshape(gain, omega)
+    return float(-loss.alpha * _lineshape(loss, omega) / _lineshape(gain, omega))
 
 
 def pt_delta_epsilon(loss: LorentzMedium, gain: LorentzMedium, omega: float) -> float:
@@ -114,10 +149,9 @@ def pt_delta_epsilon(loss: LorentzMedium, gain: LorentzMedium, omega: float) -> 
     The gain amplitude is set by pt_balanced_gain at each omega, so a root of
     this function is a frequency where the bilayer is exactly balanced.
     """
-    ag = pt_balanced_gain(loss, gain, omega)
-    el = permittivity(loss, omega)
-    eg = permittivity(LorentzMedium(gain.eps_b, ag, gain.omega0, gain.gamma), omega)
-    return el.real - eg.real
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    return float(_delta_epsilon(loss, gain, omega))
 
 
 def pt_frequency(loss: LorentzMedium, gain: LorentzMedium,
@@ -126,8 +160,9 @@ def pt_frequency(loss: LorentzMedium, gain: LorentzMedium,
 
     Equal backgrounds admit a closed form independent of the amplitudes:
     w^2 = (gamma_g w0l^2 + gamma_l w0g^2) / (gamma_g + gamma_l). Otherwise a
-    2048-point logarithmic scan over [0.01, 100] * max(w0) brackets every sign
-    change of the real-part mismatch and bisection refines each root.
+    2048-point logarithmic scan over [0.01, 100] * max(w0), evaluated as one
+    array, brackets every sign change of the real-part mismatch and bisection
+    refines each root.
     """
     if loss.alpha == 0:
         raise ValueError("loss amplitude must be nonzero")
@@ -138,11 +173,9 @@ def pt_frequency(loss: LorentzMedium, gain: LorentzMedium,
 
     wmax = max(loss.omega0, gain.omega0)
     grid = np.logspace(math.log10(0.01 * wmax), math.log10(100 * wmax), 2048)
-    vals = np.array([pt_delta_epsilon(loss, gain, w) for w in grid])
+    vals = _delta_epsilon(loss, gain, grid)
     roots = []
-    for i in range(len(grid) - 1):
-        if (vals[i] < 0) == (vals[i + 1] < 0):
-            continue
+    for i in np.flatnonzero((vals[:-1] < 0) != (vals[1:] < 0)).tolist():
         lo, hi = grid[i], grid[i + 1]
         flo = vals[i]
         while hi - lo > rel_tol * hi:
@@ -176,6 +209,7 @@ _SET2_LOSS = dict(eps_b=3.22, omega0=1200 * TRAD, gamma=140 * TRAD)
 _SET2_GAIN = dict(eps_b=2.0, omega0=1000 * TRAD, gamma=67 * TRAD)
 
 PRESET_IDS = ("set1", "set2")
+_PRESET_MEDIA = {"set1": (_SET1_GAIN, _SET1_LOSS), "set2": (_SET2_GAIN, _SET2_LOSS)}
 
 
 @lru_cache(maxsize=1)
@@ -194,6 +228,21 @@ def set2_gain_alpha() -> float:
     return pt_balanced_gain(loss, gain, set2_operating_frequency())
 
 
+def preset_amplitudes(set_id: str, alpha_l):
+    """(gain, loss) oscillator amplitudes of a preset at loss amplitude alpha_l.
+
+    Elementwise over an array of loss amplitudes; the set2 gain amplitude is
+    a scalar for every alpha_l.
+    """
+    if np.any(np.asarray(alpha_l) < 0):
+        raise ValueError("alpha_l must be nonnegative")
+    if set_id == "set1":
+        return -alpha_l, alpha_l
+    if set_id == "set2":
+        return set2_gain_alpha(), alpha_l
+    raise ValueError(f"unknown preset {set_id!r}; expected one of {PRESET_IDS}")
+
+
 def preset(set_id: str, alpha_l: float,
            layer_thickness: float = DEFAULT_LAYER_THICKNESS) -> Bilayer:
     """Bilayer from a named material family at the given loss amplitude.
@@ -202,17 +251,11 @@ def preset(set_id: str, alpha_l: float,
     every alpha_l). "set2": detuned pair with the gain amplitude held at its
     reference value for all alpha_l; only alpha_l = 2 is balanced.
     """
-    if alpha_l < 0:
-        raise ValueError("alpha_l must be nonnegative")
-    if set_id == "set1":
-        loss = LorentzMedium(alpha=alpha_l, **_SET1_LOSS)
-        gain = LorentzMedium(alpha=-alpha_l, **_SET1_GAIN)
-    elif set_id == "set2":
-        loss = LorentzMedium(alpha=alpha_l, **_SET2_LOSS)
-        gain = LorentzMedium(alpha=set2_gain_alpha(), **_SET2_GAIN)
-    else:
-        raise ValueError(f"unknown preset {set_id!r}; expected one of {PRESET_IDS}")
-    return Bilayer(gain=gain, loss=loss, layer_thickness=layer_thickness)
+    gain_alpha, loss_alpha = preset_amplitudes(set_id, alpha_l)
+    gain, loss = _PRESET_MEDIA[set_id]
+    return Bilayer(gain=LorentzMedium(alpha=gain_alpha, **gain),
+                   loss=LorentzMedium(alpha=loss_alpha, **loss),
+                   layer_thickness=layer_thickness)
 
 
 def preset_default_omega(set_id: str) -> float:

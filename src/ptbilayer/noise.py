@@ -29,8 +29,8 @@ import math
 import numpy as np
 
 from .media import C_VACUUM, HBAR, K_BOLTZMANN, Bilayer
-from .scattering import (MODE_FULL, MODE_PAPER, canonical_mode, layer_indices,
-                         scattering_from_transfer, transfer_chain)
+from .scattering import (MODE_FULL, MODE_PAPER, TransferChain, canonical_mode,
+                         layer_indices, scattering_from_transfer, transfer_chain)
 
 
 class SumRuleViolation(Exception):
@@ -111,10 +111,15 @@ def noise_couplings(bilayer: Bilayer, omega: float,
 
 
 def sum_rule_residual(bilayer: Bilayer, omega: float,
-                      mode: str = MODE_FULL) -> float:
-    """Max-entry residual of sum_layers D K D^dagger = 1 - S S^dagger."""
+                      mode: str = MODE_FULL, chain: TransferChain = None) -> float:
+    """Max-entry residual of sum_layers D K D^dagger = 1 - S S^dagger.
+
+    chain, when given, is transfer_chain(bilayer, omega, mode) built by the
+    caller.
+    """
     mode = canonical_mode(mode)
-    chain = transfer_chain(bilayer, omega, mode)
+    if chain is None:
+        chain = transfer_chain(bilayer, omega, mode)
     ng, nl = layer_indices(bilayer, omega)
     l = bilayer.layer_thickness
     d2 = _coupling(chain.total, chain.from_gain)
@@ -129,23 +134,25 @@ def sum_rule_residual(bilayer: Bilayer, omega: float,
 
 def noise_flux(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
                temperature: float = 0.0, check_sum_rule: bool = False,
-               sum_rule_tol: float = 1e-10) -> dict:
+               sum_rule_tol: float = 1e-10, chain: TransferChain = None) -> dict:
     """Noise photon flux into each output, {"s_left", "s_right"}.
 
     With check_sum_rule the commutator sum rule is validated at this
     configuration first; that requires full_complex mode (the approximate
-    paper_real_part bookkeeping does not close the rule).
+    paper_real_part bookkeeping does not close the rule). chain, when given,
+    is transfer_chain(bilayer, omega, mode) built by the caller.
     """
     mode = canonical_mode(mode)
+    if chain is None:
+        chain = transfer_chain(bilayer, omega, mode)
     if check_sum_rule:
         if mode != MODE_FULL:
             raise ValueError("sum rule check requires full_complex mode")
-        res = sum_rule_residual(bilayer, omega, mode)
+        res = sum_rule_residual(bilayer, omega, mode, chain=chain)
         if not (res <= sum_rule_tol):
             raise SumRuleViolation(
                 f"sum rule residual {res:.3e} exceeds {sum_rule_tol:.1e}")
 
-    chain = transfer_chain(bilayer, omega, mode)
     ng, nl = layer_indices(bilayer, omega)
     l = bilayer.layer_thickness
     nth = thermal_occupation(omega, temperature)

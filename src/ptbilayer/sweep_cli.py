@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import effective, media, noise, observables, scattering
+from . import effective, grid, media, noise, observables, scattering
 from .effective import BranchAmbiguity, LasingPole
 from .media import NM, TRAD, Bilayer, LorentzMedium
 from .noise import SumRuleViolation
@@ -118,7 +118,7 @@ class ResultTable:
 
     def to_json_obj(self) -> dict:
         def clean(c):
-            if isinstance(c, float) and math.isnan(c):
+            if isinstance(c, float) and not math.isfinite(c):
                 return None
             return c
         return {"metadata": self.metadata,
@@ -147,35 +147,6 @@ def grid_values(spec: SweepSpec) -> np.ndarray:
     if spacing == "log":
         return np.logspace(math.log10(spec.start), math.log10(spec.stop), spec.count)
     return np.linspace(spec.start, spec.stop, spec.count)
-
-
-def _default_omega_trad(spec: SweepSpec) -> float:
-    if spec.fixed_omega_trad is not None:
-        return spec.fixed_omega_trad
-    if spec.preset is not None:
-        return media.preset_default_omega(spec.preset) / TRAD
-    return (spec.materials[0].omega0) / TRAD
-
-
-def _bilayer_at(spec: SweepSpec, alpha_l: float) -> Bilayer:
-    thickness = spec.thickness_nm * NM
-    if spec.preset is not None:
-        return media.preset(spec.preset, alpha_l, thickness)
-    gain, loss = spec.materials
-    return Bilayer(gain=gain, loss=replace(loss, alpha=alpha_l),
-                   layer_thickness=thickness)
-
-
-def _point_parameters(spec: SweepSpec, x: float) -> tuple[Bilayer, float, float]:
-    """(bilayer, omega_rad_s, temperature_k) at grid value x."""
-    if spec.variable == "alpha_l":
-        return (_bilayer_at(spec, float(x)),
-                _default_omega_trad(spec) * TRAD, spec.temperature_k)
-    if spec.variable == "omega":
-        return (_bilayer_at(spec, spec.fixed_alpha_l),
-                float(x) * TRAD, spec.temperature_k)
-    return (_bilayer_at(spec, spec.fixed_alpha_l),
-            _default_omega_trad(spec) * TRAD, float(x))
 
 
 def _columns_for(spec: SweepSpec) -> list[str]:
@@ -215,139 +186,23 @@ def _columns_for(spec: SweepSpec) -> list[str]:
     return cols
 
 
-def _rel_dev(eff: float, exact: float) -> float:
-    return abs(eff - exact) / max(abs(exact), 1e-300)
-
-
-def _scattering_cells(s, prefix: str = "") -> dict:
-    cons = scattering.conservation_residuals(s)
-    return {
-        prefix + "T": s.T, prefix + "R_left": s.R_left, prefix + "R_right": s.R_right,
-        prefix + "phase_t": float(np.angle(s.t)),
-        prefix + "phase_r_left": float(np.angle(s.r_left)),
-        prefix + "phase_r_right": float(np.angle(s.r_right)),
-        prefix + "conservation_generalized": cons["generalized"],
-        prefix + "conservation_phase": (math.nan if cons["phase"] is None
-                                        else cons["phase"]),
-    }
-
-
-def _evaluate_point(spec: SweepSpec, x: float) -> dict:
-    """All cells this spec can produce at grid value x, plus a status."""
-    cells: dict = {"status": "ok"}
-    try:
-        bil, omega, theta = _point_parameters(spec, x)
-        wants = set(spec.observables)
-        need_exact = spec.theory in ("exact", "both")
-        need_eff = spec.theory in ("effective", "both") or "eta" in wants
-
-        s_exact = flux_exact = None
-        if need_exact and wants & {"scattering", "eigenvalues", "noise",
-                                   "variance", "mandel"}:
-            chain = scattering.transfer_chain(bil, omega, spec.mode)
-            s_exact = scattering.scattering_from_transfer(chain)
-            if wants & {"noise", "variance", "mandel"}:
-                flux_exact = noise.noise_flux(
-                    bil, omega, spec.mode, theta,
-                    check_sum_rule=spec.check_sum_rule)
-
-        n_eff = s_eff = flux_eff = None
-        if need_eff:
-            n_eff = effective.bloch_index(bil, omega)
-            if wants & {"scattering", "eigenvalues", "noise", "variance",
-                        "mandel", "eta"}:
-                if "eta" in wants:
-                    eta = effective.round_trip(n_eff, omega, bil.layer_thickness)
-                    cells.update(n_eff_re=n_eff.real, n_eff_im=n_eff.imag,
-                                 eta_mod=abs(eta), eta_arg=float(np.angle(eta)))
-                if spec.theory != "exact" and wants & {"scattering", "eigenvalues",
-                                                       "noise", "variance", "mandel"}:
-                    s_eff = effective.effective_amplitudes(
-                        n_eff, omega, bil.layer_thickness)
-                    if wants & {"noise", "variance", "mandel"}:
-                        flux_eff = effective.effective_noise(
-                            bil, omega, n_eff, theta)
-
-        # primary columns come from the requested theory
-        s_main = s_exact if spec.theory in ("exact", "both") else s_eff
-        flux_main = flux_exact if spec.theory in ("exact", "both") else flux_eff
-
-        if "scattering" in wants and s_main is not None:
-            cells.update(_scattering_cells(s_main))
-            if spec.theory == "both" and s_eff is not None:
-                cells.update(T_effective=s_eff.T, R_left_effective=s_eff.R_left,
-                             R_right_effective=s_eff.R_right,
-                             T_rel_dev=_rel_dev(s_eff.T, s_main.T),
-                             R_left_rel_dev=_rel_dev(s_eff.R_left, s_main.R_left),
-                             R_right_rel_dev=_rel_dev(s_eff.R_right, s_main.R_right))
-        if "eigenvalues" in wants and s_main is not None:
-            if spec.theory in ("exact", "both"):
-                lam = scattering.eigenvalues(chain)
-            else:
-                raw = np.linalg.eigvals(s_main.matrix())
-                lam = sorted(raw, key=abs, reverse=True)
-            dev = max(abs(abs(lam[0]) - 1), abs(abs(lam[1]) - 1))
-            try:
-                cls = scattering.classify_phase(tuple(lam))
-            except InconsistentEigenvalues:
-                cls = "inconsistent"
-            cells.update(lambda1_mod=abs(lam[0]), lambda1_arg=float(np.angle(lam[0])),
-                         lambda2_mod=abs(lam[1]), lambda2_arg=float(np.angle(lam[1])),
-                         unimodularity_dev=float(dev), phase_class=cls)
-        if "noise" in wants and s_main is not None and flux_main is not None:
-            deficit = noise.unitarity_deficit(s_main)
-            cells.update(s_right=flux_main["s_right"], s_left=flux_main["s_left"],
-                         deficit_left=deficit["left"], deficit_right=deficit["right"])
-            if spec.theory == "both" and flux_eff is not None:
-                cells.update(
-                    s_right_effective=flux_eff["s_right"],
-                    s_left_effective=flux_eff["s_left"],
-                    s_right_rel_dev=_rel_dev(flux_eff["s_right"], flux_main["s_right"]),
-                    s_left_rel_dev=_rel_dev(flux_eff["s_left"], flux_main["s_left"]))
-        if "variance" in wants and s_main is not None and flux_main is not None:
-            hom = HomodyneConfig(phi_lo=spec.phi_lo)
-            v = observables.homodyne_variance(
-                s_main, flux_main["s_right"], spec.input_state, hom)
-            cells.update(variance=v)
-            if spec.theory == "both" and s_eff is not None and flux_eff is not None:
-                ve = observables.homodyne_variance(
-                    s_eff, flux_eff["s_right"], spec.input_state, hom)
-                cells.update(variance_effective=ve,
-                             variance_rel_dev=_rel_dev(ve, v))
-        if "mandel" in wants and s_main is not None and flux_main is not None:
-            q = observables.mandel_q(s_main, flux_main["s_right"], spec.input_state)
-            cells.update(mandel_q=q)
-            if spec.theory == "both" and s_eff is not None and flux_eff is not None:
-                qe = observables.mandel_q(
-                    s_eff, flux_eff["s_right"], spec.input_state)
-                cells.update(mandel_q_effective=qe, mandel_q_rel_dev=_rel_dev(qe, q))
-    except _ROW_ERRORS as exc:
-        cells["status"] = type(exc).__name__
-    return cells
-
-
 def run_sweep(spec: SweepSpec) -> ResultTable:
     """Evaluate the spec over its grid; failed points are rows, not errors."""
     spec = spec.validate()
     xs = grid_values(spec)
     columns = _columns_for(spec)
-    var_col = columns[0]
-    rows = []
-    for x in xs:
-        cells = _evaluate_point(spec, float(x))
-        cells[var_col] = float(x)
-        rows.append([cells.get(c, math.nan) for c in columns])
-
+    cells, status = grid.evaluate_grid(spec, xs)
+    cells[columns[0]] = xs
+    cells["status"] = status
     if "phase_t_unwrapped" in columns:
-        i_w = columns.index("phase_t_unwrapped")
-        i_p = columns.index("phase_t")
-        phases = np.array([(row[i_p] if isinstance(row[i_p], float) else math.nan)
-                           for row in rows])
+        phases = cells["phase_t"]
         valid = ~np.isnan(phases)
         unwrapped = phases.copy()
         unwrapped[valid] = np.unwrap(phases[valid])
-        for row, val in zip(rows, unwrapped):
-            row[i_w] = float(val)
+        cells["phase_t_unwrapped"] = unwrapped
+    missing = [math.nan] * len(xs)
+    rows = [list(row) for row in zip(*(cells[c].tolist() if c in cells else missing
+                                       for c in columns))]
 
     meta = {
         "version": __version__,
@@ -360,7 +215,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
         "grid": {"start": spec.start, "stop": spec.stop, "count": spec.count,
                  "spacing": spec.spacing or "auto"},
         "fixed": {"omega_trad": (None if spec.variable == "omega"
-                                 else _default_omega_trad(spec)),
+                                 else grid.default_omega_trad(spec)),
                   "alpha_l": (None if spec.variable == "alpha_l"
                               else spec.fixed_alpha_l),
                   "temperature_k": (None if spec.variable == "temperature"
@@ -394,28 +249,57 @@ class ThresholdQuery:
 
 
 def _threshold_scalar(spec: SweepSpec, kind: str):
-    """Scalar function of the swept variable whose zero is the threshold."""
-    obs = {"atr": ("scattering",), "accidental_degeneracy": ("scattering",),
-           "exceptional_point": ("eigenvalues",), "eta_unity": ("eta",),
-           "squeeze_crossing": ("variance",), "mandel_crossing": ("mandel",)}[kind]
-    base = replace(spec, observables=obs)
+    """Scalar function of the swept variable whose zero is the threshold.
+
+    It evaluates what a table row of the kind's observable family would, in
+    the same order, and raises ConfigError naming the first failure.
+    """
+    exact = spec.theory in ("exact", "both")
+    eff = spec.theory in ("effective", "both")
+    noisy = kind in ("squeeze_crossing", "mandel_crossing")
+    hom = HomodyneConfig(phi_lo=spec.phi_lo)
+
+    def evaluate(x: float) -> float:
+        bil, omega, theta = grid.point_parameters(spec, x)
+        l = bil.layer_thickness
+        if kind == "eta_unity":
+            n_eff = effective.bloch_index(bil, omega)
+            return abs(effective.round_trip(n_eff, omega, l)) - 1.0
+        if exact:
+            chain = scattering.transfer_chain(bil, omega, spec.mode)
+            s = scattering.scattering_from_transfer(chain)
+            if noisy:
+                flux = noise.noise_flux(bil, omega, spec.mode, theta,
+                                        check_sum_rule=spec.check_sum_rule, chain=chain)
+        if eff:
+            n_eff = effective.bloch_index(bil, omega)
+            s_eff = effective.effective_amplitudes(n_eff, omega, l)
+            if noisy:
+                flux_eff = effective.effective_noise(bil, omega, n_eff, theta)
+            if not exact:
+                s, flux = s_eff, (flux_eff if noisy else None)
+        if kind == "atr":
+            return s.T - 1.0
+        if kind == "accidental_degeneracy":
+            return s.R_right - s.R_left
+        if kind == "exceptional_point":
+            lam = (scattering.eigenvalues(chain) if exact else
+                   sorted(np.linalg.eigvals(s.matrix()), key=abs, reverse=True))
+            return max(abs(abs(lam[0]) - 1), abs(abs(lam[1]) - 1)) - 1e-4
+        if kind == "squeeze_crossing":
+            return observables.homodyne_variance(
+                s, flux["s_right"], spec.input_state, hom) - 1.0
+        q = observables.mandel_q(s, flux["s_right"], spec.input_state)
+        if exact and eff:   # the table's effective column can fail too
+            observables.mandel_q(s_eff, flux_eff["s_right"], spec.input_state)
+        return q
 
     def f(x: float) -> float:
-        cells = _evaluate_point(base, x)
-        if cells["status"] != "ok":
+        try:
+            return evaluate(x)
+        except _ROW_ERRORS as exc:
             raise ConfigError(
-                f"threshold scalar failed at {x}: {cells['status']}")
-        if kind == "atr":
-            return cells["T"] - 1.0
-        if kind == "accidental_degeneracy":
-            return cells["R_right"] - cells["R_left"]
-        if kind == "exceptional_point":
-            return cells["unimodularity_dev"] - 1e-4
-        if kind == "eta_unity":
-            return cells["eta_mod"] - 1.0
-        if kind == "squeeze_crossing":
-            return cells["variance"] - 1.0
-        return cells["mandel_q"]
+                f"threshold scalar failed at {x}: {type(exc).__name__}") from exc
 
     return f
 
@@ -763,3 +647,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

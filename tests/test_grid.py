@@ -1,0 +1,161 @@
+"""Batched grid kernel against the scalar library it reproduces."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+import ptbilayer
+from ptbilayer import effective, grid, noise, observables, scattering
+from ptbilayer.effective import BranchAmbiguity, LasingPole
+from ptbilayer.media import TRAD, LorentzMedium
+from ptbilayer.observables import (DegenerateDenominator, HomodyneConfig,
+                                   SqueezedCoherentInput)
+from ptbilayer.scattering import InconsistentEigenvalues, SingularTransfer
+from ptbilayer.sweep_cli import ResultTable, SweepSpec, run_sweep
+
+EXACT = ("scattering", "eigenvalues", "noise", "variance", "mandel")
+ROW_ERRORS = (SingularTransfer, InconsistentEigenvalues, DegenerateDenominator,
+              BranchAmbiguity, LasingPole)
+
+
+def medium(alpha):
+    return st.builds(lambda eps_b, a, w0, g: LorentzMedium(eps_b, a, w0 * TRAD, g * TRAD),
+                     st.floats(1.0, 5.0), alpha, st.floats(300.0, 2000.0),
+                     st.floats(10.0, 300.0))
+
+
+def scalar_row(spec, x):
+    """Status and exact-theory values of one row, from the scalar library,
+    in the order a table row meets its failures."""
+    bil, omega, theta = grid.point_parameters(spec, x)
+    out = {}
+    try:
+        chain = scattering.transfer_chain(bil, omega, spec.mode)
+        out["chain"] = chain
+        s = out["s"] = scattering.scattering_from_transfer(chain)
+        flux = out["flux"] = noise.noise_flux(bil, omega, spec.mode, theta)
+        out["residual"] = noise.sum_rule_residual(bil, omega, spec.mode)
+        if spec.theory == "both":
+            n_eff = effective.bloch_index(bil, omega)
+            s_eff = effective.effective_amplitudes(n_eff, omega, bil.layer_thickness)
+            flux_eff = effective.effective_noise(bil, omega, n_eff, theta)
+        out["scattering_cells"] = True
+        out["eigenvalues"] = scattering.eigenvalues(chain)
+        out["variance"] = observables.homodyne_variance(
+            s, flux["s_right"], spec.input_state, HomodyneConfig(phi_lo=spec.phi_lo))
+        out["mandel_q"] = observables.mandel_q(s, flux["s_right"], spec.input_state)
+        if spec.theory == "both":
+            observables.mandel_q(s_eff, flux_eff["s_right"], spec.input_state)
+        out["status"] = "ok"
+    except ROW_ERRORS as exc:
+        out["status"] = type(exc).__name__
+    return out
+
+
+def same(a, b):
+    """Equal bit for bit, nan equal to nan."""
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+@given(gain=medium(st.floats(-5.0, 5.0)), loss=medium(st.just(1.0)),
+       alpha_l=st.floats(0.0, 50.0), thickness=st.floats(5.0, 150.0),
+       mode=st.sampled_from([scattering.MODE_FULL, scattering.MODE_PAPER]),
+       theory=st.sampled_from(["exact", "both"]),
+       temperature=st.sampled_from([0.0, 300.0]),
+       omegas=st.lists(st.floats(100.0, 3000.0), min_size=1, max_size=6))
+def test_kernel_reproduces_scalar_library(gain, loss, alpha_l, thickness, mode,
+                                          theory, temperature, omegas):
+    spec = SweepSpec(preset=None, materials=(gain, loss), variable="omega",
+                     fixed_alpha_l=alpha_l, thickness_nm=thickness, mode=mode,
+                     theory=theory, temperature_k=temperature, observables=EXACT)
+    xs = np.array(omegas)
+    cells, status = grid.evaluate_grid(spec, xs)
+    stack = grid.ExactStack(spec, *grid.grid_parameters(spec, xs)[:2])
+    ok = np.flatnonzero(~stack.singular)
+    residuals = dict(zip(ok.tolist(), grid.sum_rule_residuals(stack, ok).tolist()))
+    for i, x in enumerate(omegas):
+        ref = scalar_row(spec, x)
+        assert status[i] == ref["status"]
+        chain = ref["chain"]
+        assert same(stack.total[i], chain.total)
+        assert same(stack.from_gain[i], chain.from_gain)
+        assert same(stack.from_loss[i], chain.from_loss)
+        assert stack.singular[i] == (ref["status"] == "SingularTransfer")
+        if "s" not in ref:
+            continue
+        s = ref["s"]
+        assert same(stack.s.matrices()[i], s.matrix())
+        want = ref["residual"]
+        assert abs(residuals[i] - want) <= 1e-14 * max(abs(want), 1e-300)
+        if "scattering_cells" not in ref:
+            continue
+        cons = scattering.conservation_residuals(s)
+        for col, want in (("T", s.T), ("R_left", s.R_left), ("R_right", s.R_right),
+                          ("phase_t", np.angle(s.t)), ("phase_r_left", np.angle(s.r_left)),
+                          ("phase_r_right", np.angle(s.r_right)),
+                          ("conservation_generalized", cons["generalized"]),
+                          ("conservation_phase",
+                           np.nan if cons["phase"] is None else cons["phase"])):
+            assert same(cells[col][i], want), col
+        if "eigenvalues" not in ref:
+            continue
+        l1, l2 = ref["eigenvalues"]
+        assert same([cells["lambda1_mod"][i], cells["lambda1_arg"][i],
+                     cells["lambda2_mod"][i], cells["lambda2_arg"][i],
+                     cells["unimodularity_dev"][i]],
+                    [abs(l1), np.angle(l1), abs(l2), np.angle(l2),
+                     max(abs(abs(l1) - 1), abs(abs(l2) - 1))])
+        try:
+            phase_class = scattering.classify_phase((l1, l2))
+        except InconsistentEigenvalues:
+            phase_class = "inconsistent"
+        assert cells["phase_class"][i] == phase_class
+        for col in ("s_left", "s_right"):
+            want = ref["flux"][col]
+            assert abs(cells[col][i] - want) <= 1e-14 * abs(want), col
+        deficit = noise.unitarity_deficit(s)
+        assert same([cells["deficit_left"][i], cells["deficit_right"][i]],
+                    [deficit["left"], deficit["right"]])
+        assert same(cells["variance"][i], ref["variance"])
+        if "mandel_q" in ref:
+            assert same(cells["mandel_q"][i], ref["mandel_q"])
+
+
+def test_failing_row_keeps_earlier_cells():
+    # alpha_l = 0 with no squeezing and no coherent light: the lossless slab
+    # emits no noise, so the mean photocount vanishes and only mandel_q is
+    # missing from the row
+    spec = SweepSpec(preset="set1", start=0.0, stop=2.0, count=3, spacing="linear",
+                     fixed_omega_trad=1000.0, observables=EXACT,
+                     input_state=SqueezedCoherentInput(xi=0.0, coherent_weight=0.0),
+                     reproducible=True)
+    table = run_sweep(spec)
+    assert table.column("status") == ["DegenerateDenominator", "ok", "ok"]
+    row = dict(zip(table.columns, table.rows[0]))
+    missing = [c for c, v in row.items() if isinstance(v, float) and math.isnan(v)]
+    assert missing == ["mandel_q"]
+
+
+def test_json_writes_infinities_as_null():
+    table = ResultTable(columns=["x", "y"],
+                        rows=[[1.0, math.inf], [-math.inf, math.nan], [2.0, 3.0]],
+                        metadata={})
+    text = json.dumps(table.to_json_obj(), allow_nan=False)
+    assert json.loads(text)["rows"] == [[1.0, None], [None, None], [2.0, 3.0]]
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(ptbilayer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "ptbilayer.sweep_cli", "presets"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == {"set1", "set2"}

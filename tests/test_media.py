@@ -45,6 +45,14 @@ class TestPermittivity:
         eps = media.permittivity(m, w_rel * m.omega0)
         assert math.copysign(1.0, eps.imag) == math.copysign(1.0, alpha)
 
+    def test_libm_square_equals_python_square(self):
+        # Python floats square through pow, which for about 1 input in 10^3
+        # rounds differently from x * x (at 0.9827323782383632 on glibc)
+        x = np.random.default_rng(5).uniform(0.5, 2.0, 20000)
+        x[0] = 0.9827323782383632
+        assert media.libm_square(x).tolist() == [v ** 2 for v in x.tolist()]
+        assert media.libm_square(1.5) == 2.25
+
     def test_vectorized_matches_scalar(self):
         ws = np.linspace(100, 3000, 17) * TRAD
         batch = media.permittivity(SET2_LOSS, ws)
@@ -157,6 +165,33 @@ class TestPtFrequency:
     def test_zero_loss_rejected(self):
         with pytest.raises(ValueError):
             media.pt_frequency(lorentz(3.22, 0.0, 1200.0, 140.0), SET1_GAIN)
+
+    @pytest.mark.parametrize("loss,gain", [
+        (SET2_LOSS, SET1_GAIN),
+        (lorentz(3.22, 7.5, 1200.0, 140.0), lorentz(2.0, -1.0, 1000.0, 67.0)),
+        (lorentz(1.3, 0.4, 700.0, 35.0), lorentz(4.1, -2.0, 1500.0, 260.0)),
+    ])
+    def test_array_scan_equals_pointwise_scan(self, loss, gain):
+        # the scan is one array evaluation; a point-by-point scan with the
+        # same bisection must give the same values and roots, bit for bit
+        wmax = max(loss.omega0, gain.omega0)
+        grid = np.logspace(math.log10(0.01 * wmax), math.log10(100 * wmax), 2048)
+        vals = [media.pt_delta_epsilon(loss, gain, w) for w in grid]
+        roots = []
+        for i in range(len(grid) - 1):
+            if (vals[i] < 0) == (vals[i + 1] < 0):
+                continue
+            lo, hi, flo = grid[i], grid[i + 1], vals[i]
+            while hi - lo > 1e-12 * hi:
+                mid = 0.5 * (lo + hi)
+                fmid = media.pt_delta_epsilon(loss, gain, mid)
+                if (fmid < 0) == (flo < 0):
+                    lo, flo = mid, fmid
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi))
+        assert media._delta_epsilon(loss, gain, grid).tolist() == vals
+        assert roots and media.pt_frequency(loss, gain) == sorted(roots)
 
 
 class TestPresets:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ptbilayer import media, noise, sweep_cli
+from ptbilayer import grid, media, sweep_cli
 from ptbilayer.sweep_cli import (
     ConfigError,
     NoSignChange,
@@ -305,7 +305,8 @@ class TestCli:
         assert "no sign change" in capsys.readouterr().err
 
     def test_sum_rule_breach_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setattr(noise, "sum_rule_residual", lambda *a, **k: 1.0)
+        # sweeps check the sum rule in the batched kernel
+        monkeypatch.setattr(grid, "sum_rule_residuals", lambda *a, **k: 1.0)
         rc = cli_main(["sweep", "--preset", "set1", "--range", "1:10:3",
                        "--linear", "--obs", "noise", "--check"])
         assert rc == 4
