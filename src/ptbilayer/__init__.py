@@ -8,9 +8,11 @@ Subpackages by role:
 - effective: Bloch index of the fine-period stack, slab closed forms
 - observables: homodyne variance and Mandel Q for squeezed coherent input
 - grid: one batched evaluation of a whole sweep grid, equal to the scalar
-  functions above bit for bit
+  functions above bit for bit, and the table schema
 - sweep_cli: grids, threshold bisection, theory comparison, CLI entry point
 """
+
+__version__ = "0.1.0"   # first, so that the modules imported below can read it
 
 from .effective import (
     BranchAmbiguity,
@@ -83,8 +85,6 @@ from .sweep_cli import (
     locate_threshold,
     run_sweep,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BranchAmbiguity", "LasingPole", "bloch_index", "effective_amplitudes",

@@ -13,8 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .media import C_VACUUM, Bilayer, permittivity
 from .noise import thermal_occupation
 from .scattering import ScatteringAmplitudes, layer_indices
@@ -41,7 +39,7 @@ def _bloch_from_indices(ng: complex, nl: complex, omega: float,
     if abs(n.real) < 1e-9 * abs(n) and min(ng.imag, nl.imag) < 0 and n.imag > 0:
         # evanescent tie: with gain present take the amplifying branch
         n = -n
-    if abs(2 * n * k * layer_thickness) > math.pi / 2:
+    if not abs(2 * n * k * layer_thickness) <= math.pi / 2:   # nan fails too
         raise BranchAmbiguity(
             f"cell phase {abs(2 * n * k * layer_thickness):.3f} exceeds pi/2; "
             "principal branch is not trustworthy")
@@ -71,12 +69,13 @@ def effective_amplitudes(n_eff: complex, omega: float,
         r   = (n^2 - 1)(e^{4 i n k l} - 1) e^{-2 i k l} / den
 
     identical to the left/right symmetric two-port of the exact chain with
-    both layers set to n_eff. Raises LasingPole when |den| < 1e-12.
+    both layers set to n_eff. Raises LasingPole when |den| < 1e-12 or den is
+    not a number.
     """
     n = complex(n_eff)
     kl = (omega / C_VACUUM) * layer_thickness
     den = _pole_denominator(n, omega, layer_thickness)
-    if abs(den) < 1e-12:
+    if not abs(den) >= 1e-12:
         raise LasingPole(f"pole denominator modulus {abs(den):.3e}")
     t = 4 * n * cmath.exp(2j * (n - 1) * kl) / den
     r = (n * n - 1) * (cmath.exp(4j * n * kl) - 1) * cmath.exp(-2j * kl) / den

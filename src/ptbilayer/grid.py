@@ -1,11 +1,13 @@
-"""Batched evaluation of a sweep grid.
+"""Batched evaluation of a sweep grid, and the table schema.
 
 evaluate_grid computes every table cell of a SweepSpec over a whole grid of
 (alpha_l, omega, temperature) in one pass of array operations: the layer
 indices, the five chain factors as stacked (N, 2, 2) arrays, S, the
 eigenpair, the noise couplings and flux, the sum-rule residual, the
 conservation residuals and the observables. A row that fails keeps the cells
-filled before its first failure, and its status names that failure.
+filled before its first failure, and its status names that failure. The
+columns come out in table order, so this module is the one place that names
+them.
 
 The kernel repeats the rounding of the scalar library (transfer_chain,
 scattering_from_transfer, eigenvalues, noise_flux, ...), which stays the
@@ -28,18 +30,25 @@ index cannot be batched without changing the tables.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 
-from . import effective, media, noise, scattering
+from . import effective, media, noise, observables, scattering
 from .effective import BranchAmbiguity, LasingPole
 from .media import C_VACUUM, NM, TRAD, Bilayer
-from .noise import SumRuleViolation
+from .noise import SUM_RULE_TOL, SumRuleViolation
 
-EXACT_FAMILIES = frozenset({"scattering", "eigenvalues", "noise", "variance", "mandel"})
+OBSERVABLE_ORDER = ("scattering", "eigenvalues", "noise", "variance", "mandel", "eta")
+EXACT_FAMILIES = frozenset(OBSERVABLE_ORDER) - {"eta"}
 FLUX_FAMILIES = frozenset({"noise", "variance", "mandel"})
-SUM_RULE_TOL = 1e-10
+VARIABLE_COLUMNS = {"alpha_l": "alpha_l", "omega": "omega_trad", "temperature": "temperature_k"}
+# The columns of each family that theory="both" sets side by side: each gets
+# an _effective column, and after those a _rel_dev column.
+COMPARED = {"scattering": ("T", "R_left", "R_right"), "noise": ("s_right", "s_left"),
+            "variance": ("variance",), "mandel": ("mandel_q",)}
+_EXP_MAX = math.log(sys.float_info.max)   # math.exp(x) overflows for x above it
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +214,13 @@ class ExactStack:
         a22 = A[:, 1, 1]
         t = 1.0 / a22
         t_alt = (_mul(A[:, 0, 0], a22) - _mul(A[:, 0, 1], A[:, 1, 0])) / a22
-        self.singular = ((_abs(a22) < 1e-300)
-                         | (_abs(t - t_alt) > 1e-8 * np.maximum(_abs(t), 1e-300)))
+        # written so that a chain that overflowed to inf or nan is singular
+        self.singular = ~((_abs(a22) >= 1e-300)
+                          & (_abs(t - t_alt) <= 1e-8 * np.maximum(_abs(t), 1e-300)))
         self.s = Amplitudes(-A[:, 1, 0] / a22, t, A[:, 0, 1] / a22)
+        # rows where noise.layer_commutator's math.exp(+-2u) overflows
+        n_imag = np.maximum(np.abs(self.ng.imag), np.abs(self.nl.imag))
+        self.exp_overflow = 2 * (n_imag * k * l) > _EXP_MAX
 
     def eigenpairs(self, rows: np.ndarray):
         """(lambda1, lambda2, inconsistent) at rows, as scattering.eigenvalues."""
@@ -307,50 +320,50 @@ def _wrap(phi):
     return (phi + np.pi) % (2 * np.pi) - np.pi
 
 
-def _scattering_cells(s: Amplitudes) -> dict:
+def _family_cells(family: str, s: Amplitudes, flux, spec, live: np.ndarray):
+    """(cells, degenerate) of a family in COMPARED for one theory.
+
+    s and flux (s_left, s_right) are that theory's amplitudes and noise flux;
+    degenerate marks the rows where the family fails with
+    DegenerateDenominator. The arithmetic is the scalar library's.
+    """
     T, R_left, R_right = s.power()
-    pl, pr, pt = _angle(s.r_left), _angle(s.r_right), _angle(s.t)
-    gen = np.abs(np.abs(T - 1.0) - np.sqrt(R_left * R_right))
-    no_phase = ((np.minimum(np.minimum(_abs(s.r_left), _abs(s.r_right)), _abs(s.t)) < 1e-14)
-                | (np.abs(T - 1.0) < 1e-14))
-    phase = np.where(T < 1.0, np.abs(_wrap(pl - pr)),
-                     np.maximum(np.abs(_wrap(pl - pr + np.pi)),
-                                np.abs(_wrap(pl - pt + np.pi / 2))))
-    return {"T": T, "R_left": R_left, "R_right": R_right, "phase_t": pt,
-            "phase_r_left": pl, "phase_r_right": pr, "conservation_generalized": gen,
-            "conservation_phase": np.where(no_phase, np.nan, phase)}
-
-
-def _variance(s: Amplitudes, flux_right, spec) -> np.ndarray:
+    degenerate = np.zeros(len(live), dtype=bool)
     inp = spec.input_state
-    T = s.power()[0]
-    offset = inp.phi_xi - 2.0 * spec.phi_lo
-    cos = _each(math.cos, offset - 2.0 * _angle(s.t))
-    squeeze = 2.0 * math.sinh(inp.xi) ** 2 - math.sinh(2.0 * inp.xi) * cos
-    return 1.0 + 2.0 * flux_right + T * squeeze
-
-
-def _mandel(s: Amplitudes, flux_right, spec):
-    """(Q, degenerate) with observables.mandel_q's rounding."""
-    inp = spec.input_state
-    T = s.power()[0]
-    sh2 = math.sinh(inp.xi) ** 2
-    ch2 = math.cosh(inp.xi) ** 2
-    w = inp.coherent_weight
-    den = T * (sh2 + w) + flux_right
-    nbar = T * sh2 + flux_right
-    num = nbar * nbar + T * T * sh2 * ch2 + 2.0 * T * w * nbar \
-        + T * T * w * math.sinh(2.0 * inp.xi) * math.cos(2.0 * inp.phi_rho - inp.phi_xi)
-    return num / den, np.abs(den) < 1e-30
+    if family == "scattering":
+        pl, pr, pt = _angle(s.r_left), _angle(s.r_right), _angle(s.t)
+        # phase_t unwrapped over the rows whose phase_t cell gets filled
+        valid = live & ~np.isnan(pt)
+        unwrapped = np.full_like(pt, np.nan)
+        unwrapped[valid] = np.unwrap(pt[valid])
+        gen = np.abs(np.abs(T - 1.0) - np.sqrt(R_left * R_right))
+        no_phase = ((np.minimum(np.minimum(_abs(s.r_left), _abs(s.r_right)), _abs(s.t)) < 1e-14)
+                    | (np.abs(T - 1.0) < 1e-14))
+        phase = np.where(T < 1.0, np.abs(_wrap(pl - pr)),
+                         np.maximum(np.abs(_wrap(pl - pr + np.pi)),
+                                    np.abs(_wrap(pl - pt + np.pi / 2))))
+        return {"T": T, "R_left": R_left, "R_right": R_right, "phase_t": pt,
+                "phase_r_left": pl, "phase_r_right": pr, "phase_t_unwrapped": unwrapped,
+                "conservation_generalized": gen,
+                "conservation_phase": np.where(no_phase, np.nan, phase)}, degenerate
+    if family == "noise":
+        return {"s_right": flux[1], "s_left": flux[0], "deficit_left": 1.0 - T - R_left,
+                "deficit_right": 1.0 - T - R_right}, degenerate
+    if family == "variance":
+        cos = _each(math.cos, inp.phi_xi - 2.0 * spec.phi_lo - 2.0 * _angle(s.t))
+        return {"variance": observables.variance_from(T, cos, flux[1], inp)}, degenerate
+    num, den = observables.mandel_parts(T, flux[1], inp)
+    return {"mandel_q": num / den}, np.abs(den) < 1e-30
 
 
 def _rel_dev(eff, exact):
     return np.abs(eff - exact) / np.maximum(np.abs(exact), 1e-300)
 
 
-def _classify(l1, l2, tol: float = 1e-4) -> np.ndarray:
+def _classify(l1, l2) -> np.ndarray:
     """scattering.classify_phase, with "inconsistent" for its exception."""
     m1, m2 = _abs(l1), _abs(l2)
+    tol = scattering.PHASE_TOL
     return np.select(
         [_abs(l1 - l2) <= tol * np.maximum(np.maximum(m1, m2), 1.0),
          (np.abs(m1 - 1) <= tol) & (np.abs(m2 - 1) <= tol),
@@ -363,24 +376,25 @@ def _classify(l1, l2, tol: float = 1e-4) -> np.ndarray:
 
 
 class _Cells:
-    """Column arrays, statuses and the rows still being evaluated."""
+    """Column arrays by family, statuses and the rows still being evaluated."""
 
     def __init__(self, n: int):
         self.n = n
-        self.columns: dict[str, np.ndarray] = {}
+        self.families: dict[str, dict[str, np.ndarray]] = {}
         self.status = np.full(n, "ok", dtype=object)
         self.live = np.ones(n, dtype=bool)
 
     def rows(self) -> np.ndarray:
         return np.flatnonzero(self.live)
 
-    def put(self, rows: np.ndarray, values: dict) -> None:
+    def put(self, family: str, rows: np.ndarray, values: dict) -> None:
         """Write values (arrays with one entry per row in rows) where rows are live."""
+        columns = self.families.setdefault(family, {})
         keep = self.live[rows]
         for name, v in values.items():
-            col = self.columns.get(name)
+            col = columns.get(name)
             if col is None:
-                col = self.columns[name] = np.full(self.n, np.nan, dtype=v.dtype)
+                col = columns[name] = np.full(self.n, np.nan, dtype=v.dtype)
             col[rows[keep]] = v[keep]
 
     def fail(self, rows: np.ndarray, name: str) -> None:
@@ -390,12 +404,31 @@ class _Cells:
         self.live[rows] = False
 
 
+def _eigenvalue_cells(cells: _Cells, exact, s: Amplitudes) -> None:
+    """The eigenvalues family: the exact stack's eigenpair when there is one,
+    else the eigenvalues of S ordered by descending modulus."""
+    rows = cells.rows()
+    if exact is not None:
+        l1, l2, inconsistent = exact.eigenpairs(rows)
+        cells.fail(rows[inconsistent], "InconsistentEigenvalues")
+    else:
+        lam = np.linalg.eigvals(s.take(rows).matrices())
+        swap = _abs(lam[:, 0]) < _abs(lam[:, 1])
+        l1, l2 = np.where(swap, lam[:, 1], lam[:, 0]), np.where(swap, lam[:, 0], lam[:, 1])
+    m1, m2 = _abs(l1), _abs(l2)
+    cells.put("eigenvalues", rows, {
+        "lambda1_mod": m1, "lambda1_arg": _angle(l1),
+        "lambda2_mod": m2, "lambda2_arg": _angle(l2),
+        "unimodularity_dev": np.maximum(np.abs(m1 - 1), np.abs(m2 - 1)),
+        "phase_class": _classify(l1, l2)})
+
+
 def _effective_rows(spec, wants, alpha_l, omega, temperature, cells: _Cells):
     """Effective-medium cells row by row from the scalar library.
 
-    Returns the slab's Amplitudes and its (s_left, s_right) flux as arrays
-    over the grid (nan where not computed), or (None, None) when the spec
-    needs no effective slab.
+    Puts the eta family's cells, and returns the slab's Amplitudes and its
+    (s_left, s_right) flux as arrays over the grid (nan where not computed),
+    or (None, None) when the spec needs no effective slab.
     """
     n = cells.n
     want_s = spec.theory != "exact" and bool(wants & EXACT_FAMILIES)
@@ -404,7 +437,7 @@ def _effective_rows(spec, wants, alpha_l, omega, temperature, cells: _Cells):
     flux = np.full((2, n), np.nan)
     eta_cells = np.full((4, n), np.nan)
     rows = cells.rows()
-    eta_rows, failures = [], []
+    failures = []
     alphas, omegas, thetas = (a[rows].tolist() for a in (alpha_l, omega, temperature))
     for j, i in enumerate(rows.tolist()):
         bil = bilayer_at(spec, alphas[j])
@@ -414,20 +447,18 @@ def _effective_rows(spec, wants, alpha_l, omega, temperature, cells: _Cells):
             if "eta" in wants:
                 eta = effective.round_trip(n_eff, w, l)
                 eta_cells[:, i] = (n_eff.real, n_eff.imag, abs(eta), float(np.angle(eta)))
-                eta_rows.append(i)
             if want_s:
                 s = effective.effective_amplitudes(n_eff, w, l)
                 amp[:, i] = (s.r_left, s.t, s.r_right)
                 if want_flux:
                     f = effective.effective_noise(bil, w, n_eff, thetas[j])
                     flux[:, i] = (f["s_left"], f["s_right"])
-        except (BranchAmbiguity, LasingPole) as exc:
+        except (BranchAmbiguity, LasingPole, OverflowError) as exc:
             failures.append((i, type(exc).__name__))
     # eta cells are written before the effective slab can fail
-    eta_rows = np.array(eta_rows, dtype=int)
-    cells.put(eta_rows, {name: eta_cells[k, eta_rows] for k, name in
-                         enumerate(("n_eff_re", "n_eff_im", "eta_mod", "eta_arg"))}
-              if "eta" in wants else {})
+    if "eta" in wants:
+        cells.put("eta", rows, {name: eta_cells[k, rows] for k, name in
+                                enumerate(("n_eff_re", "n_eff_im", "eta_mod", "eta_arg"))})
     for i, name in failures:
         cells.fail(np.array([i]), name)
     if not want_s:
@@ -439,15 +470,19 @@ def _effective_rows(spec, wants, alpha_l, omega, temperature, cells: _Cells):
 # statuses, as the scalar path's rows do; numpy need not warn about them.
 @np.errstate(all="ignore")
 def evaluate_grid(spec, xs):
-    """Every cell of the spec's table at every grid value.
+    """Every column of the spec's table except status, at every grid value.
 
-    Returns (columns, status): columns maps a column name to an array with
-    one entry per grid value (nan where that row never filled the cell);
-    status is "ok" or the exception name of the row's first failure, met in
-    the order the scalar evaluation meets them: exact scattering, the sum
-    rule (SumRuleViolation is raised, not recorded), the effective medium,
-    the eigenpair, the Mandel denominator. The grid variable's own column is
-    not included.
+    Returns (columns, status). columns maps each column name, in table order,
+    to an array with one entry per grid value (nan where that row never
+    filled the cell): the grid variable, then each requested family in
+    OBSERVABLE_ORDER, and within a family its columns for the main theory
+    and, with theory="both", the _effective and _rel_dev columns of what
+    COMPARED names. status is "ok" or the exception name of the row's first
+    failure, met in the order the scalar evaluation meets them: exact
+    scattering, the layer commutators (OverflowError), the sum rule
+    (SumRuleViolation is raised, not recorded), the effective medium
+    (OverflowError too where cmath overflows), the eigenpair, the Mandel
+    denominator.
     """
     xs = np.asarray(xs, dtype=float)
     alpha_l, omega, temperature = grid_parameters(spec, xs)
@@ -462,6 +497,7 @@ def evaluate_grid(spec, xs):
         cells.fail(np.flatnonzero(exact.singular), "SingularTransfer")
         s_main = exact.s
         if wants & FLUX_FAMILIES:
+            cells.fail(np.flatnonzero(exact.exp_overflow), "OverflowError")
             rows = cells.rows()
             if spec.check_sum_rule:
                 res = np.broadcast_to(sum_rule_residuals(exact, rows), rows.shape)
@@ -481,50 +517,24 @@ def evaluate_grid(spec, xs):
     every = np.arange(len(xs))
     # s_main (and, with both theories, s_eff) exists for every exact family,
     # flux_main (and flux_eff) for every flux family
-    if "scattering" in wants:
-        main = _scattering_cells(s_main)
-        cells.put(every, main)
-        if both:
-            for c, v in zip(("T", "R_left", "R_right"), s_eff.power()):
-                cells.put(every, {f"{c}_effective": v, f"{c}_rel_dev": _rel_dev(v, main[c])})
-
-    if "eigenvalues" in wants:
-        rows = cells.rows()
-        if use_exact:
-            l1, l2, inconsistent = exact.eigenpairs(rows)
-            cells.fail(rows[inconsistent], "InconsistentEigenvalues")
-        else:
-            lam = np.linalg.eigvals(s_main.take(rows).matrices())
-            swap = _abs(lam[:, 0]) < _abs(lam[:, 1])
-            l1, l2 = np.where(swap, lam[:, 1], lam[:, 0]), np.where(swap, lam[:, 0], lam[:, 1])
-        m1, m2 = _abs(l1), _abs(l2)
-        cells.put(rows, {"lambda1_mod": m1, "lambda1_arg": _angle(l1),
-                         "lambda2_mod": m2, "lambda2_arg": _angle(l2),
-                         "unimodularity_dev": np.maximum(np.abs(m1 - 1), np.abs(m2 - 1)),
-                         "phase_class": _classify(l1, l2)})
-
-    if "noise" in wants:
-        T, R_left, R_right = s_main.power()
-        cells.put(every, {"s_right": flux_main[1], "s_left": flux_main[0],
-                          "deficit_left": 1.0 - T - R_left,
-                          "deficit_right": 1.0 - T - R_right})
-        if both:
-            cells.put(every, {"s_right_effective": flux_eff[1],
-                              "s_left_effective": flux_eff[0],
-                              "s_right_rel_dev": _rel_dev(flux_eff[1], flux_main[1]),
-                              "s_left_rel_dev": _rel_dev(flux_eff[0], flux_main[0])})
-    if "variance" in wants:
-        v = _variance(s_main, flux_main[1], spec)
-        cells.put(every, {"variance": v})
-        if both:
-            ve = _variance(s_eff, flux_eff[1], spec)
-            cells.put(every, {"variance_effective": ve, "variance_rel_dev": _rel_dev(ve, v)})
-    if "mandel" in wants:
-        q, degenerate = _mandel(s_main, flux_main[1], spec)
+    for family in OBSERVABLE_ORDER:
+        if family not in wants or family == "eta":   # eta is filled with the slab
+            continue
+        if family == "eigenvalues":
+            _eigenvalue_cells(cells, exact, s_main)
+            continue
+        main, degenerate = _family_cells(family, s_main, flux_main, spec, cells.live)
         cells.fail(every[degenerate], "DegenerateDenominator")
-        cells.put(every, {"mandel_q": q})
+        cells.put(family, every, main)
         if both:
-            qe, degenerate = _mandel(s_eff, flux_eff[1], spec)
+            eff, degenerate = _family_cells(family, s_eff, flux_eff, spec, cells.live)
             cells.fail(every[degenerate], "DegenerateDenominator")
-            cells.put(every, {"mandel_q_effective": qe, "mandel_q_rel_dev": _rel_dev(qe, q)})
-    return cells.columns, cells.status
+            names = COMPARED[family]
+            cells.put(family, every, {f"{c}_effective": eff[c] for c in names})
+            cells.put(family, every, {f"{c}_rel_dev": _rel_dev(eff[c], main[c])
+                                      for c in names})
+
+    columns = {VARIABLE_COLUMNS[spec.variable]: xs}
+    for family in OBSERVABLE_ORDER:
+        columns.update(cells.families.get(family, {}))
+    return columns, cells.status

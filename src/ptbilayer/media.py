@@ -154,8 +154,10 @@ def pt_delta_epsilon(loss: LorentzMedium, gain: LorentzMedium, omega: float) -> 
     return float(_delta_epsilon(loss, gain, omega))
 
 
-def pt_frequency(loss: LorentzMedium, gain: LorentzMedium,
-                 rel_tol: float = 1e-12) -> list[float]:
+_BALANCE_REL_TOL = 1e-12   # relative width at which bisection stops
+
+
+def pt_frequency(loss: LorentzMedium, gain: LorentzMedium) -> list[float]:
     """All balance frequencies of the pair, ascending (rad/s).
 
     Equal backgrounds admit a closed form independent of the amplitudes:
@@ -178,7 +180,7 @@ def pt_frequency(loss: LorentzMedium, gain: LorentzMedium,
     for i in np.flatnonzero((vals[:-1] < 0) != (vals[1:] < 0)).tolist():
         lo, hi = grid[i], grid[i + 1]
         flo = vals[i]
-        while hi - lo > rel_tol * hi:
+        while hi - lo > _BALANCE_REL_TOL * hi:
             mid = 0.5 * (lo + hi)
             fmid = pt_delta_epsilon(loss, gain, mid)
             if (fmid < 0) == (flo < 0):

@@ -29,8 +29,11 @@ import math
 import numpy as np
 
 from .media import C_VACUUM, HBAR, K_BOLTZMANN, Bilayer
-from .scattering import (MODE_FULL, MODE_PAPER, TransferChain, canonical_mode,
+from .scattering import (MODE_FULL, TransferChain, canonical_mode,
                          layer_indices, scattering_from_transfer, transfer_chain)
+
+
+SUM_RULE_TOL = 1e-10   # largest sum-rule residual a check accepts
 
 
 class SumRuleViolation(Exception):
@@ -51,16 +54,16 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def c_commutator_coefficients(n: complex, omega: float, thickness: float,
-                              layer: int = 2, mode: str = MODE_FULL) -> dict:
-    """Scalar pieces of the layer commutator matrix.
+def layer_commutator(n: complex, omega: float, thickness: float,
+                     layer: int = 2, mode: str = MODE_FULL) -> np.ndarray:
+    """Full 2x2 commutator matrix of one layer (Hermitian).
 
-    same_side is the co-propagating entry 1 - e^{-2u} (equal to
-    2 e^{-u} sinh u); cross_side is the counter-propagating coupling q. The
-    layer index is 2 for the first slab and 3 for the second, matching the
-    four-region stack labeling (1 and 4 are the vacuum half-spaces).
+    The co-propagating entries are 1 - e^{-2u} (equal to 2 e^{-u} sinh u) and
+    e^{2u} - 1; the counter-propagating coupling is q. The layer index is 2
+    for the first slab and 3 for the second, matching the four-region stack
+    labeling (1 and 4 are the vacuum half-spaces).
     """
-    canonical_mode(mode)
+    mode = canonical_mode(mode)
     if layer not in (2, 3):
         raise ValueError("layer must be 2 (first slab) or 3 (second slab)")
     n = complex(n)
@@ -70,22 +73,10 @@ def c_commutator_coefficients(n: complex, omega: float, thickness: float,
     phase = np.exp(1j * v) if layer == 2 else np.exp(-1j * v)
     if n.real == 0.0:
         # evanescent limit of (n''/n') sin(n' k l): n'' k l
-        q = -2.0 * n.imag * k * thickness * phase
+        q = complex(-2.0 * n.imag * k * thickness * phase)
     else:
-        q = -2.0 * (n.imag / n.real) * np.sin(v) * phase
-    return {"same_side": 2.0 * math.exp(-u) * math.sinh(u), "cross_side": complex(q)}
-
-
-def layer_commutator(n: complex, omega: float, thickness: float,
-                     layer: int = 2, mode: str = MODE_FULL) -> np.ndarray:
-    """Full 2x2 commutator matrix of one layer (Hermitian)."""
-    mode = canonical_mode(mode)
-    n = complex(n)
-    coef = c_commutator_coefficients(n, omega, thickness, layer, mode)
-    k = omega / C_VACUUM
-    u = n.imag * k * thickness
+        q = complex(-2.0 * (n.imag / n.real) * np.sin(v) * phase)
     scale = n.real / abs(n) if mode == MODE_FULL else 1.0
-    q = coef["cross_side"]
     return scale * np.array([[1.0 - math.exp(-2 * u), q],
                              [np.conj(q), math.exp(2 * u) - 1.0]])
 
@@ -98,6 +89,15 @@ def _coupling(A: np.ndarray, B: np.ndarray) -> np.ndarray:
          [b11 * a22 - a12 * b21, b12 * a22 - a12 * b22]])
 
 
+def _layer_terms(bilayer: Bilayer, omega: float, mode: str, chain: TransferChain):
+    """(n, D, K) of the gain layer, then of the loss layer."""
+    l = bilayer.layer_thickness
+    for n, layer, partial in zip(layer_indices(bilayer, omega), (2, 3),
+                                 (chain.from_gain, chain.from_loss)):
+        yield (n, _coupling(chain.total, partial),
+               layer_commutator(n, omega, l, layer, mode))
+
+
 def noise_couplings(bilayer: Bilayer, omega: float,
                     mode: str = MODE_FULL) -> dict:
     """Output coupling matrices of the two layer noise sources.
@@ -105,9 +105,9 @@ def noise_couplings(bilayer: Bilayer, omega: float,
     Row 0 of each matrix feeds the left output, row 1 the right output.
     """
     mode = canonical_mode(mode)
-    chain = transfer_chain(bilayer, omega, mode)
-    return {"d_gain": _coupling(chain.total, chain.from_gain),
-            "d_loss": _coupling(chain.total, chain.from_loss)}
+    (_, d_gain, _), (_, d_loss, _) = _layer_terms(
+        bilayer, omega, mode, transfer_chain(bilayer, omega, mode))
+    return {"d_gain": d_gain, "d_loss": d_loss}
 
 
 def sum_rule_residual(bilayer: Bilayer, omega: float,
@@ -120,27 +120,22 @@ def sum_rule_residual(bilayer: Bilayer, omega: float,
     mode = canonical_mode(mode)
     if chain is None:
         chain = transfer_chain(bilayer, omega, mode)
-    ng, nl = layer_indices(bilayer, omega)
-    l = bilayer.layer_thickness
-    d2 = _coupling(chain.total, chain.from_gain)
-    d3 = _coupling(chain.total, chain.from_loss)
-    k2 = layer_commutator(ng, omega, l, 2, mode)
-    k3 = layer_commutator(nl, omega, l, 3, mode)
+    lhs = sum(d @ k @ d.conj().T for _, d, k in _layer_terms(bilayer, omega, mode, chain))
     s = scattering_from_transfer(chain).matrix()
-    lhs = d2 @ k2 @ d2.conj().T + d3 @ k3 @ d3.conj().T
     rhs = np.eye(2) - s @ s.conj().T
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def noise_flux(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
                temperature: float = 0.0, check_sum_rule: bool = False,
-               sum_rule_tol: float = 1e-10, chain: TransferChain = None) -> dict:
+               chain: TransferChain = None) -> dict:
     """Noise photon flux into each output, {"s_left", "s_right"}.
 
     With check_sum_rule the commutator sum rule is validated at this
-    configuration first; that requires full_complex mode (the approximate
-    paper_real_part bookkeeping does not close the rule). chain, when given,
-    is transfer_chain(bilayer, omega, mode) built by the caller.
+    configuration first (residual at most SUM_RULE_TOL); that requires
+    full_complex mode (the approximate paper_real_part bookkeeping does not
+    close the rule). chain, when given, is transfer_chain(bilayer, omega,
+    mode) built by the caller.
     """
     mode = canonical_mode(mode)
     if chain is None:
@@ -149,17 +144,13 @@ def noise_flux(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
         if mode != MODE_FULL:
             raise ValueError("sum rule check requires full_complex mode")
         res = sum_rule_residual(bilayer, omega, mode, chain=chain)
-        if not (res <= sum_rule_tol):
+        if not (res <= SUM_RULE_TOL):
             raise SumRuleViolation(
-                f"sum rule residual {res:.3e} exceeds {sum_rule_tol:.1e}")
+                f"sum rule residual {res:.3e} exceeds {SUM_RULE_TOL:.1e}")
 
-    ng, nl = layer_indices(bilayer, omega)
-    l = bilayer.layer_thickness
     nth = thermal_occupation(omega, temperature)
     out = np.zeros(2)
-    for n, layer, partial in ((ng, 2, chain.from_gain), (nl, 3, chain.from_loss)):
-        d = _coupling(chain.total, partial)
-        k = layer_commutator(n, omega, l, layer, mode)
+    for n, d, k in _layer_terms(bilayer, omega, mode, chain):
         weight = nth if n.imag >= 0 else -(nth + 1.0)
         for row in (0, 1):
             out[row] += weight * float(np.real(d[row] @ k @ d[row].conj()))

@@ -49,14 +49,6 @@ class HomodyneConfig:
     """Local oscillator phase; the LO frequency tracks the signal."""
 
     phi_lo: float = 0.0
-    omega_lo: float | None = None
-
-
-@dataclass(frozen=True)
-class PhotocountConfig:
-    """Photocount detection window center (bookkeeping only)."""
-
-    omega_h: float | None = None
 
 
 def _transmission(s) -> complex:
@@ -77,10 +69,13 @@ def homodyne_variance(s, flux_right: float, inp: SqueezedCoherentInput = None,
     inp = inp or SqueezedCoherentInput()
     config = config or HomodyneConfig()
     t = _transmission(s)
-    T = abs(t) ** 2
     offset = inp.phi_xi - 2.0 * config.phi_lo
-    squeeze = 2.0 * math.sinh(inp.xi) ** 2 \
-        - math.sinh(2.0 * inp.xi) * math.cos(offset - 2.0 * np.angle(t))
+    return variance_from(abs(t) ** 2, math.cos(offset - 2.0 * np.angle(t)), flux_right, inp)
+
+
+def variance_from(T, cos, flux_right, inp: SqueezedCoherentInput):
+    """V from T, the cosine above and f; elementwise over arrays."""
+    squeeze = 2.0 * math.sinh(inp.xi) ** 2 - math.sinh(2.0 * inp.xi) * cos
     return 1.0 + 2.0 * flux_right + T * squeeze
 
 
@@ -97,18 +92,21 @@ def mandel_q(s, flux_right: float, inp: SqueezedCoherentInput = None) -> float:
     (real t, zero flux) this reduces exactly to T times the input value.
     """
     inp = inp or SqueezedCoherentInput()
-    t = _transmission(s)
-    T = abs(t) ** 2
+    num, den = mandel_parts(abs(_transmission(s)) ** 2, flux_right, inp)
+    if abs(den) < 1e-30:
+        raise DegenerateDenominator("mean photocount vanishes")
+    return num / den
+
+
+def mandel_parts(T, flux_right, inp: SqueezedCoherentInput):
+    """(num, den) of Q from T and f; elementwise over arrays."""
     sh2 = math.sinh(inp.xi) ** 2
     ch2 = math.cosh(inp.xi) ** 2
     w = inp.coherent_weight
-    den = T * (sh2 + w) + flux_right
-    if abs(den) < 1e-30:
-        raise DegenerateDenominator("mean photocount vanishes")
     nbar = T * sh2 + flux_right
     num = nbar * nbar + T * T * sh2 * ch2 + 2.0 * T * w * nbar \
         + T * T * w * math.sinh(2.0 * inp.xi) * math.cos(2.0 * inp.phi_rho - inp.phi_xi)
-    return num / den
+    return num, T * (sh2 + w) + flux_right
 
 
 def input_reference(inp: SqueezedCoherentInput = None,

@@ -31,6 +31,10 @@ _MODE_ALIASES = {
     "paper": MODE_PAPER,
 }
 
+# Eigenvalue moduli within PHASE_TOL of 1 count as unimodular, and a pair
+# closer than PHASE_TOL (relative) as coalesced.
+PHASE_TOL = 1e-4
+
 
 class SingularTransfer(Exception):
     """Transfer matrix too close to singular for scattering extraction."""
@@ -138,16 +142,17 @@ def scattering_from_transfer(transfer) -> ScatteringAmplitudes:
 
     The transmission is computed two ways, 1/A22 and det A / A22 with the
     analytic det A = 1; disagreement beyond 1e-8 relative (or |A22| below
-    1e-300) raises SingularTransfer.
+    1e-300) raises SingularTransfer, as does a chain that overflowed to inf
+    or nan (the tests are written so that nan fails them).
     """
     A = transfer.total if isinstance(transfer, TransferChain) else np.asarray(transfer)
     a22 = A[1, 1]
-    if abs(a22) < 1e-300:
+    if not abs(a22) >= 1e-300:
         raise SingularTransfer("A22 vanishes; stack is at a scattering pole")
     t = 1.0 / a22
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     t_alt = det / a22
-    if abs(t - t_alt) > 1e-8 * max(abs(t), 1e-300):
+    if not abs(t - t_alt) <= 1e-8 * max(abs(t), 1e-300):
         raise SingularTransfer(
             f"transmission estimates disagree: {t} vs {t_alt}")
     return ScatteringAmplitudes(r_left=-A[1, 0] / a22, t=t, r_right=A[0, 1] / a22)
@@ -184,23 +189,24 @@ def eigenvalues(transfer) -> tuple[complex, complex]:
     return complex(l1), complex(l2)
 
 
-def classify_phase(eigenpair: tuple[complex, complex], tol: float = 1e-4) -> str:
+def classify_phase(eigenpair: tuple[complex, complex]) -> str:
     """"exact" (both unimodular), "broken" (inverse moduli), or "exceptional".
 
-    Coalescence within tol classifies as exceptional; otherwise unimodularity
-    of both eigenvalues marks the exact phase and an inverse-moduli pair the
-    broken phase. Anything else raises InconsistentEigenvalues.
+    Coalescence within PHASE_TOL classifies as exceptional; otherwise
+    unimodularity of both eigenvalues marks the exact phase and an
+    inverse-moduli pair the broken phase. Anything else raises
+    InconsistentEigenvalues.
     """
     l1, l2 = eigenpair
     m1, m2 = abs(l1), abs(l2)
-    if abs(l1 - l2) <= tol * max(m1, m2, 1.0):
+    if abs(l1 - l2) <= PHASE_TOL * max(m1, m2, 1.0):
         return "exceptional"
-    if abs(m1 - 1) <= tol and abs(m2 - 1) <= tol:
+    if abs(m1 - 1) <= PHASE_TOL and abs(m2 - 1) <= PHASE_TOL:
         return "exact"
-    if abs(m1 * m2 - 1) <= tol and abs(m1 - 1) > tol:
+    if abs(m1 * m2 - 1) <= PHASE_TOL and abs(m1 - 1) > PHASE_TOL:
         return "broken"
     raise InconsistentEigenvalues(
-        f"moduli ({m1}, {m2}) fit neither phase at tol={tol}")
+        f"moduli ({m1}, {m2}) fit neither phase at tol={PHASE_TOL}")
 
 
 def _wrap(phi: float) -> float:

@@ -22,22 +22,20 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import effective, grid, media, noise, observables, scattering
+from . import __version__, effective, grid, media, noise, observables, scattering
 from .effective import BranchAmbiguity, LasingPole
+from .grid import OBSERVABLE_ORDER, VARIABLE_COLUMNS
 from .media import NM, TRAD, Bilayer, LorentzMedium
 from .noise import SumRuleViolation
 from .observables import DegenerateDenominator, HomodyneConfig, SqueezedCoherentInput
 from .scattering import InconsistentEigenvalues, SingularTransfer
 
-__version__ = "0.1.0"
-
-OBSERVABLE_ORDER = ("scattering", "eigenvalues", "noise", "variance", "mandel", "eta")
-VARIABLES = ("alpha_l", "omega", "temperature")
+VARIABLES = tuple(VARIABLE_COLUMNS)
 THEORIES = ("exact", "effective", "both")
 THRESHOLD_KINDS = ("atr", "accidental_degeneracy", "exceptional_point",
                    "eta_unity", "squeeze_crossing", "mandel_crossing")
 
-_ROW_ERRORS = (LasingPole, BranchAmbiguity, SingularTransfer,
+_ROW_ERRORS = (LasingPole, BranchAmbiguity, SingularTransfer, OverflowError,
                DegenerateDenominator, InconsistentEigenvalues)
 
 
@@ -95,9 +93,26 @@ class SweepSpec:
             raise ConfigError(f"unknown observables {bad}; choose from {OBSERVABLE_ORDER}")
         if not self.observables:
             raise ConfigError("at least one observable is required")
-        if self.check_sum_rule and scattering.canonical_mode(self.mode) != scattering.MODE_FULL:
+        try:
+            mode = scattering.canonical_mode(self.mode)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.check_sum_rule and mode != scattering.MODE_FULL:
             raise ConfigError("sum rule check requires full-complex mode")
-        if self.temperature_k < 0:
+        omega = 1.0 if self.fixed_omega_trad is None else self.fixed_omega_trad
+        if not all(math.isfinite(v) for v in (self.start, self.stop, self.fixed_alpha_l,
+                                              self.temperature_k, self.thickness_nm, omega)):
+            raise ConfigError("grid bounds, fixed values and thickness must be finite")
+        if not self.thickness_nm > 0:
+            raise ConfigError("thickness must be positive")
+        # the smallest value each parameter takes, fixed or on the grid
+        low = {"alpha_l": self.fixed_alpha_l, "omega": omega, "temperature": self.temperature_k}
+        low[self.variable] = min(low[self.variable], self.start)
+        if not low["omega"] > 0:
+            raise ConfigError("omega must be positive")
+        if self.preset is not None and low["alpha_l"] < 0:
+            raise ConfigError("a preset's alpha_l must be nonnegative")
+        if low["temperature"] < 0:
             raise ConfigError("temperature must be nonnegative")
         return self
 
@@ -149,60 +164,12 @@ def grid_values(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.start, spec.stop, spec.count)
 
 
-def _columns_for(spec: SweepSpec) -> list[str]:
-    var_col = {"alpha_l": "alpha_l", "omega": "omega_trad",
-               "temperature": "temperature_k"}[spec.variable]
-    cols = [var_col]
-    both = spec.theory == "both"
-    for obs in OBSERVABLE_ORDER:
-        if obs not in spec.observables:
-            continue
-        if obs == "scattering":
-            cols += ["T", "R_left", "R_right", "phase_t", "phase_r_left",
-                     "phase_r_right", "phase_t_unwrapped",
-                     "conservation_generalized", "conservation_phase"]
-            if both:
-                cols += ["T_effective", "R_left_effective", "R_right_effective",
-                         "T_rel_dev", "R_left_rel_dev", "R_right_rel_dev"]
-        elif obs == "eigenvalues":
-            cols += ["lambda1_mod", "lambda1_arg", "lambda2_mod", "lambda2_arg",
-                     "unimodularity_dev", "phase_class"]
-        elif obs == "noise":
-            cols += ["s_right", "s_left", "deficit_left", "deficit_right"]
-            if both:
-                cols += ["s_right_effective", "s_left_effective",
-                         "s_right_rel_dev", "s_left_rel_dev"]
-        elif obs == "variance":
-            cols += ["variance"]
-            if both:
-                cols += ["variance_effective", "variance_rel_dev"]
-        elif obs == "mandel":
-            cols += ["mandel_q"]
-            if both:
-                cols += ["mandel_q_effective", "mandel_q_rel_dev"]
-        elif obs == "eta":
-            cols += ["n_eff_re", "n_eff_im", "eta_mod", "eta_arg"]
-    cols.append("status")
-    return cols
-
-
 def run_sweep(spec: SweepSpec) -> ResultTable:
     """Evaluate the spec over its grid; failed points are rows, not errors."""
     spec = spec.validate()
-    xs = grid_values(spec)
-    columns = _columns_for(spec)
-    cells, status = grid.evaluate_grid(spec, xs)
-    cells[columns[0]] = xs
-    cells["status"] = status
-    if "phase_t_unwrapped" in columns:
-        phases = cells["phase_t"]
-        valid = ~np.isnan(phases)
-        unwrapped = phases.copy()
-        unwrapped[valid] = np.unwrap(phases[valid])
-        cells["phase_t_unwrapped"] = unwrapped
-    missing = [math.nan] * len(xs)
-    rows = [list(row) for row in zip(*(cells[c].tolist() if c in cells else missing
-                                       for c in columns))]
+    columns, status = grid.evaluate_grid(spec, grid_values(spec))
+    columns["status"] = status
+    rows = [list(row) for row in zip(*(c.tolist() for c in columns.values()))]
 
     meta = {
         "version": __version__,
@@ -233,7 +200,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     }
     if not spec.reproducible:
         meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return ResultTable(columns=columns, rows=rows, metadata=meta)
+    return ResultTable(columns=list(columns), rows=rows, metadata=meta)
 
 
 def compare_theories(spec: SweepSpec) -> ResultTable:
@@ -285,7 +252,7 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
         if kind == "exceptional_point":
             lam = (scattering.eigenvalues(chain) if exact else
                    sorted(np.linalg.eigvals(s.matrix()), key=abs, reverse=True))
-            return max(abs(abs(lam[0]) - 1), abs(abs(lam[1]) - 1)) - 1e-4
+            return max(abs(abs(lam[0]) - 1), abs(abs(lam[1]) - 1)) - scattering.PHASE_TOL
         if kind == "squeeze_crossing":
             return observables.homodyne_variance(
                 s, flux["s_right"], spec.input_state, hom) - 1.0
@@ -355,7 +322,18 @@ def locate_threshold(query: ThresholdQuery, spec: SweepSpec) -> float:
 # configuration ingestion
 
 
+def _section(obj, name: str, keys: set) -> dict:
+    """obj as a config object whose keys are all among keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(obj) - keys
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return obj
+
+
 def _medium_from_config(obj: dict, label: str) -> LorentzMedium:
+    obj = _section(obj, f"{label} material", {"eps_b", "alpha", "omega0_trad", "gamma_trad"})
     try:
         return LorentzMedium(eps_b=float(obj["eps_b"]), alpha=float(obj["alpha"]),
                              omega0=float(obj["omega0_trad"]) * TRAD,
@@ -366,13 +344,9 @@ def _medium_from_config(obj: dict, label: str) -> LorentzMedium:
 
 def spec_from_config(cfg: dict) -> SweepSpec:
     """Build a SweepSpec from the JSON config schema."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    known = {"preset", "materials", "thickness_nm", "sweep", "fixed",
-             "input_state", "observables", "theory", "mode", "check_sum_rule"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _section(cfg, "config root", {"preset", "materials", "thickness_nm", "sweep", "fixed",
+                                  "input_state", "observables", "theory", "mode",
+                                  "check_sum_rule"})
 
     preset_id = cfg.get("preset")
     materials = None
@@ -386,66 +360,58 @@ def spec_from_config(cfg: dict) -> SweepSpec:
     if preset_id is None and materials is None:
         preset_id = "set1"
 
-    sweep = cfg.get("sweep", {})
-    fixed = cfg.get("fixed", {})
-    inb = cfg.get("input_state", {})
+    sweep = _section(cfg.get("sweep", {}), "sweep",
+                     {"variable", "start", "stop", "count", "spacing"})
+    fixed = _section(cfg.get("fixed", {}), "fixed", {"omega_trad", "alpha_l", "temperature_k"})
+    inb = _section(cfg.get("input_state", {}), "input_state",
+                   {"xi", "phi_xi", "w", "phi_rho", "phi_lo"})
+    obs = cfg.get("observables", ["scattering"])
+    if isinstance(obs, str):
+        obs = [obs]
+
     try:
         inp = SqueezedCoherentInput(
             xi=float(inb.get("xi", observables.DEFAULT_XI)),
             phi_xi=float(inb.get("phi_xi", observables.DEFAULT_PHI_XI)),
             coherent_weight=float(inb.get("w", observables.DEFAULT_COHERENT_WEIGHT)),
             phi_rho=float(inb.get("phi_rho", observables.DEFAULT_PHI_RHO)))
-    except ValueError as exc:
-        raise ConfigError(f"bad input_state: {exc}") from exc
-
-    obs = cfg.get("observables", ["scattering"])
-    if isinstance(obs, str):
-        obs = [obs]
-
-    return SweepSpec(
-        preset=preset_id,
-        materials=materials,
-        variable=str(sweep.get("variable", "alpha_l")),
-        start=float(sweep.get("start", 1.0)),
-        stop=float(sweep.get("stop", 1000.0)),
-        count=int(sweep.get("count", 500)),
-        spacing=sweep.get("spacing"),
-        fixed_omega_trad=(None if fixed.get("omega_trad") is None
-                          else float(fixed["omega_trad"])),
-        fixed_alpha_l=float(fixed.get("alpha_l", 2.0)),
-        temperature_k=float(fixed.get("temperature_k", 0.0)),
-        thickness_nm=float(cfg.get("thickness_nm", 10.0)),
-        theory=str(cfg.get("theory", "exact")),
-        mode=str(cfg.get("mode", scattering.MODE_FULL)),
-        observables=tuple(obs),
-        input_state=inp,
-        phi_lo=float(inb.get("phi_lo", 0.0)),
-        check_sum_rule=bool(cfg.get("check_sum_rule", False)),
-    )
+        return SweepSpec(
+            preset=preset_id,
+            materials=materials,
+            variable=str(sweep.get("variable", "alpha_l")),
+            start=float(sweep.get("start", 1.0)),
+            stop=float(sweep.get("stop", 1000.0)),
+            count=int(sweep.get("count", 500)),
+            spacing=sweep.get("spacing"),
+            fixed_omega_trad=(None if fixed.get("omega_trad") is None
+                              else float(fixed["omega_trad"])),
+            fixed_alpha_l=float(fixed.get("alpha_l", 2.0)),
+            temperature_k=float(fixed.get("temperature_k", 0.0)),
+            thickness_nm=float(cfg.get("thickness_nm", 10.0)),
+            theory=str(cfg.get("theory", "exact")),
+            mode=str(cfg.get("mode", scattering.MODE_FULL)),
+            observables=tuple(obs),
+            input_state=inp,
+            phi_lo=float(inb.get("phi_lo", 0.0)),
+            check_sum_rule=bool(cfg.get("check_sum_rule", False)),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # CLI
 
 
-def _parse_range(text: str) -> tuple[float, float, int]:
+def _parse_fields(text: str, flag: str, form: str, types: tuple) -> tuple:
+    """A colon-separated flag value shaped like form, one field per type."""
     parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--range expects start:stop:count, got {text!r}")
+    if len(parts) != len(types):
+        raise ConfigError(f"{flag} expects {form}, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
+        return tuple(t(p) for t, p in zip(types, parts))
     except ValueError as exc:
-        raise ConfigError(f"bad --range {text!r}: {exc}") from exc
-
-
-def _parse_bracket(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"--bracket expects lo:hi, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"bad --bracket {text!r}: {exc}") from exc
+        raise ConfigError(f"bad {flag} {text!r}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -509,54 +475,29 @@ def _spec_from_args(args) -> SweepSpec:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     spec = spec_from_config(cfg)
-
     if args.preset is not None:
         spec = replace(spec, preset=args.preset, materials=None)
-    if getattr(args, "var", None) is not None:
-        spec = replace(spec, variable=args.var)
+    changes = {"variable": getattr(args, "var", None), "fixed_omega_trad": args.omega_trad,
+               "fixed_alpha_l": args.alpha_l, "temperature_k": args.temperature_k,
+               "theory": args.theory, "mode": args.mode, "thickness_nm": args.thickness_nm,
+               "check_sum_rule": args.check or None, "reproducible": args.reproducible or None}
     if getattr(args, "range_", None) is not None:
-        start, stop, count = _parse_range(args.range_)
-        spec = replace(spec, start=start, stop=stop, count=count)
-    if getattr(args, "log", False):
-        spec = replace(spec, spacing="log")
-    if getattr(args, "linear", False):
-        spec = replace(spec, spacing="linear")
+        changes["start"], changes["stop"], changes["count"] = _parse_fields(
+            args.range_, "--range", "START:STOP:COUNT", (float, float, int))
+    if getattr(args, "log", False) or getattr(args, "linear", False):
+        changes["spacing"] = "log" if args.log else "linear"
     if getattr(args, "obs", None) is not None:
-        spec = replace(spec, observables=tuple(s.strip() for s in args.obs.split(",")
-                                               if s.strip()))
-    if args.omega_trad is not None:
-        spec = replace(spec, fixed_omega_trad=args.omega_trad)
-    if args.alpha_l is not None:
-        spec = replace(spec, fixed_alpha_l=args.alpha_l)
-    if args.temperature_k is not None:
-        spec = replace(spec, temperature_k=args.temperature_k)
-    if args.theory is not None:
-        spec = replace(spec, theory=args.theory)
-    if args.mode is not None:
-        spec = replace(spec, mode=args.mode)
-    if args.thickness_nm is not None:
-        spec = replace(spec, thickness_nm=args.thickness_nm)
-    if args.check:
-        spec = replace(spec, check_sum_rule=True)
-    if args.reproducible:
-        spec = replace(spec, reproducible=True)
-    return spec
+        changes["observables"] = tuple(s.strip() for s in args.obs.split(",") if s.strip())
+    return replace(spec, **{k: v for k, v in changes.items() if v is not None})
 
 
-def _emit(args, table: ResultTable) -> None:
-    if args.format == "json":
-        text = json.dumps(table.to_json_obj(), indent=2, sort_keys=True) + "\n"
+def _emit(args, result) -> None:
+    """Write a ResultTable as --format says, or any other result as JSON."""
+    if isinstance(result, ResultTable) and args.format == "csv":
+        text = result.to_csv_text()
     else:
-        text = table.to_csv_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args, obj: dict) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        obj = result.to_json_obj() if isinstance(result, ResultTable) else result
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -565,15 +506,12 @@ def _emit_json(args, obj: dict) -> None:
 
 
 def _cmd_pt_solve(args) -> dict:
-    spec = _spec_from_args(args)
-    alpha_l = args.alpha_l if args.alpha_l is not None else spec.fixed_alpha_l
-    if spec.preset is not None:
-        bil = media.preset(spec.preset, alpha_l)
-        gain_template, loss = bil.gain, bil.loss
-        loss = replace(loss, alpha=alpha_l)
-    else:
-        gain_template, loss = spec.materials
-        loss = replace(loss, alpha=alpha_l)
+    spec = _spec_from_args(args).validate()
+    alpha_l = spec.fixed_alpha_l
+    if alpha_l == 0:
+        raise ConfigError("pt-solve needs a nonzero loss amplitude")
+    bil = grid.bilayer_at(spec, alpha_l)
+    gain_template, loss = bil.gain, bil.loss
     roots = media.pt_frequency(loss, gain_template)
     omega_pt = roots[-1]
     alpha_gain = media.pt_balanced_gain(loss, gain_template, omega_pt)
@@ -621,18 +559,18 @@ def cli_main(argv=None) -> int:
                 spec = replace(spec, theory="both")
             _emit(args, run_sweep(spec))
         elif args.command == "locate":
-            spec = _spec_from_args(args)
-            spec = replace(spec, variable=args.var).validate()
-            query = ThresholdQuery(kind=args.kind,
-                                   bracket=_parse_bracket(args.bracket),
-                                   tol=args.tol)
+            bracket = _parse_fields(args.bracket, "--bracket", "LO:HI", (float, float))
+            # the bracket is the range the scalar is evaluated on
+            spec = replace(_spec_from_args(args), variable=args.var, start=bracket[0],
+                           stop=bracket[1], spacing=None).validate()
+            query = ThresholdQuery(kind=args.kind, bracket=bracket, tol=args.tol)
             x = locate_threshold(query, spec)
-            _emit_json(args, {"kind": args.kind, "variable": args.var,
-                              "bracket": list(query.bracket), "abscissa": x})
+            _emit(args, {"kind": args.kind, "variable": args.var,
+                         "bracket": list(query.bracket), "abscissa": x})
         elif args.command == "pt-solve":
-            _emit_json(args, _cmd_pt_solve(args))
+            _emit(args, _cmd_pt_solve(args))
         elif args.command == "presets":
-            _emit_json(args, _cmd_presets())
+            _emit(args, _cmd_presets())
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

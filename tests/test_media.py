@@ -192,6 +192,19 @@ class TestPtFrequency:
             roots.append(0.5 * (lo + hi))
         assert media._delta_epsilon(loss, gain, grid).tolist() == vals
         assert roots and media.pt_frequency(loss, gain) == sorted(roots)
+        # closed-form oracle: with x = w^2 the mismatch vanishes where
+        # d gg [(x - wl)^2 + gl^2 x] = al w0l gl [gg (x - wl) + gl (x - wg)]
+        d, al = loss.eps_b - gain.eps_b, loss.alpha
+        gl, gg = loss.gamma, gain.gamma
+        wl, wg = loss.omega0 ** 2, gain.omega0 ** 2
+        a = d * gg
+        b = d * gg * (gl ** 2 - 2 * wl) - al * loss.omega0 * gl * (gg + gl)
+        c = d * gg * wl ** 2 + al * loss.omega0 * gl * (gg * wl + gl * wg)
+        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4 * a * c), b))
+        closed = sorted(math.sqrt(x) for x in (q / a, c / q) if x > 0)
+        assert len(closed) == len(roots)
+        for w, want in zip(sorted(roots), closed):
+            assert w == pytest.approx(want, rel=1e-12)
 
 
 class TestPresets:

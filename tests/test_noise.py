@@ -49,24 +49,24 @@ class TestThermalOccupation:
 
 class TestCommutatorBlocks:
     def test_same_side_value(self):
-        # 2 e^{-u} sinh u with u = n'' w l / c for the set1 loss layer
+        # 2 e^{-u} sinh u with u = n'' w l / c for the set1 loss layer; the
+        # paper_real_part scale is 1, so the entry is the bare coefficient
         bil = media.preset("set1", 50.0)
         nl = scattering.layer_indices(bil, W1)[1]
         u = nl.imag * W1 * bil.layer_thickness / media.C_VACUUM
-        coeff = noise.c_commutator_coefficients(nl, W1, bil.layer_thickness,
-                                                layer=2)
-        assert coeff["same_side"] == pytest.approx(2 * math.exp(-u)
-                                                   * math.sinh(u), rel=1e-12)
-        assert coeff["same_side"] == pytest.approx(1.0 - math.exp(-2 * u),
-                                                   rel=1e-12)
+        same_side = noise.layer_commutator(nl, W1, bil.layer_thickness,
+                                           layer=2, mode=MODE_PAPER)[0, 0]
+        assert same_side == pytest.approx(2 * math.exp(-u) * math.sinh(u),
+                                          rel=1e-12)
+        assert same_side == pytest.approx(1.0 - math.exp(-2 * u), rel=1e-12)
 
     def test_cross_terms_conjugate_between_layers(self):
         bil = media.preset("set1", 50.0)
         nl = scattering.layer_indices(bil, W1)[1]
-        q2 = noise.c_commutator_coefficients(nl, W1, bil.layer_thickness,
-                                             layer=2)["cross_side"]
-        q3 = noise.c_commutator_coefficients(nl, W1, bil.layer_thickness,
-                                             layer=3)["cross_side"]
+        q2 = noise.layer_commutator(nl, W1, bil.layer_thickness, layer=2,
+                                    mode=MODE_PAPER)[0, 1]
+        q3 = noise.layer_commutator(nl, W1, bil.layer_thickness, layer=3,
+                                    mode=MODE_PAPER)[0, 1]
         assert q3 == pytest.approx(q2.conjugate(), rel=1e-12)
 
     def test_commutator_matrix_is_hermitian(self):
@@ -78,7 +78,7 @@ class TestCommutatorBlocks:
 
     def test_invalid_layer_rejected(self):
         with pytest.raises(ValueError):
-            noise.c_commutator_coefficients(1.5 + 0.1j, W1, 10e-9, layer=1)
+            noise.layer_commutator(1.5 + 0.1j, W1, 10e-9, layer=1)
 
 
 class TestSumRule:

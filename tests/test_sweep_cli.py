@@ -89,6 +89,28 @@ class TestRunSweep:
         idx = statuses.index("BranchAmbiguity")
         assert math.isnan(table.rows[idx][table.columns.index("eta_mod")])
 
+    @pytest.mark.parametrize("theory", ["exact", "effective", "both"])
+    @pytest.mark.parametrize("mode", ["full_complex", "paper"])
+    @pytest.mark.parametrize("thickness_nm", [5000.0, 20000.0])
+    def test_non_finite_stack_gives_row_statuses(self, theory, mode, thickness_nm):
+        # micron layers: the chain or its square overflows to inf/nan, the
+        # commutator's e^{2u} overflows in paper mode, and the Bloch index is
+        # nan or overflows in cmath; every row fails as data
+        table = run_sweep(spec(start=400.0, stop=1000.0, count=4, spacing="linear",
+                               thickness_nm=thickness_nm, theory=theory, mode=mode,
+                               observables=("scattering", "eigenvalues", "noise",
+                                            "variance", "mandel", "eta")))
+        statuses = table.column("status")
+        assert "ok" not in statuses
+        if thickness_nm > 5000.0:
+            return
+        if theory != "effective" and mode == "full_complex":
+            assert statuses == ["SingularTransfer"] * 4
+        elif theory != "effective":
+            assert statuses[-1] == "OverflowError"
+        else:
+            assert statuses == ["BranchAmbiguity"] * 4
+
     def test_deterministic_tables(self):
         a = run_sweep(spec(count=12,
                            observables=("scattering", "noise", "variance")))
@@ -297,6 +319,25 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"presets": "set1"}))
         assert cli_main(["sweep", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("config,argv", [
+        ({"fixed": 3}, ["sweep"]),
+        ({"sweep": {"start": None}}, ["sweep"]),
+        ({"sweep": {"cuont": 5}}, ["sweep"]),
+        (None, ["sweep", "--var", "omega", "--range", "0:2000:3"]),
+        (None, ["sweep", "--thickness-nm", "-1"]),
+        (None, ["sweep", "--range", "1:inf:3"]),
+        (None, ["pt-solve", "--alpha-l", "-1"]),
+        (None, ["locate", "--kind", "atr", "--var", "omega", "--bracket", "0:900"]),
+        (None, ["locate", "--kind", "atr", "--bracket=-5:50"]),
+    ])
+    def test_bad_input_exits_2(self, config, argv, tmp_path, capsys):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        assert cli_main(argv) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_no_sign_change_exit_code(self, capsys):
         rc = cli_main(["locate", "--kind", "atr", "--preset", "set2",
