@@ -12,6 +12,8 @@ Subpackages by role:
 - sweep_cli: grids, threshold bisection, theory comparison, CLI entry point
 """
 
+import types as _types
+
 __version__ = "0.1.0"   # first, so that the modules imported below can read it
 
 from .effective import (
@@ -54,7 +56,6 @@ from .noise import (
 )
 from .observables import (
     DegenerateDenominator,
-    HomodyneConfig,
     SqueezedCoherentInput,
     homodyne_variance,
     input_reference,
@@ -77,6 +78,7 @@ from .scattering import (
 )
 from .sweep_cli import (
     ConfigError,
+    EvaluationFailed,
     NoSignChange,
     ResultTable,
     SweepSpec,
@@ -86,23 +88,7 @@ from .sweep_cli import (
     run_sweep,
 )
 
-__all__ = [
-    "BranchAmbiguity", "LasingPole", "bloch_index", "effective_amplitudes",
-    "effective_noise", "round_trip",
-    "C_VACUUM", "DEFAULT_LAYER_THICKNESS", "HBAR", "K_BOLTZMANN", "NM",
-    "PRESET_IDS", "TRAD", "Bilayer", "LorentzMedium", "permittivity", "preset",
-    "preset_default_omega", "pt_balanced_gain", "pt_delta_epsilon",
-    "pt_frequency", "refractive_index", "set2_gain_alpha",
-    "set2_operating_frequency", "verify_pt",
-    "SumRuleViolation", "layer_commutator", "noise_couplings", "noise_flux",
-    "sum_rule_residual", "thermal_occupation", "unitarity_deficit",
-    "DegenerateDenominator", "HomodyneConfig", "SqueezedCoherentInput",
-    "homodyne_variance", "input_reference", "mandel_q",
-    "MODE_FULL", "MODE_PAPER", "InconsistentEigenvalues",
-    "ScatteringAmplitudes", "SingularTransfer", "TransferChain",
-    "canonical_mode", "classify_phase", "conservation_residuals", "eigenvalues",
-    "scattering_amplitudes", "scattering_from_transfer", "transfer_chain",
-    "ConfigError", "NoSignChange", "ResultTable", "SweepSpec",
-    "ThresholdQuery", "compare_theories", "locate_threshold", "run_sweep",
-    "__version__",
-]
+# the public API: every name imported above except the submodules, and the version
+__all__ = ["__version__"] + [name for name, value in list(globals().items())
+                             if not name.startswith("_")
+                             and not isinstance(value, _types.ModuleType)]

@@ -26,8 +26,10 @@ class LasingPole(Exception):
     """Effective slab is at (or numerically on top of) a lasing pole."""
 
 
-def _bloch_from_indices(ng: complex, nl: complex, omega: float,
-                        layer_thickness: float) -> complex:
+def bloch_index(bilayer: Bilayer, omega: float) -> complex:
+    """Effective refractive index of the gain/loss cell at omega."""
+    ng, nl = layer_indices(bilayer, omega)
+    layer_thickness = bilayer.layer_thickness
     k = omega / C_VACUUM
     x = ng * k * layer_thickness
     y = nl * k * layer_thickness
@@ -44,17 +46,6 @@ def _bloch_from_indices(ng: complex, nl: complex, omega: float,
             f"cell phase {abs(2 * n * k * layer_thickness):.3f} exceeds pi/2; "
             "principal branch is not trustworthy")
     return n
-
-
-def bloch_index(bilayer: Bilayer, omega: float) -> complex:
-    """Effective refractive index of the gain/loss cell at omega."""
-    ng, nl = layer_indices(bilayer, omega)
-    return _bloch_from_indices(ng, nl, omega, bilayer.layer_thickness)
-
-
-def _pole_denominator(n_eff: complex, omega: float, layer_thickness: float) -> complex:
-    kl = (omega / C_VACUUM) * layer_thickness
-    return (n_eff + 1) ** 2 - (n_eff - 1) ** 2 * cmath.exp(4j * n_eff * kl)
 
 
 def effective_amplitudes(n_eff: complex, omega: float,
@@ -74,7 +65,7 @@ def effective_amplitudes(n_eff: complex, omega: float,
     """
     n = complex(n_eff)
     kl = (omega / C_VACUUM) * layer_thickness
-    den = _pole_denominator(n, omega, layer_thickness)
+    den = (n + 1) ** 2 - (n - 1) ** 2 * cmath.exp(4j * n * kl)
     if not abs(den) >= 1e-12:
         raise LasingPole(f"pole denominator modulus {abs(den):.3e}")
     t = 4 * n * cmath.exp(2j * (n - 1) * kl) / den

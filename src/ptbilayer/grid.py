@@ -316,10 +316,6 @@ class Amplitudes:
         return tuple(media.libm_square(_abs(a)) for a in (self.t, self.r_left, self.r_right))
 
 
-def _wrap(phi):
-    return (phi + np.pi) % (2 * np.pi) - np.pi
-
-
 def _family_cells(family: str, s: Amplitudes, flux, spec, live: np.ndarray):
     """(cells, degenerate) of a family in COMPARED for one theory.
 
@@ -339,9 +335,9 @@ def _family_cells(family: str, s: Amplitudes, flux, spec, live: np.ndarray):
         gen = np.abs(np.abs(T - 1.0) - np.sqrt(R_left * R_right))
         no_phase = ((np.minimum(np.minimum(_abs(s.r_left), _abs(s.r_right)), _abs(s.t)) < 1e-14)
                     | (np.abs(T - 1.0) < 1e-14))
-        phase = np.where(T < 1.0, np.abs(_wrap(pl - pr)),
-                         np.maximum(np.abs(_wrap(pl - pr + np.pi)),
-                                    np.abs(_wrap(pl - pt + np.pi / 2))))
+        phase = np.where(T < 1.0, np.abs(scattering._wrap(pl - pr)),
+                         np.maximum(np.abs(scattering._wrap(pl - pr + np.pi)),
+                                    np.abs(scattering._wrap(pl - pt + np.pi / 2))))
         return {"T": T, "R_left": R_left, "R_right": R_right, "phase_t": pt,
                 "phase_r_left": pl, "phase_r_right": pr, "phase_t_unwrapped": unwrapped,
                 "conservation_generalized": gen,

@@ -155,6 +155,7 @@ def pt_delta_epsilon(loss: LorentzMedium, gain: LorentzMedium, omega: float) -> 
 
 
 _BALANCE_REL_TOL = 1e-12   # relative width at which bisection stops
+PT_TOL = 1e-9              # relative mismatch verify_pt accepts
 
 
 def pt_frequency(loss: LorentzMedium, gain: LorentzMedium) -> list[float]:
@@ -191,12 +192,12 @@ def pt_frequency(loss: LorentzMedium, gain: LorentzMedium) -> list[float]:
     return sorted(roots)
 
 
-def verify_pt(bilayer: Bilayer, omega: float, tol: float = 1e-9) -> bool:
-    """True when eps_loss(omega) == conj(eps_gain(omega)) within tol."""
+def verify_pt(bilayer: Bilayer, omega: float) -> bool:
+    """True when eps_loss(omega) == conj(eps_gain(omega)) within PT_TOL."""
     el = permittivity(bilayer.loss, omega)
     eg = permittivity(bilayer.gain, omega)
     scale = max(1.0, abs(el), abs(eg))
-    return abs(el - np.conj(eg)) <= tol * scale
+    return abs(el - np.conj(eg)) <= PT_TOL * scale
 
 
 # Preset material families. The first family uses identical resonances for

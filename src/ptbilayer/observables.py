@@ -17,14 +17,6 @@ import numpy as np
 
 from .scattering import ScatteringAmplitudes
 
-# Defaults reproduce the reference figure settings: xi = 0.2 with a 5 rad
-# offset between the squeeze phase and twice the local-oscillator phase, and
-# a coherent phase locked so that cos(2 phi_rho - phi_xi) = -1.
-DEFAULT_XI = 0.2
-DEFAULT_PHI_XI = 5.0
-DEFAULT_COHERENT_WEIGHT = 25.0
-DEFAULT_PHI_RHO = (5.0 - math.pi) / 2.0
-
 
 class DegenerateDenominator(Exception):
     """Mean photocount vanishes; the normalized Mandel parameter is undefined."""
@@ -32,23 +24,19 @@ class DegenerateDenominator(Exception):
 
 @dataclass(frozen=True)
 class SqueezedCoherentInput:
-    xi: float = DEFAULT_XI
-    phi_xi: float = DEFAULT_PHI_XI
-    coherent_weight: float = DEFAULT_COHERENT_WEIGHT
-    phi_rho: float = DEFAULT_PHI_RHO
+    # The defaults reproduce the reference figure settings: xi = 0.2 with a
+    # 5 rad offset between the squeeze phase and twice the local-oscillator
+    # phase, and a coherent phase locked so that cos(2 phi_rho - phi_xi) = -1.
+    xi: float = 0.2
+    phi_xi: float = 5.0
+    coherent_weight: float = 25.0
+    phi_rho: float = (5.0 - math.pi) / 2.0
 
     def __post_init__(self):
         if self.xi < 0:
             raise ValueError("xi must be nonnegative")
         if self.coherent_weight < 0:
             raise ValueError("coherent_weight must be nonnegative")
-
-
-@dataclass(frozen=True)
-class HomodyneConfig:
-    """Local oscillator phase; the LO frequency tracks the signal."""
-
-    phi_lo: float = 0.0
 
 
 def _transmission(s) -> complex:
@@ -58,18 +46,18 @@ def _transmission(s) -> complex:
 
 
 def homodyne_variance(s, flux_right: float, inp: SqueezedCoherentInput = None,
-                      config: HomodyneConfig = None) -> float:
+                      phi_lo: float = 0.0) -> float:
     """Vacuum-normalized quadrature variance of the right output.
 
     V = 1 + 2 f + T (2 sinh^2 xi - sinh(2 xi) cos(phi_xi - 2 phi_lo - 2 arg t))
 
-    Values below 1 indicate surviving squeezing; the noise flux enters with
-    weight 2 and is never negative in aggregate.
+    phi_lo is the local-oscillator phase (the LO frequency tracks the
+    signal). Values below 1 indicate surviving squeezing; the noise flux
+    enters with weight 2 and is never negative in aggregate.
     """
     inp = inp or SqueezedCoherentInput()
-    config = config or HomodyneConfig()
     t = _transmission(s)
-    offset = inp.phi_xi - 2.0 * config.phi_lo
+    offset = inp.phi_xi - 2.0 * phi_lo
     return variance_from(abs(t) ** 2, math.cos(offset - 2.0 * np.angle(t)), flux_right, inp)
 
 
@@ -109,11 +97,9 @@ def mandel_parts(T, flux_right, inp: SqueezedCoherentInput):
     return num, T * (sh2 + w) + flux_right
 
 
-def input_reference(inp: SqueezedCoherentInput = None,
-                    config: HomodyneConfig = None) -> dict:
-    """Observables of the input state itself (identity channel, no noise)."""
+def input_reference(inp: SqueezedCoherentInput = None) -> dict:
+    """Observables of the input state itself (identity channel, no noise, LO phase 0)."""
     inp = inp or SqueezedCoherentInput()
-    config = config or HomodyneConfig()
     ident = ScatteringAmplitudes(r_left=0.0, t=1.0, r_right=0.0)
-    return {"variance_in": homodyne_variance(ident, 0.0, inp, config),
+    return {"variance_in": homodyne_variance(ident, 0.0, inp),
             "q_in": mandel_q(ident, 0.0, inp)}

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .effective import BranchAmbiguity, LasingPole
 from .grid import OBSERVABLE_ORDER, VARIABLE_COLUMNS
 from .media import NM, TRAD, Bilayer, LorentzMedium
 from .noise import SumRuleViolation
-from .observables import DegenerateDenominator, HomodyneConfig, SqueezedCoherentInput
+from .observables import DegenerateDenominator, SqueezedCoherentInput
 from .scattering import InconsistentEigenvalues, SingularTransfer
 
 VARIABLES = tuple(VARIABLE_COLUMNS)
@@ -47,9 +47,18 @@ class NoSignChange(Exception):
     """Bracket does not straddle the requested threshold (CLI exit code 3)."""
 
 
+class EvaluationFailed(Exception):
+    """No table row evaluated, or a locate evaluation or its verification
+    failed (CLI exit code 4)."""
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Everything needed to evaluate a sweep deterministically."""
+    """Everything needed to evaluate a sweep deterministically.
+
+    A spec checks itself when it is built: numbers are stored as floats (count
+    as an int), and a spec that cannot be evaluated raises ConfigError.
+    """
 
     preset: str | None = "set1"
     materials: tuple[LorentzMedium, LorentzMedium] | None = None  # (gain, loss)
@@ -70,7 +79,22 @@ class SweepSpec:
     check_sum_rule: bool = False
     reproducible: bool = False
 
-    def validate(self) -> "SweepSpec":
+    def __post_init__(self):
+        numeric = ["start", "stop", "count", "fixed_alpha_l", "temperature_k", "thickness_nm",
+                   "phi_lo"] + ([] if self.fixed_omega_trad is None else ["fixed_omega_trad"])
+        for name in numeric:   # the dataclass is frozen, so set through object
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+        if not self.count.is_integer():
+            raise ConfigError(f"count must be an integer, got {self.count!r}")
+        object.__setattr__(self, "count", int(self.count))
+        for name in ("check_sum_rule", "reproducible"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        obs = self.observables
+        if not isinstance(obs, (str, list, tuple)):
+            raise ConfigError("observables must be a list of family names")
+        object.__setattr__(self, "observables", (obs,) if isinstance(obs, str) else tuple(obs))
+
         if self.preset is None and self.materials is None:
             raise ConfigError("either a preset or explicit materials is required")
         if self.preset is not None and self.preset not in media.PRESET_IDS:
@@ -83,10 +107,9 @@ class SweepSpec:
             raise ConfigError("start must be less than stop")
         if self.theory not in THEORIES:
             raise ConfigError(f"theory must be one of {THEORIES}")
-        spacing = self.spacing
-        if spacing not in (None, "linear", "log"):
+        if self.spacing not in (None, "linear", "log"):
             raise ConfigError("spacing must be 'linear' or 'log'")
-        if spacing == "log" and self.start <= 0:
+        if self.spacing == "log" and self.start <= 0:
             raise ConfigError("log spacing requires start > 0")
         bad = [o for o in self.observables if o not in OBSERVABLE_ORDER]
         if bad:
@@ -95,17 +118,15 @@ class SweepSpec:
             raise ConfigError("at least one observable is required")
         try:
             mode = scattering.canonical_mode(self.mode)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        except (TypeError, ValueError):
+            raise ConfigError(f"unknown mode {self.mode!r}; expected "
+                              f"{scattering.MODE_FULL} or {scattering.MODE_PAPER}") from None
         if self.check_sum_rule and mode != scattering.MODE_FULL:
             raise ConfigError("sum rule check requires full-complex mode")
-        omega = 1.0 if self.fixed_omega_trad is None else self.fixed_omega_trad
-        if not all(math.isfinite(v) for v in (self.start, self.stop, self.fixed_alpha_l,
-                                              self.temperature_k, self.thickness_nm, omega)):
-            raise ConfigError("grid bounds, fixed values and thickness must be finite")
         if not self.thickness_nm > 0:
             raise ConfigError("thickness must be positive")
         # the smallest value each parameter takes, fixed or on the grid
+        omega = 1.0 if self.fixed_omega_trad is None else self.fixed_omega_trad
         low = {"alpha_l": self.fixed_alpha_l, "omega": omega, "temperature": self.temperature_k}
         low[self.variable] = min(low[self.variable], self.start)
         if not low["omega"] > 0:
@@ -114,7 +135,16 @@ class SweepSpec:
             raise ConfigError("a preset's alpha_l must be nonnegative")
         if low["temperature"] < 0:
             raise ConfigError("temperature must be nonnegative")
-        return self
+
+
+def _number(value, name: str) -> float:
+    """value as a float; it must be a finite number (not a bool, string or null)."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):   # not a number, or an int beyond float
+        pass
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -166,7 +196,6 @@ def grid_values(spec: SweepSpec) -> np.ndarray:
 
 def run_sweep(spec: SweepSpec) -> ResultTable:
     """Evaluate the spec over its grid; failed points are rows, not errors."""
-    spec = spec.validate()
     columns, status = grid.evaluate_grid(spec, grid_values(spec))
     columns["status"] = status
     rows = [list(row) for row in zip(*(c.tolist() for c in columns.values()))]
@@ -175,27 +204,23 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
         "version": __version__,
         "preset": spec.preset,
         "materials": None if spec.materials is None else [
-            {"role": role, "eps_b": m.eps_b, "alpha": m.alpha,
-             "omega0_trad": m.omega0 / TRAD, "gamma_trad": m.gamma / TRAD}
+            {"role": role, **_material_json(m)}
             for role, m in zip(("gain", "loss"), spec.materials)],
         "variable": spec.variable,
         "grid": {"start": spec.start, "stop": spec.stop, "count": spec.count,
                  "spacing": spec.spacing or "auto"},
-        "fixed": {"omega_trad": (None if spec.variable == "omega"
-                                 else grid.default_omega_trad(spec)),
-                  "alpha_l": (None if spec.variable == "alpha_l"
-                              else spec.fixed_alpha_l),
-                  "temperature_k": (None if spec.variable == "temperature"
-                                    else spec.temperature_k)},
+        # the swept parameter has no fixed value
+        "fixed": {key: None if key == VARIABLE_COLUMNS[spec.variable] else value
+                  for key, value in (("omega_trad", grid.default_omega_trad(spec)),
+                                     ("alpha_l", spec.fixed_alpha_l),
+                                     ("temperature_k", spec.temperature_k))},
         "thickness_nm": spec.thickness_nm,
         "theory": spec.theory,
         "mode": scattering.canonical_mode(spec.mode),
         "observables": list(spec.observables),
-        "input_state": {"xi": spec.input_state.xi,
-                        "phi_xi": spec.input_state.phi_xi,
-                        "w": spec.input_state.coherent_weight,
-                        "phi_rho": spec.input_state.phi_rho,
-                        "phi_lo": spec.phi_lo},
+        "input_state": {key: getattr(spec.input_state if "." in target else spec,
+                                     target.rpartition(".")[2])
+                        for key, target in CONFIG_FIELDS["input_state"].items()},
         "units": "omega in Trad/s, thickness in nm, temperature in K",
     }
     if not spec.reproducible:
@@ -210,21 +235,36 @@ def compare_theories(spec: SweepSpec) -> ResultTable:
 
 @dataclass(frozen=True)
 class ThresholdQuery:
+    """A threshold kind and the bracket to bisect; checks itself when built.
+
+    tol is the relative bracket width at which bisection stops. Below one
+    ulp (sys.float_info.epsilon) the bracket could never get that narrow.
+    """
+
     kind: str
     bracket: tuple[float, float]
     tol: float = 1e-10
+
+    def __post_init__(self):
+        if self.kind not in THRESHOLD_KINDS:
+            raise ConfigError(f"unknown threshold kind {self.kind!r}")
+        lo, hi = self.bracket
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigError("bracket must be finite with lo < hi")
+        if not (math.isfinite(self.tol) and self.tol >= sys.float_info.epsilon):
+            raise ConfigError(f"tol must be finite and at least {sys.float_info.epsilon:.3g}")
 
 
 def _threshold_scalar(spec: SweepSpec, kind: str):
     """Scalar function of the swept variable whose zero is the threshold.
 
-    It evaluates what a table row of the kind's observable family would, in
-    the same order, and raises ConfigError naming the first failure.
+    It evaluates only the theory the scalar reads (the exact one unless the
+    spec's theory is "effective"; eta_unity reads the effective slab), as a
+    table row of the kind's family would and in the same order, and raises
+    EvaluationFailed naming the first failure.
     """
-    exact = spec.theory in ("exact", "both")
-    eff = spec.theory in ("effective", "both")
+    exact = spec.theory != "effective"
     noisy = kind in ("squeeze_crossing", "mandel_crossing")
-    hom = HomodyneConfig(phi_lo=spec.phi_lo)
 
     def evaluate(x: float) -> float:
         bil, omega, theta = grid.point_parameters(spec, x)
@@ -238,13 +278,11 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
             if noisy:
                 flux = noise.noise_flux(bil, omega, spec.mode, theta,
                                         check_sum_rule=spec.check_sum_rule, chain=chain)
-        if eff:
+        else:
             n_eff = effective.bloch_index(bil, omega)
-            s_eff = effective.effective_amplitudes(n_eff, omega, l)
+            s = effective.effective_amplitudes(n_eff, omega, l)
             if noisy:
-                flux_eff = effective.effective_noise(bil, omega, n_eff, theta)
-            if not exact:
-                s, flux = s_eff, (flux_eff if noisy else None)
+                flux = effective.effective_noise(bil, omega, n_eff, theta)
         if kind == "atr":
             return s.T - 1.0
         if kind == "accidental_degeneracy":
@@ -255,34 +293,29 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
             return max(abs(abs(lam[0]) - 1), abs(abs(lam[1]) - 1)) - scattering.PHASE_TOL
         if kind == "squeeze_crossing":
             return observables.homodyne_variance(
-                s, flux["s_right"], spec.input_state, hom) - 1.0
-        q = observables.mandel_q(s, flux["s_right"], spec.input_state)
-        if exact and eff:   # the table's effective column can fail too
-            observables.mandel_q(s_eff, flux_eff["s_right"], spec.input_state)
-        return q
+                s, flux["s_right"], spec.input_state, spec.phi_lo) - 1.0
+        return observables.mandel_q(s, flux["s_right"], spec.input_state)
 
     def f(x: float) -> float:
         try:
             return evaluate(x)
         except _ROW_ERRORS as exc:
-            raise ConfigError(
-                f"threshold scalar failed at {x}: {type(exc).__name__}") from exc
+            raise EvaluationFailed(
+                f"evaluation failed at {x}: {type(exc).__name__}") from exc
 
     return f
 
 
+# Overflowing stacks fail as row errors, as in the grid kernel; numpy need not
+# warn about them.
+@np.errstate(all="ignore")
 def locate_threshold(query: ThresholdQuery, spec: SweepSpec) -> float:
     """Bisection for the threshold abscissa inside the query bracket.
 
     The swept variable and all fixed parameters come from the spec; the
     result is verified by a sign check at x +- sqrt(tol)-scaled offsets.
     """
-    if query.kind not in THRESHOLD_KINDS:
-        raise ConfigError(f"unknown threshold kind {query.kind!r}")
-    lo, hi = query.bracket
-    lo0, hi0 = lo, hi
-    if not (lo < hi):
-        raise ConfigError("bracket must satisfy lo < hi")
+    lo, hi = lo0, hi0 = query.bracket
     f = _threshold_scalar(spec, query.kind)
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -312,7 +345,7 @@ def locate_threshold(query: ThresholdQuery, spec: SweepSpec) -> float:
     a, b = max(x - delta, lo0), min(x + delta, hi0)
     fa, fb = f(a), f(b)
     if fa != 0.0 and fb != 0.0 and (fa < 0) == (fb < 0):
-        raise ArithmeticError(
+        raise EvaluationFailed(
             f"bisection verification failed at {x} (f({a})={fa:.3g}, "
             f"f({b})={fb:.3g})")
     return x
@@ -321,82 +354,83 @@ def locate_threshold(query: ThresholdQuery, spec: SweepSpec) -> float:
 # ---------------------------------------------------------------------------
 # configuration ingestion
 
+# Every config key by section ("" is the root object), with the field it sets:
+# a SweepSpec field, or "input_state.<name>", a SqueezedCoherentInput field.
+# "material" is the section of materials.gain and materials.loss, whose keys
+# set LorentzMedium fields; a key ending in _trad is in Trad/s. A key that is
+# absent keeps the dataclass default.
+CONFIG_FIELDS = {
+    "": {"preset": "preset", "materials": "materials", "thickness_nm": "thickness_nm",
+         "theory": "theory", "mode": "mode", "observables": "observables",
+         "check_sum_rule": "check_sum_rule"},
+    "sweep": {"variable": "variable", "start": "start", "stop": "stop", "count": "count",
+              "spacing": "spacing"},
+    "fixed": {"omega_trad": "fixed_omega_trad", "alpha_l": "fixed_alpha_l",
+              "temperature_k": "temperature_k"},
+    "input_state": {"xi": "input_state.xi", "phi_xi": "input_state.phi_xi",
+                    "w": "input_state.coherent_weight", "phi_rho": "input_state.phi_rho",
+                    "phi_lo": "phi_lo"},
+    "material": {"eps_b": "eps_b", "alpha": "alpha", "omega0_trad": "omega0",
+                 "gamma_trad": "gamma"},
+}
+_SECTIONS = ("sweep", "fixed", "input_state")   # the objects under the root
 
-def _section(obj, name: str, keys: set) -> dict:
+
+def _section(obj, name: str, keys) -> dict:
     """obj as a config object whose keys are all among keys."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{name} must be a JSON object")
-    unknown = set(obj) - keys
+    unknown = set(obj) - set(keys)
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
     return obj
 
 
-def _medium_from_config(obj: dict, label: str) -> LorentzMedium:
-    obj = _section(obj, f"{label} material", {"eps_b", "alpha", "omega0_trad", "gamma_trad"})
+def _materials(obj) -> tuple[LorentzMedium, LorentzMedium]:
+    """(gain, loss) from the config's materials object."""
+    if not (isinstance(obj, dict) and set(obj) == {"gain", "loss"}):
+        raise ConfigError("materials must be an object with gain and loss")
+    keys = CONFIG_FIELDS["material"]
+    pair = []
+    for role in ("gain", "loss"):
+        m = _section(obj[role], f"{role} material", keys)
+        try:
+            pair.append(LorentzMedium(**{
+                name: _number(m[key], key) * (TRAD if key.endswith("_trad") else 1.0)
+                for key, name in keys.items()}))
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"bad {role} material: {exc}") from exc
+    return tuple(pair)
+
+
+def _material_json(m: LorentzMedium, **replaced) -> dict:
+    """A medium as the config's material section writes it."""
+    return {key: getattr(m, name) / (TRAD if key.endswith("_trad") else 1.0)
+            for key, name in CONFIG_FIELDS["material"].items()} | replaced
+
+
+def spec_from_config(cfg: dict, **overrides) -> SweepSpec:
+    """Build a SweepSpec from the JSON config schema (CONFIG_FIELDS).
+
+    overrides are SweepSpec fields set on top of the config, as the CLI's
+    flags set them; the spec is built once, from both.
+    """
+    root = _section(cfg, "config root", [*CONFIG_FIELDS[""], *_SECTIONS])
+    values, inp = {}, {}
+    for name in ("", *_SECTIONS):
+        obj = root if not name else _section(root.get(name, {}), name, CONFIG_FIELDS[name])
+        for key, target in CONFIG_FIELDS[name].items():
+            if key in obj and target.startswith("input_state."):
+                inp[target[len("input_state."):]] = _number(obj[key], key)
+            elif key in obj:
+                values[target] = obj[key]
+    if "materials" in values:
+        values.update(preset=None, materials=_materials(values["materials"]))
     try:
-        return LorentzMedium(eps_b=float(obj["eps_b"]), alpha=float(obj["alpha"]),
-                             omega0=float(obj["omega0_trad"]) * TRAD,
-                             gamma=float(obj["gamma_trad"]) * TRAD)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {label} material: {exc}") from exc
-
-
-def spec_from_config(cfg: dict) -> SweepSpec:
-    """Build a SweepSpec from the JSON config schema."""
-    _section(cfg, "config root", {"preset", "materials", "thickness_nm", "sweep", "fixed",
-                                  "input_state", "observables", "theory", "mode",
-                                  "check_sum_rule"})
-
-    preset_id = cfg.get("preset")
-    materials = None
-    if "materials" in cfg:
-        m = cfg["materials"]
-        if not (isinstance(m, dict) and set(m) == {"gain", "loss"}):
-            raise ConfigError("materials must be an object with gain and loss")
-        materials = (_medium_from_config(m["gain"], "gain"),
-                     _medium_from_config(m["loss"], "loss"))
-        preset_id = None
-    if preset_id is None and materials is None:
-        preset_id = "set1"
-
-    sweep = _section(cfg.get("sweep", {}), "sweep",
-                     {"variable", "start", "stop", "count", "spacing"})
-    fixed = _section(cfg.get("fixed", {}), "fixed", {"omega_trad", "alpha_l", "temperature_k"})
-    inb = _section(cfg.get("input_state", {}), "input_state",
-                   {"xi", "phi_xi", "w", "phi_rho", "phi_lo"})
-    obs = cfg.get("observables", ["scattering"])
-    if isinstance(obs, str):
-        obs = [obs]
-
-    try:
-        inp = SqueezedCoherentInput(
-            xi=float(inb.get("xi", observables.DEFAULT_XI)),
-            phi_xi=float(inb.get("phi_xi", observables.DEFAULT_PHI_XI)),
-            coherent_weight=float(inb.get("w", observables.DEFAULT_COHERENT_WEIGHT)),
-            phi_rho=float(inb.get("phi_rho", observables.DEFAULT_PHI_RHO)))
-        return SweepSpec(
-            preset=preset_id,
-            materials=materials,
-            variable=str(sweep.get("variable", "alpha_l")),
-            start=float(sweep.get("start", 1.0)),
-            stop=float(sweep.get("stop", 1000.0)),
-            count=int(sweep.get("count", 500)),
-            spacing=sweep.get("spacing"),
-            fixed_omega_trad=(None if fixed.get("omega_trad") is None
-                              else float(fixed["omega_trad"])),
-            fixed_alpha_l=float(fixed.get("alpha_l", 2.0)),
-            temperature_k=float(fixed.get("temperature_k", 0.0)),
-            thickness_nm=float(cfg.get("thickness_nm", 10.0)),
-            theory=str(cfg.get("theory", "exact")),
-            mode=str(cfg.get("mode", scattering.MODE_FULL)),
-            observables=tuple(obs),
-            input_state=inp,
-            phi_lo=float(inb.get("phi_lo", 0.0)),
-            check_sum_rule=bool(cfg.get("check_sum_rule", False)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+        values["input_state"] = SqueezedCoherentInput(**inp)
+    except ValueError as exc:
+        raise ConfigError(f"bad input_state: {exc}") from exc
+    return SweepSpec(**{**values, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -415,56 +449,62 @@ def _parse_fields(text: str, flag: str, form: str, types: tuple) -> tuple:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--temperature-k", type=float, default=None)
-    common.add_argument("--theory", choices=THEORIES, default=None)
-    common.add_argument("--mode", choices=("full-complex", "paper"), default=None)
-    common.add_argument("--reproducible", action="store_true",
-                        help="omit the metadata timestamp")
-    common.add_argument("--check", action="store_true",
-                        help="validate the commutator sum rule at every point")
-    common.add_argument("--preset", choices=media.PRESET_IDS, default=None)
-    common.add_argument("--thickness-nm", type=float, default=None)
-    common.add_argument("--omega-trad", type=float, default=None,
-                        help="fixed frequency for alpha_l/temperature sweeps")
-    common.add_argument("--alpha-l", type=float, default=None,
-                        help="fixed loss amplitude for omega/temperature sweeps")
+    """The CLI; each subcommand accepts only the flags it reads.
+
+    Each flag is declared once, most in a group that the subcommands reading
+    it share; a flag that sets a SweepSpec field stores under that field's
+    name.
+    """
+    out, point, stack, table = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out.add_argument("--out", help="output path (default: stdout)")
+    point.add_argument("--config", help="JSON config file")
+    point.add_argument("--preset", choices=media.PRESET_IDS)
+    point.add_argument("--alpha-l", dest="fixed_alpha_l", type=float, metavar="ALPHA_L",
+                       help="fixed loss amplitude for omega/temperature sweeps")
+    stack.add_argument("--omega-trad", dest="fixed_omega_trad", type=float,
+                       metavar="OMEGA_TRAD", help="fixed frequency for alpha_l/temperature sweeps")
+    stack.add_argument("--temperature-k", type=float)
+    stack.add_argument("--thickness-nm", type=float)
+    stack.add_argument("--mode", choices=("full-complex", "paper"))
+    stack.add_argument("--check", dest="check_sum_rule", action="store_true", default=None,
+                       help="validate the commutator sum rule at every point")
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
+    table.add_argument("--reproducible", action="store_true", default=None,
+                       help="omit the metadata timestamp")
+    table.add_argument("--var", dest="variable", choices=VARIABLES)
+    table.add_argument("--range", dest="range_", metavar="START:STOP:COUNT")
+    spacing = table.add_mutually_exclusive_group()
+    spacing.add_argument("--log", dest="spacing", action="store_const", const="log")
+    spacing.add_argument("--linear", dest="spacing", action="store_const", const="linear")
+    table.add_argument("--obs", dest="observables", metavar="OBS",
+                       type=lambda text: tuple(s.strip() for s in text.split(",") if s.strip()),
+                       help="comma-separated subset of " + ",".join(OBSERVABLE_ORDER))
 
     parser = argparse.ArgumentParser(
         prog="ptbilayer",
         description="Gain/loss bilayer scattering, noise, and observable sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (("sweep", "evaluate observables over a grid"),
-                            ("compare", "sweep with exact and effective columns")):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--var", choices=VARIABLES, default=None)
-        p.add_argument("--range", dest="range_", metavar="START:STOP:COUNT",
-                       default=None)
-        spacing = p.add_mutually_exclusive_group()
-        spacing.add_argument("--log", action="store_true")
-        spacing.add_argument("--linear", action="store_true")
-        p.add_argument("--obs", default=None,
-                       help="comma-separated subset of " + ",".join(OBSERVABLE_ORDER))
-
-    p = sub.add_parser("locate", parents=[common],
-                       help="bisect for a named threshold inside a bracket")
-    p.add_argument("--kind", choices=THRESHOLD_KINDS, required=True)
-    p.add_argument("--bracket", required=True, metavar="LO:HI")
-    p.add_argument("--var", choices=("alpha_l", "omega"), default="alpha_l")
-    p.add_argument("--tol", type=float, default=1e-10)
-
-    p = sub.add_parser("pt-solve", parents=[common],
-                       help="balance frequencies and gain amplitude for a preset")
-
-    sub.add_parser("presets", parents=[common], help="list preset materials")
+    for name, help_text, parents in (
+            ("sweep", "evaluate observables over a grid", [point, stack, table, out]),
+            ("compare", "sweep with exact and effective columns", [point, stack, table, out]),
+            ("locate", "bisect for a named threshold inside a bracket", [point, stack, out]),
+            ("pt-solve", "balance frequencies and gain amplitude for a preset", [point, out]),
+            ("presets", "list preset materials", [out])):
+        sub.add_parser(name, parents=parents, help=help_text)
+    for name in ("sweep", "locate"):   # a group of one flag costs more than two
+        sub.choices[name].add_argument("--theory", choices=THEORIES)
+    locate = sub.choices["locate"]
+    locate.add_argument("--kind", choices=THRESHOLD_KINDS, required=True)
+    locate.add_argument("--bracket", required=True, metavar="LO:HI")
+    locate.add_argument("--var", dest="variable", choices=("alpha_l", "omega"),
+                        default="alpha_l")
+    locate.add_argument("--tol", type=float, default=ThresholdQuery.tol,
+                        help="relative bracket width at which bisection stops (%(default)s)")
     return parser
 
 
-def _spec_from_args(args) -> SweepSpec:
+def _spec_from_args(args, **extra) -> SweepSpec:
+    """The run's spec: the config file, each flag given on top, then extra fields."""
     cfg = {}
     if args.config:
         try:
@@ -474,39 +514,31 @@ def _spec_from_args(args) -> SweepSpec:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    spec = spec_from_config(cfg)
-    if args.preset is not None:
-        spec = replace(spec, preset=args.preset, materials=None)
-    changes = {"variable": getattr(args, "var", None), "fixed_omega_trad": args.omega_trad,
-               "fixed_alpha_l": args.alpha_l, "temperature_k": args.temperature_k,
-               "theory": args.theory, "mode": args.mode, "thickness_nm": args.thickness_nm,
-               "check_sum_rule": args.check or None, "reproducible": args.reproducible or None}
+    flags = {f.name: getattr(args, f.name) for f in fields(SweepSpec)
+             if getattr(args, f.name, None) is not None}
+    if flags.get("preset"):
+        flags["materials"] = None
     if getattr(args, "range_", None) is not None:
-        changes["start"], changes["stop"], changes["count"] = _parse_fields(
+        flags["start"], flags["stop"], flags["count"] = _parse_fields(
             args.range_, "--range", "START:STOP:COUNT", (float, float, int))
-    if getattr(args, "log", False) or getattr(args, "linear", False):
-        changes["spacing"] = "log" if args.log else "linear"
-    if getattr(args, "obs", None) is not None:
-        changes["observables"] = tuple(s.strip() for s in args.obs.split(",") if s.strip())
-    return replace(spec, **{k: v for k, v in changes.items() if v is not None})
+    return spec_from_config(cfg, **{**flags, **extra})
 
 
-def _emit(args, result) -> None:
-    """Write a ResultTable as --format says, or any other result as JSON."""
-    if isinstance(result, ResultTable) and args.format == "csv":
+def _emit(result, out: str | None, fmt: str = "json") -> None:
+    """Write a ResultTable as fmt says, or any other result as JSON."""
+    if fmt == "csv":
         text = result.to_csv_text()
     else:
         obj = result.to_json_obj() if isinstance(result, ResultTable) else result
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_pt_solve(args) -> dict:
-    spec = _spec_from_args(args).validate()
+def _cmd_pt_solve(spec: SweepSpec) -> dict:
     alpha_l = spec.fixed_alpha_l
     if alpha_l == 0:
         raise ConfigError("pt-solve needs a nonzero loss amplitude")
@@ -535,57 +567,49 @@ def _cmd_presets() -> dict:
     for set_id in media.PRESET_IDS:
         bil = media.preset(set_id, 2.0)
         out[set_id] = {
-            "loss": {"eps_b": bil.loss.eps_b, "alpha": "alpha_l",
-                     "omega0_trad": bil.loss.omega0 / TRAD,
-                     "gamma_trad": bil.loss.gamma / TRAD},
-            "gain": {"eps_b": bil.gain.eps_b,
-                     "alpha": ("-alpha_l" if set_id == "set1"
-                               else bil.gain.alpha),
-                     "omega0_trad": bil.gain.omega0 / TRAD,
-                     "gamma_trad": bil.gain.gamma / TRAD},
+            "loss": _material_json(bil.loss, alpha="alpha_l"),
+            "gain": _material_json(bil.gain, **(
+                {"alpha": "-alpha_l"} if set_id == "set1" else {})),
             "default_omega_trad": media.preset_default_omega(set_id) / TRAD,
             "layer_thickness_nm": bil.layer_thickness / NM,
         }
     return out
 
 
+# the exit code and stderr prefix of each error that ends a CLI run
+_EXITS = {ConfigError: (2, "config error: "), NoSignChange: (3, "no sign change: "),
+          SumRuleViolation: (4, "internal consistency failure: "), EvaluationFailed: (4, "")}
+
+
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("sweep", "compare"):
-            spec = _spec_from_args(args)
-            if args.command == "compare":
-                spec = replace(spec, theory="both")
-            _emit(args, run_sweep(spec))
-        elif args.command == "locate":
-            bracket = _parse_fields(args.bracket, "--bracket", "LO:HI", (float, float))
-            # the bracket is the range the scalar is evaluated on
-            spec = replace(_spec_from_args(args), variable=args.var, start=bracket[0],
-                           stop=bracket[1], spacing=None).validate()
-            query = ThresholdQuery(kind=args.kind, bracket=bracket, tol=args.tol)
-            x = locate_threshold(query, spec)
-            _emit(args, {"kind": args.kind, "variable": args.var,
-                         "bracket": list(query.bracket), "abscissa": x})
+        if args.command == "presets":
+            _emit(_cmd_presets(), args.out)
         elif args.command == "pt-solve":
-            _emit(args, _cmd_pt_solve(args))
-        elif args.command == "presets":
-            _emit(args, _cmd_presets())
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NoSignChange as exc:
-        print(f"no sign change: {exc}", file=sys.stderr)
-        return 3
-    except SumRuleViolation as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 4
+            _emit(_cmd_pt_solve(_spec_from_args(args)), args.out)
+        elif args.command == "locate":
+            query = ThresholdQuery(args.kind, _parse_fields(
+                args.bracket, "--bracket", "LO:HI", (float, float)), args.tol)
+            lo, hi = query.bracket
+            # the bracket is the range the scalar is evaluated on
+            spec = _spec_from_args(args, start=lo, stop=hi, spacing=None)
+            _emit({"kind": query.kind, "variable": spec.variable, "bracket": [lo, hi],
+                   "abscissa": locate_threshold(query, spec)}, args.out)
+        else:
+            table = run_sweep(_spec_from_args(
+                args, **({"theory": "both"} if args.command == "compare" else {})))
+            _emit(table, args.out, args.format)
+            statuses = table.column("status")
+            if "ok" not in statuses:
+                raise EvaluationFailed("evaluation failed at every grid point: " + ", ".join(
+                    f"{statuses.count(status)} {status}" for status in sorted(set(statuses))))
+    except tuple(_EXITS) as exc:
+        code, prefix = _EXITS[type(exc)]
+        print(prefix + str(exc), file=sys.stderr)
+        return code
     return 0
 
 
 def main() -> None:
     sys.exit(cli_main())
-
-
-if __name__ == "__main__":
-    main()

@@ -15,8 +15,7 @@ import ptbilayer
 from ptbilayer import effective, grid, noise, observables, scattering
 from ptbilayer.effective import BranchAmbiguity, LasingPole
 from ptbilayer.media import TRAD, LorentzMedium
-from ptbilayer.observables import (DegenerateDenominator, HomodyneConfig,
-                                   SqueezedCoherentInput)
+from ptbilayer.observables import DegenerateDenominator, SqueezedCoherentInput
 from ptbilayer.scattering import InconsistentEigenvalues, SingularTransfer
 from ptbilayer.sweep_cli import ResultTable, SweepSpec, run_sweep
 
@@ -49,7 +48,7 @@ def scalar_row(spec, x):
         out["scattering_cells"] = True
         out["eigenvalues"] = scattering.eigenvalues(chain)
         out["variance"] = observables.homodyne_variance(
-            s, flux["s_right"], spec.input_state, HomodyneConfig(phi_lo=spec.phi_lo))
+            s, flux["s_right"], spec.input_state, spec.phi_lo)
         out["mandel_q"] = observables.mandel_q(s, flux["s_right"], spec.input_state)
         if spec.theory == "both":
             observables.mandel_q(s_eff, flux_eff["s_right"], spec.input_state)
@@ -155,7 +154,8 @@ def test_module_entry_point_runs_the_cli():
     src = str(Path(ptbilayer.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-m", "ptbilayer.sweep_cli", "presets"],
+    proc = subprocess.run([sys.executable, "-m", "ptbilayer", "presets"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert set(json.loads(proc.stdout)) == {"set1", "set2"}

@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 
 from ptbilayer import media, noise, observables, scattering
 from ptbilayer.media import TRAD
-from ptbilayer.observables import (
-    DegenerateDenominator,
-    HomodyneConfig,
-    SqueezedCoherentInput,
-)
+from ptbilayer.observables import DegenerateDenominator, SqueezedCoherentInput
 
 W1 = 1000.0 * TRAD
 XI, PHI_XI, WEIGHT = 0.2, 5.0, 25.0
@@ -80,24 +76,22 @@ class TestVariance:
     @given(phi_lo=st.floats(-6.0, 6.0))
     def test_local_oscillator_half_period(self, phi_lo):
         s, fx = channel(24.0)
-        a = observables.homodyne_variance(s, fx, config=HomodyneConfig(phi_lo))
-        b = observables.homodyne_variance(
-            s, fx, config=HomodyneConfig(phi_lo + math.pi))
+        a = observables.homodyne_variance(s, fx, phi_lo=phi_lo)
+        b = observables.homodyne_variance(s, fx, phi_lo=phi_lo + math.pi)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_quadrature_extremes_bracket_shot_noise(self):
         # squeezing below, antisqueezing above, for a transparent channel
         inp = SqueezedCoherentInput(xi=XI, phi_xi=PHI_XI, coherent_weight=0.0,
                                     phi_rho=0.0)
-        lo_min = HomodyneConfig(phi_lo=PHI_XI / 2)            # cos term +1
-        lo_max = HomodyneConfig(phi_lo=(PHI_XI - math.pi) / 2)  # cos term -1
+        lo_min = PHI_XI / 2              # cos term +1
+        lo_max = (PHI_XI - math.pi) / 2  # cos term -1
         v_min = observables.homodyne_variance(1.0 + 0j, 0.0, inp, lo_min)
         v_max = observables.homodyne_variance(1.0 + 0j, 0.0, inp, lo_max)
         assert v_min == pytest.approx(math.exp(-2 * XI), rel=1e-12)
         assert v_max == pytest.approx(math.exp(2 * XI), rel=1e-12)
         for k in range(32):
-            cfg = HomodyneConfig(phi_lo=k * math.pi / 32)
-            v = observables.homodyne_variance(1.0 + 0j, 0.0, inp, cfg)
+            v = observables.homodyne_variance(1.0 + 0j, 0.0, inp, k * math.pi / 32)
             assert v_min - 1e-12 <= v <= v_max + 1e-12
 
 

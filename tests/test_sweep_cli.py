@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ptbilayer import grid, media, sweep_cli
+import ptbilayer
+from ptbilayer import effective, grid, media, sweep_cli
 from ptbilayer.sweep_cli import (
     ConfigError,
     NoSignChange,
@@ -17,6 +23,7 @@ from ptbilayer.sweep_cli import (
     grid_values,
     locate_threshold,
     run_sweep,
+    spec_from_config,
 )
 
 
@@ -46,17 +53,44 @@ class TestGrid:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            spec(count=1).validate()
+            spec(count=1)
         with pytest.raises(ConfigError):
-            spec(start=5.0, stop=5.0).validate()
+            spec(start=5.0, stop=5.0)
         with pytest.raises(ConfigError):
-            spec(spacing="log", start=-1.0).validate()
+            spec(spacing="log", start=-1.0)
         with pytest.raises(ConfigError):
-            spec(observables=("spin",)).validate()
+            spec(observables=("spin",))
         with pytest.raises(ConfigError):
-            spec(variable="phase").validate()
+            spec(variable="phase")
         with pytest.raises(ConfigError):
-            spec(mode="paper", check_sum_rule=True).validate()
+            spec(mode="paper", check_sum_rule=True)
+
+
+class TestConfig:
+    def test_empty_config_is_the_default_spec(self):
+        assert spec_from_config({}) == SweepSpec()
+
+    def test_every_key_sets_its_field(self):
+        gain = {"eps_b": 2.0, "alpha": -3.0, "omega0_trad": 1000.0, "gamma_trad": 67.0}
+        loss = {"eps_b": 2.5, "alpha": 3.0, "omega0_trad": 1100.0, "gamma_trad": 80.0}
+        spec = spec_from_config({
+            "materials": {"gain": gain, "loss": loss}, "thickness_nm": 20,
+            "theory": "both", "mode": "paper", "observables": "noise",
+            "check_sum_rule": False,
+            "sweep": {"variable": "omega", "start": 500, "stop": 1500, "count": 9.0,
+                      "spacing": "log"},
+            "fixed": {"omega_trad": 900, "alpha_l": 3, "temperature_k": 300},
+            "input_state": {"xi": 0.3, "phi_xi": 1, "w": 4, "phi_rho": 0.5,
+                            "phi_lo": 0.25}})
+        assert spec == SweepSpec(
+            preset=None, materials=(
+                media.LorentzMedium(2.0, -3.0, 1000.0 * media.TRAD, 67.0 * media.TRAD),
+                media.LorentzMedium(2.5, 3.0, 1100.0 * media.TRAD, 80.0 * media.TRAD)),
+            variable="omega", start=500.0, stop=1500.0, count=9, spacing="log",
+            fixed_omega_trad=900.0, fixed_alpha_l=3.0, temperature_k=300.0,
+            thickness_nm=20.0, theory="both", mode="paper", observables=("noise",),
+            input_state=sweep_cli.SqueezedCoherentInput(0.3, 1.0, 4.0, 0.5), phi_lo=0.25)
+        assert type(spec.start) is float and type(spec.count) is int
 
 
 class TestRunSweep:
@@ -330,6 +364,11 @@ class TestCli:
         (None, ["pt-solve", "--alpha-l", "-1"]),
         (None, ["locate", "--kind", "atr", "--var", "omega", "--bracket", "0:900"]),
         (None, ["locate", "--kind", "atr", "--bracket=-5:50"]),
+        ({"check_sum_rule": "false"}, ["sweep"]),     # must be a JSON boolean
+        ({"sweep": {"count": 3.9}}, ["sweep"]),       # must be integral
+        ({"sweep": {"start": "1"}}, ["sweep"]),       # must be a JSON number
+        ({"input_state": {"phi_xi": "5"}}, ["sweep"]),
+        (None, ["locate", "--kind", "atr", "--bracket", "5:50", "--tol", "1e-17"]),
     ])
     def test_bad_input_exits_2(self, config, argv, tmp_path, capsys):
         if config is not None:
@@ -338,6 +377,97 @@ class TestCli:
             argv = argv + ["--config", str(path)]
         assert cli_main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [5, 5.0])
+    def test_integral_count_is_accepted(self, count, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sweep": {"start": 1, "stop": 10, "count": count}}))
+        assert cli_main(["sweep", "--config", str(path), "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 5
+
+    @pytest.mark.parametrize("kind,tol", [("exceptional_point", "0"),
+                                          ("accidental_degeneracy", "0"),
+                                          ("atr", "-1"), ("atr", "nan")])
+    def test_bad_tol_exits_2_promptly(self, kind, tol):
+        # a tol below one ulp never ended the bisection; run it in a
+        # subprocess so that a regression fails on the timeout, not hangs
+        src = str(Path(ptbilayer.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ptbilayer", "locate", "--kind", kind,
+             "--bracket", "30:80", "--omega-trad", "1000", f"--tol={tol}"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: tol")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["pt-solve", "--thickness-nm", "500"],
+        ["presets", "--preset", "set2"],
+        ["compare", "--theory", "exact"],
+        ["locate", "--kind", "atr", "--bracket", "5:50", "--format", "csv"],
+        ["locate", "--kind", "atr", "--bracket", "5:50", "--reproducible"],
+    ])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_each_command_accepts_only_the_flags_it_reads(self):
+        point = {"--config", "--out", "--preset", "--alpha-l"}
+        stack = point | {"--omega-trad", "--temperature-k", "--thickness-nm", "--mode",
+                         "--check"}
+        table = stack | {"--format", "--reproducible", "--var", "--range", "--log",
+                         "--linear", "--obs"}
+        want = {"sweep": table | {"--theory"}, "compare": table,
+                "locate": stack | {"--theory", "--kind", "--bracket", "--var", "--tol"},
+                "pt-solve": point, "presets": {"--out"}}
+        sub = next(a for a in sweep_cli._build_parser()._actions
+                   if a.dest == "command").choices
+        got = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.items()}
+        assert got == want
+        assert [len(got[c]) for c in want] == [17, 16, 14, 4, 1]
+
+    def test_all_failed_sweep_writes_table_and_exits_4(self, capsys):
+        rc = cli_main(["sweep", "--range", "2000:3000:3", "--obs", "eta",
+                       "--thickness-nm", "400"])
+        out, err = capsys.readouterr()
+        assert rc == 4
+        assert len(out.splitlines()) == 4          # header and three rows
+        assert err == "evaluation failed at every grid point: 3 BranchAmbiguity\n"
+
+    def test_row_failure_in_locate_exits_4_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")         # numpy overflow would raise
+            rc = cli_main(["locate", "--kind", "atr", "--bracket", "100:1000",
+                           "--omega-trad", "1000", "--thickness-nm", "12000",
+                           "--mode", "paper"])
+        assert rc == 4
+        assert capsys.readouterr().err == "evaluation failed at 1000.0: SingularTransfer\n"
+
+    def test_failed_verification_exits_4(self, monkeypatch, capsys):
+        # bisection lands on a narrow positive spike at 20; the verification
+        # points on either side of it are both negative
+        monkeypatch.setattr(sweep_cli, "_threshold_scalar", lambda spec, kind: (
+            lambda x: 1.0 if 20.0 <= x < 20.000001 or x >= 30.0 else -1.0))
+        rc = cli_main(["locate", "--kind", "atr", "--bracket", "10:30.000001"])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("bisection verification failed at 19.99")
+
+    def test_locate_with_both_theories_reads_only_the_exact_scalar(self, monkeypatch,
+                                                                   capsys):
+        argv = ["locate", "--kind", "atr", "--bracket", "5:50", "--omega-trad", "1000"]
+        assert cli_main(argv) == 0
+        exact = json.loads(capsys.readouterr().out)
+
+        def unused(*args):
+            raise AssertionError("the effective slab was built")
+
+        monkeypatch.setattr(effective, "bloch_index", unused)
+        assert cli_main(argv + ["--theory", "both"]) == 0
+        assert json.loads(capsys.readouterr().out) == exact
 
     def test_no_sign_change_exit_code(self, capsys):
         rc = cli_main(["locate", "--kind", "atr", "--preset", "set2",
