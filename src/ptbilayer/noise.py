@@ -30,7 +30,7 @@ import numpy as np
 
 from .media import C_VACUUM, HBAR, K_BOLTZMANN, Bilayer
 from .scattering import (MODE_FULL, TransferChain, canonical_mode,
-                         layer_indices, scattering_from_transfer, transfer_chain)
+                         scattering_from_transfer, transfer_chain)
 
 
 SUM_RULE_TOL = 1e-10   # largest sum-rule residual a check accepts
@@ -92,7 +92,7 @@ def _coupling(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _layer_terms(bilayer: Bilayer, omega: float, mode: str, chain: TransferChain):
     """(n, D, K) of the gain layer, then of the loss layer."""
     l = bilayer.layer_thickness
-    for n, layer, partial in zip(layer_indices(bilayer, omega), (2, 3),
+    for n, layer, partial in zip(chain.indices, (2, 3),
                                  (chain.from_gain, chain.from_loss)):
         yield (n, _coupling(chain.total, partial),
                layer_commutator(n, omega, l, layer, mode))

@@ -82,12 +82,13 @@ class TransferChain:
 
     from_gain maps amplitudes at the gain layer into the outputs (the product
     of every factor to its right in the chain); from_loss likewise for the
-    loss layer.
+    loss layer. indices holds the layer indices (n_gain, n_loss).
     """
 
     total: np.ndarray
     from_gain: np.ndarray
     from_loss: np.ndarray
+    indices: tuple[complex, complex]
 
 
 def interface_matrix(n_from: complex, n_to: complex, omega: float, z: float,
@@ -134,7 +135,7 @@ def transfer_chain(bilayer: Bilayer, omega: float,
     from_loss = t3
     from_gain = t3 @ r3 @ t2
     total = from_gain @ r2 @ t1
-    return TransferChain(total=total, from_gain=from_gain, from_loss=from_loss)
+    return TransferChain(total, from_gain, from_loss, indices=(ng, nl))
 
 
 def scattering_from_transfer(transfer) -> ScatteringAmplitudes:

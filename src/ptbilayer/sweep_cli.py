@@ -12,8 +12,7 @@ K; everything is converted to SI internally.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
 import math
 import sys
@@ -149,38 +148,34 @@ def _number(value, name: str) -> float:
 
 @dataclass
 class ResultTable:
-    columns: list[str]
-    rows: list[list]
+    """The grid kernel's columns: each name, in table order, maps to one cell per row."""
+
+    cells: dict[str, list]
     metadata: dict
 
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_format_cell(c) for c in row])
-        return buf.getvalue()
+    @property
+    def columns(self) -> list[str]:
+        return list(self.cells)
 
-    def to_json_obj(self) -> dict:
-        def clean(c):
-            if isinstance(c, float) and not math.isfinite(c):
-                return None
-            return c
-        return {"metadata": self.metadata,
-                "columns": self.columns,
-                "rows": [[clean(c) for c in row] for row in self.rows]}
+    @property
+    def rows(self) -> list[list]:
+        return [list(row) for row in zip(*self.cells.values())]
 
     def column(self, name: str) -> list:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
+        return self.cells[name]
 
+    def to_csv_text(self) -> str:
+        # a cell is a float or a status or phase-class name, so none needs quoting
+        text = [[f"{c:.17g}" if isinstance(c, float) else c for c in cells]
+                for cells in self.cells.values()]
+        return "\n".join(map(",".join, [self.columns, *zip(*text)])) + "\n"
 
-def _format_cell(c) -> str:
-    if isinstance(c, float):
-        return "nan" if math.isnan(c) else f"{c:.17g}"
-    if c is None:
-        return "nan"
-    return str(c)
+    def to_json_obj(self) -> dict:
+        """The table as JSON data; non-finite cells are null."""
+        clean = ([None if isinstance(c, float) and not math.isfinite(c) else c for c in cells]
+                 for cells in self.cells.values())
+        return {"metadata": self.metadata, "columns": self.columns,
+                "rows": [list(row) for row in zip(*clean)]}
 
 
 def grid_values(spec: SweepSpec) -> np.ndarray:
@@ -197,8 +192,7 @@ def grid_values(spec: SweepSpec) -> np.ndarray:
 def run_sweep(spec: SweepSpec) -> ResultTable:
     """Evaluate the spec over its grid; failed points are rows, not errors."""
     columns, status = grid.evaluate_grid(spec, grid_values(spec))
-    columns["status"] = status
-    rows = [list(row) for row in zip(*(c.tolist() for c in columns.values()))]
+    cells = {name: c.tolist() for name, c in columns.items()} | {"status": status.tolist()}
 
     meta = {
         "version": __version__,
@@ -225,7 +219,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     }
     if not spec.reproducible:
         meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return ResultTable(columns=list(columns), rows=rows, metadata=meta)
+    return ResultTable(cells, meta)
 
 
 def compare_theories(spec: SweepSpec) -> ResultTable:
@@ -448,8 +442,9 @@ def _parse_fields(text: str, flag: str, form: str, types: tuple) -> tuple:
         raise ConfigError(f"bad {flag} {text!r}: {exc}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The CLI; each subcommand accepts only the flags it reads.
+    """The CLI, built once per process; each subcommand accepts only the flags it reads.
 
     Each flag is declared once, most in a group that the subcommands reading
     it share; a flag that sets a SweepSpec field stores under that field's
@@ -532,8 +527,11 @@ def _emit(result, out: str | None, fmt: str = "json") -> None:
         obj = result.to_json_obj() if isinstance(result, ResultTable) else result
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -143,8 +143,7 @@ def test_failing_row_keeps_earlier_cells():
 
 
 def test_json_writes_infinities_as_null():
-    table = ResultTable(columns=["x", "y"],
-                        rows=[[1.0, math.inf], [-math.inf, math.nan], [2.0, 3.0]],
+    table = ResultTable({"x": [1.0, -math.inf, 2.0], "y": [math.inf, math.nan, 3.0]},
                         metadata={})
     text = json.dumps(table.to_json_obj(), allow_nan=False)
     assert json.loads(text)["rows"] == [[1.0, None], [None, None], [2.0, 3.0]]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ptbilayer
-from ptbilayer import effective, grid, media, sweep_cli
+from ptbilayer import effective, grid, media, scattering, sweep_cli
 from ptbilayer.sweep_cli import (
     ConfigError,
     NoSignChange,
@@ -256,6 +256,17 @@ class TestLocate:
         f = sweep_cli._threshold_scalar(spec(), "atr")
         assert f(x - 1e-6) * f(x + 1e-6) < 0
 
+    @pytest.mark.parametrize("check", [False, True])
+    def test_noisy_scalar_derives_the_layer_indices_once(self, check, monkeypatch):
+        # the noise flux and its sum rule check read the indices off the chain
+        calls = []
+        permittivity = scattering.permittivity
+        monkeypatch.setattr(scattering, "permittivity",
+                            lambda *a, **k: calls.append(a) or permittivity(*a, **k))
+        f = sweep_cli._threshold_scalar(spec(check_sum_rule=check), "squeeze_crossing")
+        assert math.isfinite(f(24.0))
+        assert len(calls) == 2
+
     def test_no_sign_change(self):
         with pytest.raises(NoSignChange):
             locate_threshold(ThresholdQuery("atr", (1.0, 10.0)), spec())
@@ -369,6 +380,8 @@ class TestCli:
         ({"sweep": {"start": "1"}}, ["sweep"]),       # must be a JSON number
         ({"input_state": {"phi_xi": "5"}}, ["sweep"]),
         (None, ["locate", "--kind", "atr", "--bracket", "5:50", "--tol", "1e-17"]),
+        (None, ["presets", "--out", "/nonexistent/x.json"]),        # cannot be written
+        (None, ["sweep", "--range", "1:10:3", "--out", "/nonexistent/d/x.csv"]),
     ])
     def test_bad_input_exits_2(self, config, argv, tmp_path, capsys):
         if config is not None:
@@ -429,6 +442,27 @@ class TestCli:
                for name, p in sub.items()}
         assert got == want
         assert [len(got[c]) for c in want] == [17, 16, 14, 4, 1]
+
+    def test_the_cached_parser_carries_nothing_between_calls(self, capsys):
+        runs = [["sweep", "--range", "1:10:3", "--obs", "noise,variance", "--check",
+                 "--theory", "effective", "--format", "json", "--reproducible"],
+                ["sweep"],
+                ["compare", "--range", "1:10:3", "--mode", "paper"],
+                ["locate", "--var", "omega", "--kind", "squeeze_crossing",
+                 "--bracket", "650:810", "--alpha-l", "24"],
+                ["pt-solve"]]
+
+        def run(argv):
+            rc = cli_main(argv)
+            return (rc, *capsys.readouterr())
+
+        sweep_cli._build_parser.cache_clear()
+        in_a_row = [run(argv) for argv in runs]
+        assert sweep_cli._build_parser.cache_info().misses == 1
+        assert [rc for rc, _, _ in in_a_row] == [0] * len(runs)
+        for argv, got in zip(runs, in_a_row):
+            sweep_cli._build_parser.cache_clear()     # a freshly built parser
+            assert run(argv) == got, argv
 
     def test_all_failed_sweep_writes_table_and_exits_4(self, capsys):
         rc = cli_main(["sweep", "--range", "2000:3000:3", "--obs", "eta",
