@@ -13,9 +13,9 @@ from __future__ import annotations
 import cmath
 import math
 
-from .media import C_VACUUM, Bilayer, permittivity
+from .media import C_VACUUM
 from .noise import thermal_occupation
-from .scattering import ScatteringAmplitudes, layer_indices
+from .scattering import ScatteringAmplitudes
 
 
 class BranchAmbiguity(Exception):
@@ -26,10 +26,10 @@ class LasingPole(Exception):
     """Effective slab is at (or numerically on top of) a lasing pole."""
 
 
-def bloch_index(bilayer: Bilayer, omega: float) -> complex:
-    """Effective refractive index of the gain/loss cell at omega."""
-    ng, nl = layer_indices(bilayer, omega)
-    layer_thickness = bilayer.layer_thickness
+def bloch_index(indices: tuple[complex, complex], omega: float,
+                layer_thickness: float) -> complex:
+    """Effective index at omega of the cell whose layer indices are (n_gain, n_loss)."""
+    ng, nl = indices
     k = omega / C_VACUUM
     x = ng * k * layer_thickness
     y = nl * k * layer_thickness
@@ -89,32 +89,28 @@ def _deficit(n_eff: complex, omega: float, layer_thickness: float) -> float:
     return 1.0 - s.T - s.R_right
 
 
-def effective_noise(bilayer: Bilayer, omega: float, n_eff: complex = None,
-                    temperature: float = 0.0) -> dict:
+def effective_noise(n_eff: complex, eps: tuple[complex, complex], omega: float,
+                    layer_thickness: float, temperature: float = 0.0) -> dict:
     """Noise flux of the effective slab, {"s_left", "s_right", "occupation"}.
 
-    The effective occupation multiplies the unitarity deficit:
-    flux = deficit * (S / (2 Im n_eff^2) - 1/2) with the pump strength
-    S = (|Im eps_gain| + |Im eps_loss|) (2 N_th + 1) / 2 (equal layer
-    weights). At exact balance both deficit and Im n_eff^2 vanish; the finite
-    limit is taken via a central difference of the deficit with respect to
-    Im n_eff^2 (guard at 1e-12 of the larger |Im eps|), where the occupation
-    itself diverges and is reported as nan.
+    eps is (eps_gain, eps_loss) at omega. The effective occupation multiplies
+    the unitarity deficit: flux = deficit * (S / (2 Im n_eff^2) - 1/2) with
+    the pump strength S = (|Im eps_gain| + |Im eps_loss|) (2 N_th + 1) / 2
+    (equal layer weights). At exact balance both deficit and Im n_eff^2
+    vanish; the finite limit is taken via a central difference of the deficit
+    with respect to Im n_eff^2 (guard at 1e-12 of the larger |Im eps|), where
+    the occupation itself diverges and is reported as nan.
     """
-    if n_eff is None:
-        n_eff = bloch_index(bilayer, omega)
-    l = bilayer.layer_thickness
-    eg = permittivity(bilayer.gain, omega)
-    el = permittivity(bilayer.loss, omega)
+    eg, el = eps
     nth = thermal_occupation(omega, temperature)
     pump = 0.5 * (abs(eg.imag) + abs(el.imag)) * (2.0 * nth + 1.0)
     im_eff = (n_eff * n_eff).imag
-    deficit = _deficit(n_eff, omega, l)
+    deficit = _deficit(n_eff, omega, layer_thickness)
     scale = max(abs(eg.imag), abs(el.imag), 1e-300)
     if abs(im_eff) < 1e-12 * scale:
         h = 1e-7 * scale
-        dplus = _deficit(cmath.sqrt(n_eff * n_eff + 1j * h), omega, l)
-        dminus = _deficit(cmath.sqrt(n_eff * n_eff - 1j * h), omega, l)
+        dplus = _deficit(cmath.sqrt(n_eff * n_eff + 1j * h), omega, layer_thickness)
+        dminus = _deficit(cmath.sqrt(n_eff * n_eff - 1j * h), omega, layer_thickness)
         slope = (dplus - dminus) / (2 * h)
         flux = pump * slope / 2.0 - 0.5 * deficit
         occupation = math.nan

@@ -2,12 +2,12 @@
 
 evaluate_grid computes every table cell of a SweepSpec over a whole grid of
 (alpha_l, omega, temperature) in one pass of array operations: the layer
-indices, the five chain factors as stacked (N, 2, 2) arrays, S, the
-eigenpair, the noise couplings and flux, the sum-rule residual, the
-conservation residuals and the observables. A row that fails keeps the cells
-filled before its first failure, and its status names that failure. The
-columns come out in table order, so this module is the one place that names
-them.
+permittivities and indices, the five chain factors as stacked (N, 2, 2)
+arrays, S, the eigenpair, the noise couplings and flux, the sum-rule
+residual, the conservation residuals and the observables. A row that fails
+keeps the cells filled before its first failure, and its status names that
+failure. The columns come out in table order, so this module is the one
+place that names them.
 
 The kernel repeats the rounding of the scalar library (transfer_chain,
 scattering_from_transfer, eigenvalues, noise_flux, ...), which stays the
@@ -22,9 +22,9 @@ public API and the reference the tests hold the kernel to:
   math-module exponentials, cosines and thermal occupations are taken
   element by element.
 
-The effective-medium cells are filled row by row from the scalar library:
-numpy's complex arccos differs from cmath.acos in the last bits, so the Bloch
-index cannot be batched without changing the tables.
+The effective cells are filled row by row by the scalar library from the
+grid's index and permittivity arrays: numpy's complex arccos differs from
+cmath.acos in the last bits, so batching the Bloch index would change tables.
 """
 
 from __future__ import annotations
@@ -157,8 +157,9 @@ def _conj_t(m) -> np.ndarray:
 # exact theory: chain, S, eigenpair, noise
 
 
-def _indices(spec, alpha_l, omega):
-    """(n_gain, n_loss) arrays; raises ValueError where the scalar path would."""
+def layer_arrays(spec, alpha_l, omega):
+    """((eps_gain, eps_loss), (n_gain, n_loss)) arrays; raises ValueError where
+    the scalar path would."""
     if np.any(omega <= 0):
         raise ValueError("omega must be positive")
     template = bilayer_at(spec, 0.0)
@@ -168,9 +169,9 @@ def _indices(spec, alpha_l, omega):
         gain_alpha, loss_alpha = template.gain.alpha, alpha_l
     if not np.all(np.isfinite(loss_alpha)):
         raise ValueError("alpha must be finite")
-    return tuple(media.refractive_index(media.lorentz_permittivity(
-        m.eps_b, a, m.omega0, m.gamma, omega))
-        for m, a in ((template.gain, gain_alpha), (template.loss, loss_alpha)))
+    eps = tuple(media.lorentz_permittivity(m.eps_b, a, m.omega0, m.gamma, omega)
+                for m, a in ((template.gain, gain_alpha), (template.loss, loss_alpha)))
+    return eps, tuple(map(media.refractive_index, eps))
 
 
 def _interface(n_from, n_to, k, z, paper: bool) -> np.ndarray:
@@ -192,12 +193,12 @@ def _propagation(n, k, thickness) -> np.ndarray:
 
 
 class ExactStack:
-    """Indices, chain and S of every grid row (scattering.transfer_chain and
-    scattering_from_transfer over arrays)."""
+    """Chain and S of every grid row from its layer indices (n_gain, n_loss)
+    (scattering.transfer_chain and scattering_from_transfer over arrays)."""
 
-    def __init__(self, spec, alpha_l, omega):
+    def __init__(self, spec, indices, omega):
         self.paper = scattering.canonical_mode(spec.mode) == scattering.MODE_PAPER
-        self.ng, self.nl = _indices(spec, alpha_l, omega)
+        self.ng, self.nl = indices
         self.k = omega / C_VACUUM
         self.l = spec.thickness_nm * NM
         l, k = self.l, self.k
@@ -419,10 +420,11 @@ def _eigenvalue_cells(cells: _Cells, exact, s: Amplitudes) -> None:
         "phase_class": _classify(l1, l2)})
 
 
-def _effective_rows(spec, wants, alpha_l, omega, temperature, cells: _Cells):
+def _effective_rows(spec, wants, omega, temperature, eps, indices, cells: _Cells):
     """Effective-medium cells row by row from the scalar library.
 
-    Puts the eta family's cells, and returns the slab's Amplitudes and its
+    eps and indices are the grid's (gain, loss) pairs from layer_arrays. Puts
+    the eta family's cells, and returns the slab's Amplitudes and its
     (s_left, s_right) flux as arrays over the grid (nan where not computed),
     or (None, None) when the spec needs no effective slab.
     """
@@ -434,12 +436,12 @@ def _effective_rows(spec, wants, alpha_l, omega, temperature, cells: _Cells):
     eta_cells = np.full((4, n), np.nan)
     rows = cells.rows()
     failures = []
-    alphas, omegas, thetas = (a[rows].tolist() for a in (alpha_l, omega, temperature))
-    for j, i in enumerate(rows.tolist()):
-        bil = bilayer_at(spec, alphas[j])
-        w, l = omegas[j], bil.layer_thickness
+    l = spec.thickness_nm * NM
+    # as Python numbers, whose complex division is the scalar path's (numpy's is not)
+    values = (a[rows].tolist() for a in (omega, temperature, *indices, *eps))
+    for i, w, theta, ng, nl, eg, el in zip(rows.tolist(), *values):
         try:
-            n_eff = effective.bloch_index(bil, w)
+            n_eff = effective.bloch_index((ng, nl), w, l)
             if "eta" in wants:
                 eta = effective.round_trip(n_eff, w, l)
                 eta_cells[:, i] = (n_eff.real, n_eff.imag, abs(eta), float(np.angle(eta)))
@@ -447,7 +449,7 @@ def _effective_rows(spec, wants, alpha_l, omega, temperature, cells: _Cells):
                 s = effective.effective_amplitudes(n_eff, w, l)
                 amp[:, i] = (s.r_left, s.t, s.r_right)
                 if want_flux:
-                    f = effective.effective_noise(bil, w, n_eff, thetas[j])
+                    f = effective.effective_noise(n_eff, (eg, el), w, l, theta)
                     flux[:, i] = (f["s_left"], f["s_right"])
         except (BranchAmbiguity, LasingPole, OverflowError) as exc:
             failures.append((i, type(exc).__name__))
@@ -487,9 +489,10 @@ def evaluate_grid(spec, xs):
     use_exact = spec.theory in ("exact", "both")
     both = spec.theory == "both"
 
+    eps, indices = layer_arrays(spec, alpha_l, omega)
     exact = s_main = flux_main = None
     if use_exact and wants & EXACT_FAMILIES:
-        exact = ExactStack(spec, alpha_l, omega)
+        exact = ExactStack(spec, indices, omega)
         cells.fail(np.flatnonzero(exact.singular), "SingularTransfer")
         s_main = exact.s
         if wants & FLUX_FAMILIES:
@@ -506,7 +509,7 @@ def evaluate_grid(spec, xs):
 
     s_eff = flux_eff = None
     if spec.theory != "exact" or "eta" in wants:
-        s_eff, flux_eff = _effective_rows(spec, wants, alpha_l, omega, temperature, cells)
+        s_eff, flux_eff = _effective_rows(spec, wants, omega, temperature, eps, indices, cells)
     if not use_exact:
         s_main, flux_main = s_eff, flux_eff
 

@@ -47,8 +47,8 @@ class NoSignChange(Exception):
 
 
 class EvaluationFailed(Exception):
-    """No table row evaluated, or a locate evaluation or its verification
-    failed (CLI exit code 4)."""
+    """No table row evaluated, a locate evaluation or its verification failed,
+    or the balanced stack of pt-solve overflowed (CLI exit code 4)."""
 
 
 @dataclass(frozen=True)
@@ -263,8 +263,10 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
     def evaluate(x: float) -> float:
         bil, omega, theta = grid.point_parameters(spec, x)
         l = bil.layer_thickness
+        if kind == "eta_unity" or not exact:
+            eps = (media.permittivity(bil.gain, omega), media.permittivity(bil.loss, omega))
+            n_eff = effective.bloch_index(tuple(map(media.refractive_index, eps)), omega, l)
         if kind == "eta_unity":
-            n_eff = effective.bloch_index(bil, omega)
             return abs(effective.round_trip(n_eff, omega, l)) - 1.0
         if exact:
             chain = scattering.transfer_chain(bil, omega, spec.mode)
@@ -273,10 +275,9 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
                 flux = noise.noise_flux(bil, omega, spec.mode, theta,
                                         check_sum_rule=spec.check_sum_rule, chain=chain)
         else:
-            n_eff = effective.bloch_index(bil, omega)
             s = effective.effective_amplitudes(n_eff, omega, l)
             if noisy:
-                flux = effective.effective_noise(bil, omega, n_eff, theta)
+                flux = effective.effective_noise(n_eff, eps, omega, l, theta)
         if kind == "atr":
             return s.T - 1.0
         if kind == "accidental_degeneracy":
@@ -536,6 +537,9 @@ def _emit(result, out: str | None, fmt: str = "json") -> None:
         sys.stdout.write(text)
 
 
+# An amplitude so large that the balanced stack overflows is reported as an
+# evaluation failure; numpy need not warn about it.
+@np.errstate(all="ignore")
 def _cmd_pt_solve(spec: SweepSpec) -> dict:
     alpha_l = spec.fixed_alpha_l
     if alpha_l == 0:
@@ -545,6 +549,11 @@ def _cmd_pt_solve(spec: SweepSpec) -> dict:
     roots = media.pt_frequency(loss, gain_template)
     omega_pt = roots[-1]
     alpha_gain = media.pt_balanced_gain(loss, gain_template, omega_pt)
+    eps = [media.lorentz_permittivity(m.eps_b, a, m.omega0, m.gamma, omega_pt)
+           for m, a in ((gain_template, alpha_gain), (loss, loss.alpha))]
+    if not np.all(np.isfinite(eps)):
+        raise EvaluationFailed(f"evaluation failed at alpha_l={alpha_l!r}: the balanced "
+                               f"stack overflows (gain amplitude {alpha_gain!r})")
     return {
         "preset": spec.preset,
         "alpha_l": alpha_l,

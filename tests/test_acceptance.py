@@ -106,9 +106,10 @@ def exact_vq(preset_id, a, w):
 
 def eff_vq(preset_id, a, w):
     b = p.preset(preset_id, a)
-    n = p.bloch_index(b, w)
+    eps = (p.permittivity(b.gain, w), p.permittivity(b.loss, w))
+    n = p.bloch_index(tuple(map(p.refractive_index, eps)), w, b.layer_thickness)
     s = p.effective_amplitudes(n, w, b.layer_thickness)
-    fr = p.effective_noise(b, w, n_eff=n)["s_right"]
+    fr = p.effective_noise(n, eps, w, b.layer_thickness)["s_right"]
     return p.homodyne_variance(s, fr), p.mandel_q(s, fr)
 
 
@@ -171,7 +172,7 @@ def test_criterion_02_round_trip_linearity():
 
     def eta(alpha):
         bl = p.preset("set2", alpha)
-        n = p.bloch_index(bl, WPT2)
+        n = p.bloch_index(p.scattering.layer_indices(bl, WPT2), WPT2, bl.layer_thickness)
         return abs(p.round_trip(n, WPT2, bl.layer_thickness))
 
     m = max(eta(a) for a in np.linspace(0.0, 1000.0, 1001))
@@ -493,9 +494,10 @@ def test_criterion_09_property_suites():
     for alpha in (5.0, 1.0, 0.1, -0.2, -2.0):
         med = p.LorentzMedium(eps_b=2.0, alpha=alpha, omega0=W0, gamma=67.0 * T)
         b = p.Bilayer(gain=med, loss=med, layer_thickness=1e-8)
-        n = p.bloch_index(b, W0)
+        eps = (p.permittivity(b.gain, W0), p.permittivity(b.loss, W0))
+        n = p.bloch_index(tuple(map(p.refractive_index, eps)), W0, b.layer_thickness)
         fx = p.noise_flux(b, W0)
-        fe = p.effective_noise(b, W0, n_eff=n)
+        fe = p.effective_noise(n, eps, W0, b.layer_thickness)
         worst = max(worst, abs(fx["s_right"] - fe["s_right"]),
                     abs(fx["s_left"] - fe["s_left"]))
     clauses.append((worst <= 1e-10,

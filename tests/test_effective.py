@@ -15,6 +15,17 @@ W1 = 1000.0 * TRAD
 W2 = media.set2_operating_frequency()
 
 
+# the effective medium of a Bilayer, from its layer indices and permittivities at omega
+def bloch_index(bil, omega):
+    return effective.bloch_index(scattering.layer_indices(bil, omega), omega,
+                                 bil.layer_thickness)
+
+
+def effective_noise(bil, omega):
+    eps = (media.permittivity(bil.gain, omega), media.permittivity(bil.loss, omega))
+    return effective.effective_noise(bloch_index(bil, omega), eps, omega, bil.layer_thickness)
+
+
 def uniform_bilayer(eps_b, alpha, w0_trad=1000.0, g_trad=67.0,
                     thickness=10e-9):
     m = LorentzMedium(eps_b=eps_b, alpha=alpha, omega0=w0_trad * TRAD,
@@ -28,13 +39,13 @@ class TestBlochIndex:
         for alpha in (-3.0, 0.0, 0.5, 5.0):
             bil = uniform_bilayer(2.5, alpha)
             n = media.refractive_index(media.permittivity(bil.gain, W1))
-            n_eff = effective.bloch_index(bil, W1)
+            n_eff = bloch_index(bil, W1)
             assert n_eff == pytest.approx(n, rel=1e-12)
 
     def test_long_wavelength_mixing(self):
         # kl << 1: n_eff^2 approaches the mean permittivity
         bil = media.preset("set1", 5.0)
-        n_eff = effective.bloch_index(bil, W1)
+        n_eff = bloch_index(bil, W1)
         eps_mean = 0.5 * (media.permittivity(bil.gain, W1)
                           + media.permittivity(bil.loss, W1))
         # residual is O((kl)^2) ~ 1e-3 from quartic dispersion terms
@@ -44,17 +55,17 @@ class TestBlochIndex:
         # deep in the broken regime the Bloch index turns imaginary;
         # the physical branch amplifies (gain present, so Im n_eff < 0
         # would be pure decay and the wrong sheet)
-        n_eff = effective.bloch_index(media.preset("set1", 950.0), W1)
+        n_eff = bloch_index(media.preset("set1", 950.0), W1)
         assert abs(n_eff.real) < 1e-9 * abs(n_eff)
         assert n_eff.imag < 0.0
 
     def test_thick_layers_are_rejected(self):
         bil = media.preset("set1", 500.0, layer_thickness=2000e-9)
         with pytest.raises(BranchAmbiguity):
-            effective.bloch_index(bil, W1)
+            bloch_index(bil, W1)
 
     def test_balanced_point_yields_real_index(self):
-        n_eff = effective.bloch_index(media.preset("set1", 50.0), W1)
+        n_eff = bloch_index(media.preset("set1", 50.0), W1)
         assert abs(n_eff.imag) < 1e-12
 
 
@@ -84,7 +95,7 @@ class TestSlabClosedForms:
         # to exact theory identically
         for alpha in (5.0, -0.2):
             bil = uniform_bilayer(2.0, alpha)
-            n_eff = effective.bloch_index(bil, W1)
+            n_eff = bloch_index(bil, W1)
             s_eff = effective.effective_amplitudes(n_eff, W1,
                                                    bil.layer_thickness)
             s_exact = scattering.scattering_amplitudes(bil, W1)
@@ -115,9 +126,9 @@ class TestRoundTrip:
     def test_threshold_location(self):
         bil_lo = media.preset("set1", 100.0)
         bil_hi = media.preset("set1", 147.5)
-        eta_lo = effective.round_trip(effective.bloch_index(bil_lo, W1), W1,
+        eta_lo = effective.round_trip(bloch_index(bil_lo, W1), W1,
                                       bil_lo.layer_thickness)
-        eta_hi = effective.round_trip(effective.bloch_index(bil_hi, W1), W1,
+        eta_hi = effective.round_trip(bloch_index(bil_hi, W1), W1,
                                       bil_hi.layer_thickness)
         assert abs(eta_lo) < 1.0
         assert abs(eta_hi) >= 1.0
@@ -126,7 +137,7 @@ class TestRoundTrip:
         worst = 0.0
         for alpha in np.linspace(1.0, 1000.0, 120):
             bil = media.preset("set2", alpha)
-            eta = effective.round_trip(effective.bloch_index(bil, W2), W2,
+            eta = effective.round_trip(bloch_index(bil, W2), W2,
                                        bil.layer_thickness)
             worst = max(worst, abs(eta))
         assert worst < 1.0
@@ -134,7 +145,7 @@ class TestRoundTrip:
 
 class TestEffectiveNoise:
     def test_symmetric_slab_fluxes_match(self):
-        out = effective.effective_noise(media.preset("set1", 30.0), W1)
+        out = effective_noise(media.preset("set1", 30.0), W1)
         assert out["s_left"] == out["s_right"]
 
     def test_guarded_limit_is_continuous(self):
@@ -144,20 +155,20 @@ class TestEffectiveNoise:
         vals = []
         for alpha in (1.9, 1.99, 2.0, 2.01, 2.1):
             bil = media.preset("set2", alpha)
-            vals.append(effective.effective_noise(bil, w)["s_right"])
+            vals.append(effective_noise(bil, w)["s_right"])
         spread = max(vals) - min(vals)
         assert spread < 0.05 * max(abs(v) for v in vals)
 
     def test_balanced_point_occupation_is_nan(self):
-        out = effective.effective_noise(media.preset("set1", 40.0), W1)
+        out = effective_noise(media.preset("set1", 40.0), W1)
         assert np.isnan(out["occupation"])
 
     def test_detuned_occupation_is_finite(self):
-        out = effective.effective_noise(media.preset("set2", 40.0), W2)
+        out = effective_noise(media.preset("set2", 40.0), W2)
         assert np.isfinite(out["occupation"])
 
     def test_tracks_exact_flux_at_moderate_coupling(self):
         bil = media.preset("set1", 50.0)
-        eff = effective.effective_noise(bil, W1)["s_right"]
+        eff = effective_noise(bil, W1)["s_right"]
         exact = noise.noise_flux(bil, W1)["s_right"]
         assert eff == pytest.approx(exact, rel=0.05)

@@ -1,5 +1,6 @@
 """Batched grid kernel against the scalar library it reproduces."""
 
+import collections
 import json
 import math
 import os
@@ -12,16 +13,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ptbilayer
-from ptbilayer import effective, grid, noise, observables, scattering
+from ptbilayer import effective, grid, media, noise, observables, scattering
 from ptbilayer.effective import BranchAmbiguity, LasingPole
 from ptbilayer.media import TRAD, LorentzMedium
 from ptbilayer.observables import DegenerateDenominator, SqueezedCoherentInput
 from ptbilayer.scattering import InconsistentEigenvalues, SingularTransfer
-from ptbilayer.sweep_cli import ResultTable, SweepSpec, run_sweep
+from ptbilayer.sweep_cli import ResultTable, SweepSpec, grid_values, run_sweep
 
 EXACT = ("scattering", "eigenvalues", "noise", "variance", "mandel")
 ROW_ERRORS = (SingularTransfer, InconsistentEigenvalues, DegenerateDenominator,
-              BranchAmbiguity, LasingPole)
+              BranchAmbiguity, LasingPole, OverflowError)
 
 
 def medium(alpha):
@@ -31,27 +32,40 @@ def medium(alpha):
 
 
 def scalar_row(spec, x):
-    """Status and exact-theory values of one row, from the scalar library,
-    in the order a table row meets its failures."""
+    """Status and values of one row, from the scalar library, in the order a
+    table row meets its failures; s and flux are the main theory's."""
     bil, omega, theta = grid.point_parameters(spec, x)
+    l = bil.layer_thickness
+    eps = (media.permittivity(bil.gain, omega), media.permittivity(bil.loss, omega))
+    exact = spec.theory != "effective"
     out = {}
     try:
-        chain = scattering.transfer_chain(bil, omega, spec.mode)
-        out["chain"] = chain
-        s = out["s"] = scattering.scattering_from_transfer(chain)
-        flux = out["flux"] = noise.noise_flux(bil, omega, spec.mode, theta)
-        out["residual"] = noise.sum_rule_residual(bil, omega, spec.mode)
-        if spec.theory == "both":
-            n_eff = effective.bloch_index(bil, omega)
-            s_eff = effective.effective_amplitudes(n_eff, omega, bil.layer_thickness)
-            flux_eff = effective.effective_noise(bil, omega, n_eff, theta)
+        if exact:
+            chain = out["chain"] = scattering.transfer_chain(bil, omega, spec.mode)
+            s = out["s"] = scattering.scattering_from_transfer(chain)
+            flux = out["flux"] = noise.noise_flux(bil, omega, spec.mode, theta)
+            out["residual"] = noise.sum_rule_residual(bil, omega, spec.mode)
+        if spec.theory != "exact" or "eta" in spec.observables:
+            n_eff = out["n_eff"] = effective.bloch_index(
+                scattering.layer_indices(bil, omega), omega, l)
+            out["round_trip"] = effective.round_trip(n_eff, omega, l)
+        if spec.theory != "exact":
+            s_eff = out["s_eff"] = effective.effective_amplitudes(n_eff, omega, l)
+            flux_eff = out["flux_eff"] = effective.effective_noise(n_eff, eps, omega, l, theta)
+        if not exact:
+            s, flux = out["s"], out["flux"] = s_eff, flux_eff
         out["scattering_cells"] = True
-        out["eigenvalues"] = scattering.eigenvalues(chain)
+        out["eigenvalues"] = (scattering.eigenvalues(chain) if exact else
+                              sorted(np.linalg.eigvals(s.matrix()), key=abs, reverse=True))
         out["variance"] = observables.homodyne_variance(
             s, flux["s_right"], spec.input_state, spec.phi_lo)
+        if spec.theory == "both":
+            out["variance_effective"] = observables.homodyne_variance(
+                s_eff, flux_eff["s_right"], spec.input_state, spec.phi_lo)
         out["mandel_q"] = observables.mandel_q(s, flux["s_right"], spec.input_state)
         if spec.theory == "both":
-            observables.mandel_q(s_eff, flux_eff["s_right"], spec.input_state)
+            out["mandel_q_effective"] = observables.mandel_q(
+                s_eff, flux_eff["s_right"], spec.input_state)
         out["status"] = "ok"
     except ROW_ERRORS as exc:
         out["status"] = type(exc).__name__
@@ -66,33 +80,41 @@ def same(a, b):
 @given(gain=medium(st.floats(-5.0, 5.0)), loss=medium(st.just(1.0)),
        alpha_l=st.floats(0.0, 50.0), thickness=st.floats(5.0, 150.0),
        mode=st.sampled_from([scattering.MODE_FULL, scattering.MODE_PAPER]),
-       theory=st.sampled_from(["exact", "both"]),
+       theory=st.sampled_from(["exact", "both", "effective"]), eta=st.booleans(),
        temperature=st.sampled_from([0.0, 300.0]),
        omegas=st.lists(st.floats(100.0, 3000.0), min_size=1, max_size=6))
 def test_kernel_reproduces_scalar_library(gain, loss, alpha_l, thickness, mode,
-                                          theory, temperature, omegas):
+                                          theory, eta, temperature, omegas):
     spec = SweepSpec(preset=None, materials=(gain, loss), variable="omega",
                      fixed_alpha_l=alpha_l, thickness_nm=thickness, mode=mode,
-                     theory=theory, temperature_k=temperature, observables=EXACT)
+                     theory=theory, temperature_k=temperature,
+                     observables=EXACT + ("eta",) * eta)
     xs = np.array(omegas)
     cells, status = grid.evaluate_grid(spec, xs)
-    stack = grid.ExactStack(spec, *grid.grid_parameters(spec, xs)[:2])
+    alpha_ls, omega, _ = grid.grid_parameters(spec, xs)
+    stack = grid.ExactStack(spec, grid.layer_arrays(spec, alpha_ls, omega)[1], omega)
     ok = np.flatnonzero(~stack.singular)
     residuals = dict(zip(ok.tolist(), grid.sum_rule_residuals(stack, ok).tolist()))
     for i, x in enumerate(omegas):
         ref = scalar_row(spec, x)
         assert status[i] == ref["status"]
-        chain = ref["chain"]
-        assert same(stack.total[i], chain.total)
-        assert same(stack.from_gain[i], chain.from_gain)
-        assert same(stack.from_loss[i], chain.from_loss)
-        assert stack.singular[i] == (ref["status"] == "SingularTransfer")
+        if "chain" in ref:
+            chain = ref["chain"]
+            assert same(stack.total[i], chain.total)
+            assert same(stack.from_gain[i], chain.from_gain)
+            assert same(stack.from_loss[i], chain.from_loss)
+            assert stack.singular[i] == (ref["status"] == "SingularTransfer")
         if "s" not in ref:
             continue
         s = ref["s"]
-        assert same(stack.s.matrices()[i], s.matrix())
-        want = ref["residual"]
-        assert abs(residuals[i] - want) <= 1e-14 * max(abs(want), 1e-300)
+        if "chain" in ref:
+            assert same(stack.s.matrices()[i], s.matrix())
+            want = ref["residual"]
+            assert abs(residuals[i] - want) <= 1e-14 * max(abs(want), 1e-300)
+        if eta and "n_eff" in ref:
+            n_eff, round_trip = ref["n_eff"], ref["round_trip"]
+            assert same([cells[c][i] for c in ("n_eff_re", "n_eff_im", "eta_mod", "eta_arg")],
+                        [n_eff.real, n_eff.imag, abs(round_trip), np.angle(round_trip)])
         if "scattering_cells" not in ref:
             continue
         cons = scattering.conservation_residuals(s)
@@ -118,13 +140,51 @@ def test_kernel_reproduces_scalar_library(gain, loss, alpha_l, thickness, mode,
         assert cells["phase_class"][i] == phase_class
         for col in ("s_left", "s_right"):
             want = ref["flux"][col]
-            assert abs(cells[col][i] - want) <= 1e-14 * abs(want), col
+            if theory == "effective":   # the kernel calls effective_noise itself
+                assert same(cells[col][i], want), col
+            else:
+                assert abs(cells[col][i] - want) <= 1e-14 * abs(want), col
         deficit = noise.unitarity_deficit(s)
         assert same([cells["deficit_left"][i], cells["deficit_right"][i]],
                     [deficit["left"], deficit["right"]])
         assert same(cells["variance"][i], ref["variance"])
         if "mandel_q" in ref:
             assert same(cells["mandel_q"][i], ref["mandel_q"])
+        if theory != "both":
+            continue
+        s_eff, flux_eff = ref["s_eff"], ref["flux_eff"]
+        effective_cells = {"T": s_eff.T, "R_left": s_eff.R_left, "R_right": s_eff.R_right,
+                           "s_right": flux_eff["s_right"], "s_left": flux_eff["s_left"],
+                           "variance": ref["variance_effective"]}
+        if "mandel_q_effective" in ref:
+            effective_cells["mandel_q"] = ref["mandel_q_effective"]
+        for col, want in effective_cells.items():
+            main = cells[col][i]
+            assert same(cells[f"{col}_effective"][i], want), col
+            assert same(cells[f"{col}_rel_dev"][i], abs(want - main) / max(abs(main), 1e-300)), col
+
+
+def test_layer_terms_are_derived_once_per_grid(monkeypatch):
+    # every permittivity, under whichever name it is called, evaluates through
+    # media.lorentz_permittivity: once per layer for the whole grid, not per row
+    calls = collections.Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((media, "lorentz_permittivity"), (media, "permittivity"),
+                         (scattering, "layer_indices"), (grid, "bilayer_at")):
+        count(module, name)
+    spec = SweepSpec(preset="set1", start=0.0, stop=200.0, count=50, fixed_omega_trad=1000.0,
+                     theory="both", observables=grid.OBSERVABLE_ORDER)
+    _, status = grid.evaluate_grid(spec, grid_values(spec))
+    assert list(status) == ["ok"] * 50
+    assert calls == {"lorentz_permittivity": 2, "bilayer_at": 1}
 
 
 def test_failing_row_keeps_earlier_cells():

@@ -256,14 +256,20 @@ class TestLocate:
         f = sweep_cli._threshold_scalar(spec(), "atr")
         assert f(x - 1e-6) * f(x + 1e-6) < 0
 
-    @pytest.mark.parametrize("check", [False, True])
-    def test_noisy_scalar_derives_the_layer_indices_once(self, check, monkeypatch):
-        # the noise flux and its sum rule check read the indices off the chain
+    @pytest.mark.parametrize("theory, check", [("exact", False), ("exact", True),
+                                               ("effective", False)],
+                             ids=["False", "True", "effective"])
+    def test_noisy_scalar_derives_the_layer_indices_once(self, theory, check, monkeypatch):
+        # the noise flux and its sum rule check read the indices off the chain;
+        # the effective slab derives its indices from the permittivities it pumps
+        # with. media.permittivity, under any name, evaluates through
+        # media.lorentz_permittivity, so that is where the calls are counted.
         calls = []
-        permittivity = scattering.permittivity
-        monkeypatch.setattr(scattering, "permittivity",
-                            lambda *a, **k: calls.append(a) or permittivity(*a, **k))
-        f = sweep_cli._threshold_scalar(spec(check_sum_rule=check), "squeeze_crossing")
+        lorentz = media.lorentz_permittivity
+        monkeypatch.setattr(media, "lorentz_permittivity",
+                            lambda *a, **k: calls.append(a) or lorentz(*a, **k))
+        f = sweep_cli._threshold_scalar(spec(theory=theory, check_sum_rule=check),
+                                        "squeeze_crossing")
         assert math.isfinite(f(24.0))
         assert len(calls) == 2
 
@@ -480,6 +486,20 @@ class TestCli:
                            "--mode", "paper"])
         assert rc == 4
         assert capsys.readouterr().err == "evaluation failed at 1000.0: SingularTransfer\n"
+
+    @pytest.mark.parametrize("preset", ["set1", "set2"])
+    def test_overflowing_pt_solve_exits_4_without_warnings(self, preset, capsys):
+        # set1's gain amplitude stays finite but its permittivities overflow;
+        # set2's gain amplitude overflows itself
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")         # numpy overflow would raise
+            rc = cli_main(["pt-solve", "--preset", preset, "--alpha-l", "1e308"])
+        out, err = capsys.readouterr()
+        assert rc == 4
+        assert out == ""
+        assert err.startswith("evaluation failed at alpha_l=1e+308: the balanced stack "
+                              "overflows (gain amplitude ")
+        assert err.count("\n") == 1
 
     def test_failed_verification_exits_4(self, monkeypatch, capsys):
         # bisection lands on a narrow positive spike at 20; the verification
