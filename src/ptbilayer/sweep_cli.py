@@ -537,8 +537,7 @@ def _emit(result, out: str | None, fmt: str = "json") -> None:
         sys.stdout.write(text)
 
 
-# An amplitude so large that the balanced stack overflows is reported as an
-# evaluation failure; numpy need not warn about it.
+# A balanced stack that overflows is an evaluation failure; numpy need not warn about it.
 @np.errstate(all="ignore")
 def _cmd_pt_solve(spec: SweepSpec) -> dict:
     alpha_l = spec.fixed_alpha_l
