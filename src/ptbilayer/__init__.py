@@ -9,7 +9,7 @@ Subpackages by role:
 - observables: homodyne variance and Mandel Q for squeezed coherent input
 - grid: one batched evaluation of a whole sweep grid, equal to the scalar
   functions above bit for bit, and the table schema
-- sweep_cli: grids, threshold bisection, theory comparison, CLI entry point
+- sweep_cli: grids, threshold location (ITP), theory comparison, CLI entry point
 """
 
 import types as _types

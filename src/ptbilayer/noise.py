@@ -110,17 +110,19 @@ def noise_couplings(bilayer: Bilayer, omega: float,
     return {"d_gain": d_gain, "d_loss": d_loss}
 
 
-def sum_rule_residual(bilayer: Bilayer, omega: float,
-                      mode: str = MODE_FULL, chain: TransferChain = None) -> float:
+def sum_rule_residual(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
+                      chain: TransferChain = None, terms: list = None) -> float:
     """Max-entry residual of sum_layers D K D^dagger = 1 - S S^dagger.
 
     chain, when given, is transfer_chain(bilayer, omega, mode) built by the
-    caller.
+    caller, and terms, when given, is the list of that chain's _layer_terms.
     """
     mode = canonical_mode(mode)
     if chain is None:
         chain = transfer_chain(bilayer, omega, mode)
-    lhs = sum(d @ k @ d.conj().T for _, d, k in _layer_terms(bilayer, omega, mode, chain))
+    if terms is None:
+        terms = _layer_terms(bilayer, omega, mode, chain)
+    lhs = sum(d @ k @ d.conj().T for _, d, k in terms)
     s = scattering_from_transfer(chain).matrix()
     rhs = np.eye(2) - s @ s.conj().T
     return float(np.max(np.abs(lhs - rhs)))
@@ -140,17 +142,18 @@ def noise_flux(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
     mode = canonical_mode(mode)
     if chain is None:
         chain = transfer_chain(bilayer, omega, mode)
+    terms = list(_layer_terms(bilayer, omega, mode, chain))
     if check_sum_rule:
         if mode != MODE_FULL:
             raise ValueError("sum rule check requires full_complex mode")
-        res = sum_rule_residual(bilayer, omega, mode, chain=chain)
+        res = sum_rule_residual(bilayer, omega, mode, chain=chain, terms=terms)
         if not (res <= SUM_RULE_TOL):
             raise SumRuleViolation(
                 f"sum rule residual {res:.3e} exceeds {SUM_RULE_TOL:.1e}")
 
     nth = thermal_occupation(omega, temperature)
     out = np.zeros(2)
-    for n, d, k in _layer_terms(bilayer, omega, mode, chain):
+    for n, d, k in terms:
         weight = nth if n.imag >= 0 else -(nth + 1.0)
         for row in (0, 1):
             out[row] += weight * float(np.real(d[row] @ k @ d[row].conj()))

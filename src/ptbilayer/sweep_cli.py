@@ -3,7 +3,9 @@
 The engine evaluates observables over a grid in loss amplitude, frequency, or
 temperature, emitting rectangular tables: one row per grid point in grid
 order, failed points carried as data via a status column. Threshold location
-is plain bisection on a scalar that changes sign inside a user bracket.
+is ITP (interpolate, truncate, project), a bracketing method that takes at most
+one step more than bisection, on a scalar that changes sign inside a user
+bracket.
 
 Units at this boundary: frequency in Trad/s, thickness in nm, temperature in
 K; everything is converted to SI internally.
@@ -229,10 +231,10 @@ def compare_theories(spec: SweepSpec) -> ResultTable:
 
 @dataclass(frozen=True)
 class ThresholdQuery:
-    """A threshold kind and the bracket to bisect; checks itself when built.
+    """A threshold kind and the bracket to search by ITP; checks itself when built.
 
-    tol is the relative bracket width at which bisection stops. Below one
-    ulp (sys.float_info.epsilon) the bracket could never get that narrow.
+    tol is the relative bracket width at which ITP stops. Below one ulp
+    (sys.float_info.epsilon) the bracket could never get that narrow.
     """
 
     kind: str
@@ -301,36 +303,63 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
     return f
 
 
-# Overflowing stacks fail as row errors, as in the grid kernel; numpy need not
-# warn about them.
-@np.errstate(all="ignore")
 def locate_threshold(query: ThresholdQuery, spec: SweepSpec) -> float:
-    """Bisection for the threshold abscissa inside the query bracket.
+    """The threshold abscissa inside the query bracket, found by ITP.
 
     The swept variable and all fixed parameters come from the spec; the
     result is verified by a sign check at x +- sqrt(tol)-scaled offsets.
+    """
+    return _locate(query, spec)[0]
+
+
+# Overflowing stacks fail as row errors, as in the grid kernel; numpy need not
+# warn about them.
+@np.errstate(all="ignore")
+def _locate(query: ThresholdQuery, spec: SweepSpec) -> tuple[float, int]:
+    """locate_threshold's abscissa and the number of scalar evaluations it took.
+
+    Each step is ITP's (Oliveira & Takahashi, ACM TOMS 47(1), 2020): the
+    regula falsi point, moved toward the midpoint by k1 (hi - lo)^2 with
+    k1 = 0.2 / (hi0 - lo0), and kept so near the midpoint that n_max steps,
+    one more than bisection needs, narrow the bracket to 2 eps with
+    eps = tol * max(|lo0|, |hi0|) / 2. The loop stops when the bracket is at
+    most tol * max(|lo|, |hi|) wide, when f is exactly 0, or after n_max steps
+    (a bracket that closes on 0 never gets that narrow).
     """
     lo, hi = lo0, hi0 = query.bracket
     f = _threshold_scalar(spec, query.kind)
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
-        return lo
+        return lo, 2
     if fhi == 0.0:
-        return hi
+        return hi, 2
     if (flo < 0) == (fhi < 0):
         raise NoSignChange(
             f"{query.kind}: no sign change on [{lo}, {hi}] "
             f"(f(lo)={flo:.6g}, f(hi)={fhi:.6g})")
-    while hi - lo > query.tol * max(abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            lo = hi = mid
+    # half-widths, so that no width overflows
+    half0 = 0.5 * hi0 - 0.5 * lo0
+    eps = max(0.5 * query.tol * max(abs(lo0), abs(hi0)), math.ulp(0.0))
+    n_max = max(math.ceil(math.log2(half0 / eps)), 0) + 1
+    steps = 0
+    while steps < n_max and hi - lo > query.tol * max(abs(lo), abs(hi)):
+        mid, half = 0.5 * (lo + hi), 0.5 * hi - 0.5 * lo
+        x_f = float((hi * flo - lo * fhi) / (flo - fhi))   # f may give numpy floats
+        sigma = (mid > x_f) - (mid < x_f)
+        shift = 0.4 * half * (half / half0)   # k1 (hi - lo)^2
+        x = x_f + sigma * shift if shift <= abs(mid - x_f) else mid
+        r = eps * 2.0 ** (n_max - steps) - half
+        if abs(x - mid) > r:
+            x = mid - sigma * r
+        fx = f(x)
+        steps += 1
+        if fx == 0.0:
+            lo = hi = x
             break
-        if (fmid < 0) == (flo < 0):
-            lo, flo = mid, fmid
+        if (fx < 0) == (flo < 0):
+            lo, flo = x, fx
         else:
-            hi = mid
+            hi, fhi = x, fx
     x = 0.5 * (lo + hi)
     # Sign check well outside the converged interval: some observables have
     # a cusp at the crossing (|eta| in particular) with ~1e-5 noise on the
@@ -343,7 +372,7 @@ def locate_threshold(query: ThresholdQuery, spec: SweepSpec) -> float:
         raise EvaluationFailed(
             f"bisection verification failed at {x} (f({a})={fa:.3g}, "
             f"f({b})={fb:.3g})")
-    return x
+    return x, steps + 4   # the bracket ends, the steps and the sign check's two points
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text, parents in (
             ("sweep", "evaluate observables over a grid", [point, stack, table, out]),
             ("compare", "sweep with exact and effective columns", [point, stack, table, out]),
-            ("locate", "bisect for a named threshold inside a bracket", [point, stack, out]),
+            ("locate", "find a named threshold inside a bracket by ITP", [point, stack, out]),
             ("pt-solve", "balance frequencies and gain amplitude for a preset", [point, out]),
             ("presets", "list preset materials", [out])):
         sub.add_parser(name, parents=parents, help=help_text)
@@ -495,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
     locate.add_argument("--var", dest="variable", choices=("alpha_l", "omega"),
                         default="alpha_l")
     locate.add_argument("--tol", type=float, default=ThresholdQuery.tol,
-                        help="relative bracket width at which bisection stops (%(default)s)")
+                        help="relative bracket width at which ITP stops (%(default)s)")
     return parser
 
 
@@ -600,8 +629,9 @@ def cli_main(argv=None) -> int:
             lo, hi = query.bracket
             # the bracket is the range the scalar is evaluated on
             spec = _spec_from_args(args, start=lo, stop=hi, spacing=None)
+            x, evaluations = _locate(query, spec)
             _emit({"kind": query.kind, "variable": spec.variable, "bracket": [lo, hi],
-                   "abscissa": locate_threshold(query, spec)}, args.out)
+                   "abscissa": x, "evaluations": evaluations}, args.out)
         else:
             table = run_sweep(_spec_from_args(
                 args, **({"theory": "both"} if args.command == "compare" else {})))

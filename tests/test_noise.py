@@ -114,6 +114,23 @@ class TestSumRule:
         with pytest.raises(noise.SumRuleViolation):
             noise.noise_flux(bil, W1, check_sum_rule=True)
 
+    @pytest.mark.parametrize("alpha", [0.0, 5.0, 24.0, 900.0])
+    def test_checked_flux_builds_the_layer_terms_once(self, alpha, monkeypatch):
+        # the check and the flux share one list of (n, D, K): a checked call
+        # builds each layer's commutator once, and its flux and residual are
+        # the unchecked flux and the stand-alone residual bit for bit
+        bil = media.preset("set1", alpha)
+        residual, commutator = noise.sum_rule_residual, noise.layer_commutator
+        residuals, calls = [], []
+        monkeypatch.setattr(noise, "sum_rule_residual", lambda *a, **k: (
+            residuals.append(residual(*a, **k)) or residuals[-1]))
+        monkeypatch.setattr(noise, "layer_commutator",
+                            lambda *a, **k: calls.append(a) or commutator(*a, **k))
+        checked = noise.noise_flux(bil, W1, check_sum_rule=True)
+        assert len(calls) == 2
+        assert checked == noise.noise_flux(bil, W1)
+        assert residuals == [residual(bil, W1)]
+
     def test_check_flag_requires_full_mode(self):
         bil = media.preset("set1", 5.0)
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Sweep engine, threshold bisection, table formats, CLI contract."""
+"""Sweep engine, threshold location, table formats, CLI contract."""
 
 import json
 import math
@@ -25,6 +25,10 @@ from ptbilayer.sweep_cli import (
     run_sweep,
     spec_from_config,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import gate  # noqa: E402
+import workloads  # noqa: E402
 
 
 def spec(**kw):
@@ -272,6 +276,88 @@ class TestLocate:
                                         "squeeze_crossing")
         assert math.isfinite(f(24.0))
         assert len(calls) == 2
+
+    @staticmethod
+    def recorded_locate(monkeypatch, capsys, argv, scalar=None):
+        """cli_main(argv) with the locate scalar (or scalar, given one) recorded:
+        (exit code, JSON output or stderr, the scalar, each point evaluated)."""
+        make, scalars, points = sweep_cli._threshold_scalar, [], []
+
+        def recording(spec, kind):
+            scalars.append(scalar or make(spec, kind))
+            return lambda x: points.append(x) or scalars[0](x)
+
+        monkeypatch.setattr(sweep_cli, "_threshold_scalar", recording)
+        rc = cli_main(argv)
+        out, err = capsys.readouterr()
+        return rc, json.loads(out) if rc == 0 else err, scalars[0], points
+
+    @staticmethod
+    def n_max(lo, hi, tol=ThresholdQuery.tol):
+        # ITP's step bound: bisection's to a width of tol * max(|lo|, |hi|), plus n0 = 1
+        return math.ceil(math.log2((hi - lo) / (tol * max(abs(lo), abs(hi))))) + 1
+
+    @pytest.mark.parametrize("query", workloads.LOCATE_THRESHOLDS, ids=lambda q: q.name)
+    def test_roots_agree_with_brentq(self, query, monkeypatch, capsys):
+        from scipy.optimize import brentq
+
+        rc, out, f, points = self.recorded_locate(monkeypatch, capsys,
+                                                  query.argv(*query.bracket))
+        assert rc == 0
+        assert out["evaluations"] == len(points) <= self.n_max(*query.bracket) + 4
+        root = brentq(f, *query.bracket, xtol=1e-300, rtol=1e-15)
+        rtol = gate.ROOT_RTOL.get(query.kind, gate.ROOT_RTOL_DEFAULT)
+        assert abs(out["abscissa"] - root) <= rtol * abs(root)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+    @pytest.mark.parametrize("query", workloads.LOCATE_THRESHOLDS, ids=lambda q: q.name)
+    def test_final_bracket_obeys_tol(self, query, tol, monkeypatch, capsys):
+        # every point inside the final bracket would have narrowed it, so its
+        # ends are the evaluated points nearest the abscissa; the last two
+        # points are the sign check's
+        lo0, hi0 = query.bracket
+        rc, out, _, points = self.recorded_locate(
+            monkeypatch, capsys, query.argv(lo0, hi0) + [f"--tol={tol}"])
+        assert rc == 0
+        x = out["abscissa"]
+        lo = max(p for p in points[:-2] if p <= x)
+        hi = min(p for p in points[:-2] if p >= x)
+        assert x == 0.5 * (lo + hi)
+        if out["evaluations"] < self.n_max(lo0, hi0, tol) + 4:
+            assert hi - lo <= tol * max(abs(lo), abs(hi))
+        else:   # ended on the step bound, which leaves the bracket this narrow
+            assert hi - lo <= tol * max(abs(lo0), abs(hi0)) + math.ulp(hi)   # to rounding
+
+    @pytest.mark.parametrize("scalar", [
+        lambda x: -1.0 if x <= 23.7 else 1000.0,
+        lambda x: 1e-3 if x > 23.7 else -5.0,
+        lambda x: math.copysign(abs(x - 23.7) ** 0.5, x - 23.7),
+        lambda x: math.copysign(abs(x - 23.7) ** 0.1, x - 23.7)],
+        ids=["step", "low-step", "sqrt-cusp", "tenth-root-cusp"])
+    def test_evaluations_stay_within_the_step_bound(self, scalar, monkeypatch, capsys):
+        # regula falsi does not help on a step or a cusp; the projection keeps
+        # ITP within bisection's step count plus one
+        rc, out, _, points = self.recorded_locate(
+            monkeypatch, capsys, ["locate", "--kind", "atr", "--bracket", "5:50"], scalar)
+        assert rc == 0
+        assert out["evaluations"] == len(points) <= self.n_max(5.0, 50.0) + 4
+        assert abs(out["abscissa"] - 23.7) <= 1e-10 * 50.0
+
+    def test_bracket_closing_on_zero_returns(self):
+        # the bracket closes on 0, where no width is below tol * max(|lo|, |hi|);
+        # the step bound ends the loop (bisection alone never did). Run it in a
+        # subprocess so that a regression fails on the timeout, not hangs
+        code = ("import sys; from ptbilayer import sweep_cli; "
+                "sweep_cli._threshold_scalar = lambda spec, kind: "
+                "lambda x: -1.0 if x <= 0 else 1.0; "
+                "sys.exit(sweep_cli.cli_main(['locate', '--kind', 'atr', '--bracket', '0:1']))")
+        src = str(Path(ptbilayer.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert 0.0 < out["abscissa"] <= 1e-10
+        assert out["evaluations"] == self.n_max(0.0, 1.0) + 4
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChange):
