@@ -3,11 +3,12 @@
 evaluate_grid computes every table cell of a SweepSpec over a whole grid of
 (alpha_l, omega, temperature) in one pass of array operations: the layer
 permittivities and indices, the five chain factors as stacked (N, 2, 2)
-arrays, S, the eigenpair, the noise couplings and flux, the sum-rule
-residual, the conservation residuals and the observables. A row that fails
-keeps the cells filled before its first failure, and its status names that
-failure. The columns come out in table order, so this module is the one
-place that names them.
+arrays, S, the eigenpair, each layer's noise coupling and commutator (built
+once for both the flux and the sum rule), the flux, the sum-rule residual,
+the conservation residuals and the observables. A row that fails keeps the
+cells filled before its first failure, and its status names that failure.
+The columns come out in table order, so this module is the one place that
+names them.
 
 The kernel repeats the rounding of the scalar library (transfer_chain,
 scattering_from_transfer, eigenvalues, noise_flux, ...), which stays the
@@ -171,7 +172,15 @@ def layer_arrays(spec, alpha_l, omega):
         raise ValueError("alpha must be finite")
     eps = tuple(media.lorentz_permittivity(m.eps_b, a, m.omega0, m.gamma, omega)
                 for m, a in ((template.gain, gain_alpha), (template.loss, loss_alpha)))
-    return eps, tuple(map(media.refractive_index, eps))
+    return eps, tuple(map(_index, eps))
+
+
+def _index(eps) -> np.ndarray:
+    """media.refractive_index over an array."""
+    if np.any(eps == 0):
+        raise ValueError("permittivity must be nonzero")
+    n = np.sqrt(eps)
+    return np.where(n.real < 0, -n, n)
 
 
 def _interface(n_from, n_to, k, z, paper: bool) -> np.ndarray:
@@ -223,42 +232,32 @@ class ExactStack:
         n_imag = np.maximum(np.abs(self.ng.imag), np.abs(self.nl.imag))
         self.exp_overflow = 2 * (n_imag * k * l) > _EXP_MAX
 
-    def eigenpairs(self, rows: np.ndarray):
-        """(lambda1, lambda2, inconsistent) at rows, as scattering.eigenvalues."""
-        A, s = self.total[rows], self.s.take(rows)
-        lam = np.linalg.eigvals(s.matrices())
+    def inconsistent(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """Where lam, S's eigenvalues at rows, misses scattering.eigenvalues' closed form."""
+        A = self.total[rows]
         b = A[:, 0, 1] - A[:, 1, 0]
         root = np.sqrt(_mul(b, b) + _mul(4 * A[:, 0, 0], A[:, 1, 1]))
         two_a22 = 2 * A[:, 1, 1]
         c1, c2 = (b + root) / two_a22, (b - root) / two_a22
         l1, l2 = lam[:, 0], lam[:, 1]
-        m1, m2 = _abs(l1), _abs(l2)
-        scale = np.maximum(np.maximum(m1, m2), 1e-300)
+        scale = np.maximum(np.maximum(_abs(l1), _abs(l2)), 1e-300)
         mismatch = np.maximum(np.minimum(_abs(l1 - c1), _abs(l1 - c2)),
                               np.minimum(_abs(l2 - c1), _abs(l2 - c2)))
-        tie = np.abs(m1 - m2) <= 1e-12 * np.maximum(np.maximum(m1, m2), 1e-300)
-        swap = np.where(tie, _angle(l1) > _angle(l2), m1 < m2)
-        return (np.where(swap, l2, l1), np.where(swap, l1, l2),
-                mismatch > 1e-8 * scale)
+        return mismatch > 1e-8 * scale
 
-    def couplings(self, rows: np.ndarray):
-        """(D_gain, D_loss) at rows, as noise.noise_couplings."""
+    def layer_terms(self, rows: np.ndarray):
+        """[(n, D, K)] at rows for the gain layer, then the loss layer, as
+        noise._layer_terms builds them (noise_couplings and layer_commutator)."""
         A = self.total[rows]
         a12, a22 = A[:, 0, 1], A[:, 1, 1]
         inv = 1.0 / a22
-        out = []
-        for B in (self.from_gain[rows], self.from_loss[rows]):
-            m = _stack(-B[:, 1, 0], -B[:, 1, 1],
-                       _mul(B[:, 0, 0], a22) - _mul(a12, B[:, 1, 0]),
-                       _mul(B[:, 0, 1], a22) - _mul(a12, B[:, 1, 1]))
-            out.append(inv[:, None, None] * m)
-        return out
-
-    def commutators(self, rows: np.ndarray):
-        """(K_gain, K_loss) at rows, as noise.layer_commutator."""
         k, l = self.k[rows], self.l
-        out = []
-        for n, sign in ((self.ng[rows], 1.0), (self.nl[rows], -1.0)):
+        terms = []
+        for n, B, sign in ((self.ng[rows], self.from_gain[rows], 1.0),
+                           (self.nl[rows], self.from_loss[rows], -1.0)):
+            d = inv[:, None, None] * _stack(-B[:, 1, 0], -B[:, 1, 1],
+                                            _mul(B[:, 0, 0], a22) - _mul(a12, B[:, 1, 0]),
+                                            _mul(B[:, 0, 1], a22) - _mul(a12, B[:, 1, 1]))
             nr, ni = n.real, n.imag
             u, v = ni * k * l, nr * k * l
             phase = _cis(sign * v)
@@ -267,28 +266,29 @@ class ExactStack:
             scale = 1.0 if self.paper else nr / _abs(n)
             same = 1.0 - _each(math.exp, -2 * u)
             counter = _each(math.exp, 2 * u) - 1.0
-            out.append(_stack(_cx(scale * same, 0.0), _cx(scale * q.real, scale * q.imag),
-                              _cx(scale * q.real, scale * -q.imag), _cx(scale * counter, 0.0)))
-        return out
-
-    def flux(self, rows: np.ndarray, temperature: np.ndarray, omega: np.ndarray):
-        """(s_left, s_right) at rows, as noise.noise_flux."""
-        nth = np.array([noise.thermal_occupation(w, t) for w, t in
-                        zip(omega[rows].tolist(), temperature[rows].tolist())], dtype=float)
-        out = [0.0, 0.0]
-        for d, kmat, n in zip(self.couplings(rows), self.commutators(rows),
-                              (self.ng[rows], self.nl[rows])):
-            weight = np.where(n.imag >= 0, nth, -(nth + 1.0))
-            for row in (0, 1):
-                dr = d[:, row:row + 1, :]
-                val = (dr @ kmat) @ np.conj(d[:, row, :])[:, :, None]
-                out[row] = out[row] + weight * val[:, 0, 0].real
-        return out[0], out[1]
+            kmat = _stack(_cx(scale * same, 0.0), _cx(scale * q.real, scale * q.imag),
+                          _cx(scale * q.real, scale * -q.imag), _cx(scale * counter, 0.0))
+            terms.append((n, d, kmat))
+        return terms
 
 
-def sum_rule_residuals(exact: ExactStack, rows: np.ndarray) -> np.ndarray:
-    """noise.sum_rule_residual at rows."""
-    (d2, d3), (k2, k3) = exact.couplings(rows), exact.commutators(rows)
+def noise_fluxes(terms, temperature: np.ndarray, omega: np.ndarray):
+    """(s_left, s_right) as noise.noise_flux from layer_terms and the rows' temperature, omega."""
+    nth = np.array([noise.thermal_occupation(w, t) for w, t in
+                    zip(omega.tolist(), temperature.tolist())], dtype=float)
+    out = [0.0, 0.0]
+    for n, d, kmat in terms:
+        weight = np.where(n.imag >= 0, nth, -(nth + 1.0))
+        for row in (0, 1):
+            dr = d[:, row:row + 1, :]
+            val = (dr @ kmat) @ np.conj(d[:, row, :])[:, :, None]
+            out[row] = out[row] + weight * val[:, 0, 0].real
+    return out[0], out[1]
+
+
+def sum_rule_residuals(exact: ExactStack, rows: np.ndarray, terms) -> np.ndarray:
+    """noise.sum_rule_residual at rows, from the stack's layer_terms(rows)."""
+    (_, d2, k2), (_, d3, k3) = terms
     s = exact.s.take(rows).matrices()
     lhs = d2 @ k2 @ _conj_t(d2) + d3 @ k3 @ _conj_t(d3)
     rhs = np.eye(2) - s @ _conj_t(s)
@@ -402,16 +402,18 @@ class _Cells:
 
 
 def _eigenvalue_cells(cells: _Cells, exact, s: Amplitudes) -> None:
-    """The eigenvalues family: the exact stack's eigenpair when there is one,
-    else the eigenvalues of S ordered by descending modulus."""
+    """The eigenvalues family: S's eigenvalues, checked against the exact stack's
+    closed form when there is one, and for either theory ordered as
+    scattering.eigenvalues orders them (ties in modulus by ascending argument)."""
     rows = cells.rows()
+    lam = np.linalg.eigvals(s.take(rows).matrices())
     if exact is not None:
-        l1, l2, inconsistent = exact.eigenpairs(rows)
-        cells.fail(rows[inconsistent], "InconsistentEigenvalues")
-    else:
-        lam = np.linalg.eigvals(s.take(rows).matrices())
-        swap = _abs(lam[:, 0]) < _abs(lam[:, 1])
-        l1, l2 = np.where(swap, lam[:, 1], lam[:, 0]), np.where(swap, lam[:, 0], lam[:, 1])
+        cells.fail(rows[exact.inconsistent(rows, lam)], "InconsistentEigenvalues")
+    a, b = lam[:, 0], lam[:, 1]
+    ma, mb = _abs(a), _abs(b)
+    tie = np.abs(ma - mb) <= 1e-12 * np.maximum(np.maximum(ma, mb), 1e-300)
+    swap = np.where(tie, _angle(a) > _angle(b), ma < mb)
+    l1, l2 = np.where(swap, b, a), np.where(swap, a, b)
     m1, m2 = _abs(l1), _abs(l2)
     cells.put("eigenvalues", rows, {
         "lambda1_mod": m1, "lambda1_arg": _angle(l1),
@@ -498,14 +500,15 @@ def evaluate_grid(spec, xs):
         if wants & FLUX_FAMILIES:
             cells.fail(np.flatnonzero(exact.exp_overflow), "OverflowError")
             rows = cells.rows()
+            terms = exact.layer_terms(rows)
             if spec.check_sum_rule:
-                res = np.broadcast_to(sum_rule_residuals(exact, rows), rows.shape)
+                res = np.broadcast_to(sum_rule_residuals(exact, rows, terms), rows.shape)
                 bad = np.flatnonzero(~(res <= SUM_RULE_TOL))
                 if bad.size:
                     raise SumRuleViolation(f"sum rule residual {res[bad[0]]:.3e} "
                                            f"exceeds {SUM_RULE_TOL:.1e}")
             flux_main = np.full((2, len(xs)), np.nan)
-            flux_main[:, rows] = exact.flux(rows, temperature, omega)
+            flux_main[:, rows] = noise_fluxes(terms, temperature[rows], omega[rows])
 
     s_eff = flux_eff = None
     if spec.theory != "exact" or "eta" in wants:

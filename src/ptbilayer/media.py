@@ -77,28 +77,25 @@ def lorentz_permittivity(eps_b, alpha, omega0, gamma, omega):
     return eps_b - alpha * omega0 * gamma / (w * w - omega0 ** 2 + 1j * w * gamma)
 
 
-def permittivity(medium: LorentzMedium, omega):
-    """Complex permittivity at angular frequency omega (rad/s). Vectorizes."""
-    w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0):
+def permittivity(medium: LorentzMedium, omega: float) -> complex:
+    """Complex permittivity at angular frequency omega (rad/s)."""
+    if omega <= 0:
         raise ValueError("omega must be positive")
-    eps = lorentz_permittivity(medium.eps_b, medium.alpha, medium.omega0,
-                               medium.gamma, w)
-    return complex(eps) if np.isscalar(omega) or np.ndim(omega) == 0 else eps
+    return complex(lorentz_permittivity(medium.eps_b, medium.alpha, medium.omega0,
+                                        medium.gamma, omega))
 
 
-def refractive_index(eps):
-    """Principal square root with Re n >= 0, elementwise over arrays.
+def refractive_index(eps: complex) -> complex:
+    """Principal square root with Re n >= 0.
 
     The branch is fixed by flipping the sign whenever the principal root has
-    a negative real part; eps == 0 is rejected (no propagating branch).
+    a negative real part; eps == 0 is rejected (no propagating branch). The
+    root is numpy's, as the grid kernel's (cmath's differs in the last bit).
     """
-    e = np.asarray(eps, dtype=complex)
-    if np.any(e == 0):
+    if eps == 0:
         raise ValueError("permittivity must be nonzero")
-    n = np.sqrt(e)
-    n = np.where(n.real < 0, -n, n)
-    return complex(n) if np.isscalar(eps) or np.ndim(eps) == 0 else n
+    n = complex(np.sqrt(complex(eps)))
+    return -n if n.real < 0 else n
 
 
 def libm_square(x):

@@ -110,22 +110,19 @@ def noise_couplings(bilayer: Bilayer, omega: float,
     return {"d_gain": d_gain, "d_loss": d_loss}
 
 
-def sum_rule_residual(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
-                      chain: TransferChain = None, terms: list = None) -> float:
-    """Max-entry residual of sum_layers D K D^dagger = 1 - S S^dagger.
-
-    chain, when given, is transfer_chain(bilayer, omega, mode) built by the
-    caller, and terms, when given, is the list of that chain's _layer_terms.
-    """
-    mode = canonical_mode(mode)
-    if chain is None:
-        chain = transfer_chain(bilayer, omega, mode)
-    if terms is None:
-        terms = _layer_terms(bilayer, omega, mode, chain)
+def _sum_rule_residual(chain: TransferChain, terms) -> float:
+    # sum_rule_residual from the chain and the list of its _layer_terms
     lhs = sum(d @ k @ d.conj().T for _, d, k in terms)
     s = scattering_from_transfer(chain).matrix()
     rhs = np.eye(2) - s @ s.conj().T
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def sum_rule_residual(bilayer: Bilayer, omega: float, mode: str = MODE_FULL) -> float:
+    """Max-entry residual of sum_layers D K D^dagger = 1 - S S^dagger."""
+    mode = canonical_mode(mode)
+    chain = transfer_chain(bilayer, omega, mode)
+    return _sum_rule_residual(chain, _layer_terms(bilayer, omega, mode, chain))
 
 
 def noise_flux(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
@@ -146,7 +143,7 @@ def noise_flux(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
     if check_sum_rule:
         if mode != MODE_FULL:
             raise ValueError("sum rule check requires full_complex mode")
-        res = sum_rule_residual(bilayer, omega, mode, chain=chain, terms=terms)
+        res = _sum_rule_residual(chain, terms)
         if not (res <= SUM_RULE_TOL):
             raise SumRuleViolation(
                 f"sum rule residual {res:.3e} exceeds {SUM_RULE_TOL:.1e}")

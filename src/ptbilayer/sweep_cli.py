@@ -117,6 +117,9 @@ class SweepSpec:
             raise ConfigError(f"unknown observables {bad}; choose from {OBSERVABLE_ORDER}")
         if not self.observables:
             raise ConfigError("at least one observable is required")
+        # the families the table holds: in table order, each once
+        object.__setattr__(self, "observables",
+                           tuple(o for o in OBSERVABLE_ORDER if o in self.observables))
         try:
             mode = scattering.canonical_mode(self.mode)
         except (TypeError, ValueError):
@@ -285,8 +288,7 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
         if kind == "accidental_degeneracy":
             return s.R_right - s.R_left
         if kind == "exceptional_point":
-            lam = (scattering.eigenvalues(chain) if exact else
-                   sorted(np.linalg.eigvals(s.matrix()), key=abs, reverse=True))
+            lam = scattering.eigenvalues(chain) if exact else np.linalg.eigvals(s.matrix())
             return max(abs(abs(lam[0]) - 1), abs(abs(lam[1]) - 1)) - scattering.PHASE_TOL
         if kind == "squeeze_crossing":
             return observables.homodyne_variance(

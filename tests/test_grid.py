@@ -31,6 +31,16 @@ def medium(alpha):
                      st.floats(10.0, 300.0))
 
 
+def ordered(lam):
+    """An eigenvalue pair as scattering.eigenvalues orders it: by descending
+    modulus, ties within 1e-12 relative by ascending argument."""
+    l1, l2 = lam
+    m1, m2 = abs(l1), abs(l2)
+    if abs(m1 - m2) <= 1e-12 * max(m1, m2, 1e-300):
+        return (l2, l1) if np.angle(l1) > np.angle(l2) else (l1, l2)
+    return (l2, l1) if m1 < m2 else (l1, l2)
+
+
 def scalar_row(spec, x):
     """Status and values of one row, from the scalar library, in the order a
     table row meets its failures; s and flux are the main theory's."""
@@ -56,7 +66,7 @@ def scalar_row(spec, x):
             s, flux = out["s"], out["flux"] = s_eff, flux_eff
         out["scattering_cells"] = True
         out["eigenvalues"] = (scattering.eigenvalues(chain) if exact else
-                              sorted(np.linalg.eigvals(s.matrix()), key=abs, reverse=True))
+                              ordered(np.linalg.eigvals(s.matrix())))
         out["variance"] = observables.homodyne_variance(
             s, flux["s_right"], spec.input_state, spec.phi_lo)
         if spec.theory == "both":
@@ -94,7 +104,8 @@ def test_kernel_reproduces_scalar_library(gain, loss, alpha_l, thickness, mode,
     alpha_ls, omega, _ = grid.grid_parameters(spec, xs)
     stack = grid.ExactStack(spec, grid.layer_arrays(spec, alpha_ls, omega)[1], omega)
     ok = np.flatnonzero(~stack.singular)
-    residuals = dict(zip(ok.tolist(), grid.sum_rule_residuals(stack, ok).tolist()))
+    residuals = dict(zip(ok.tolist(), grid.sum_rule_residuals(
+        stack, ok, stack.layer_terms(ok)).tolist()))
     for i, x in enumerate(omegas):
         ref = scalar_row(spec, x)
         assert status[i] == ref["status"]
@@ -185,6 +196,32 @@ def test_layer_terms_are_derived_once_per_grid(monkeypatch):
     _, status = grid.evaluate_grid(spec, grid_values(spec))
     assert list(status) == ["ok"] * 50
     assert calls == {"lorentz_permittivity": 2, "bilayer_at": 1}
+
+
+def test_checked_grid_builds_the_layer_terms_once(monkeypatch):
+    # each layer's commutator takes math.exp over the rows twice (e^{-2u} and
+    # e^{2u}); the flux and the sum-rule check share one list of terms
+    passes, each = [], grid._each
+    monkeypatch.setattr(grid, "_each", lambda fn, x: passes.append(fn) or each(fn, x))
+    spec = SweepSpec(preset="set1", start=1.0, stop=200.0, count=20, fixed_omega_trad=1000.0,
+                     observables=("noise",), check_sum_rule=True)
+    _, status = grid.evaluate_grid(spec, grid_values(spec))
+    assert list(status) == ["ok"] * 20
+    assert passes.count(math.exp) == 4
+
+
+def test_effective_eigenvalues_break_ties_by_argument():
+    # at set1's balance the effective slab is lossless: both moduli are 1 to
+    # rounding, so the argument decides the order, as in the exact theory
+    table = run_sweep(SweepSpec(preset="set1", start=1.0, stop=140.0, count=8,
+                                spacing="linear", fixed_omega_trad=1000.0,
+                                theory="effective", observables=("eigenvalues",),
+                                reproducible=True))
+    rows = [dict(zip(table.columns, row)) for row in table.rows]
+    tied = [r for r in rows
+            if abs(r["lambda1_mod"] - r["lambda2_mod"]) <= 1e-12 * r["lambda1_mod"]]
+    assert len(tied) == 8
+    assert all(r["lambda1_arg"] <= r["lambda2_arg"] for r in tied)
 
 
 def test_failing_row_keeps_earlier_cells():

@@ -40,7 +40,7 @@ def test_sum_rule_closes_in_full_mode(gain, loss, alpha_l, thickness, omega):
         scattering.scattering_from_transfer(chain)
     except SingularTransfer:
         assume(False)
-    assert noise.sum_rule_residual(bil, w, chain=chain) <= SUM_RULE_BOUND
+    assert noise.sum_rule_residual(bil, w) <= SUM_RULE_BOUND
 
 
 @given(**stacks, mode=st.sampled_from([scattering.MODE_FULL, scattering.MODE_PAPER]))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ptbilayer import media
+from ptbilayer import grid, media
 from ptbilayer.media import TRAD, Bilayer, LorentzMedium
 
 
@@ -54,9 +54,11 @@ class TestPermittivity:
         assert media.libm_square(1.5) == 2.25
 
     def test_vectorized_matches_scalar(self):
+        # the grid kernel's array permittivity against the scalar one
         ws = np.linspace(100, 3000, 17) * TRAD
-        batch = media.permittivity(SET2_LOSS, ws)
-        singles = np.array([media.permittivity(SET2_LOSS, w) for w in ws])
+        m = SET2_LOSS
+        batch = media.lorentz_permittivity(m.eps_b, m.alpha, m.omega0, m.gamma, ws)
+        singles = np.array([media.permittivity(m, w) for w in ws])
         np.testing.assert_allclose(batch, singles, rtol=0, atol=0)
 
     def test_rejects_nonpositive_frequency(self):
@@ -87,11 +89,25 @@ class TestRefractiveIndex:
         assert n.real >= 0.0
 
     def test_vectorized_round_trip(self):
+        # the grid kernel's array index equals refractive_index bit for bit,
+        # on random values, purely imaginary ones (where cmath.sqrt would
+        # differ in the last bit) and IEEE special values
         rng = np.random.default_rng(7)
         eps = rng.uniform(-5, 5, 64) + 1j * rng.uniform(-5, 5, 64)
-        n = media.refractive_index(eps)
+        n = grid._index(eps)
         np.testing.assert_allclose(n * n, eps, rtol=1e-12)
         assert (n.real >= 0).all()
+        tiny = 5e-324
+        parts = [0.0, -0.0, 1.0, -3.7, math.inf, -math.inf, math.nan, 1e308, -1e308,
+                 tiny, -tiny, 2.2e-308 / 3]
+        eps = np.array([complex(re, im) for re in parts for im in parts
+                        if re != 0 or im != 0] + [1j, -1j, -3.7j, 2.5j, -1e-300j])
+        eps = np.concatenate([eps, rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, 2000)
+                              + 1j * rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, 2000)])
+        with np.errstate(all="ignore"):
+            batch = grid._index(eps)
+            singles = np.array([media.refractive_index(e) for e in eps.tolist()])
+        assert batch.view(np.uint64).tolist() == singles.view(np.uint64).tolist()
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

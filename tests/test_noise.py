@@ -109,8 +109,7 @@ class TestSumRule:
 
     def test_check_flag_raises_on_breach(self, monkeypatch):
         bil = media.preset("set1", 5.0)
-        monkeypatch.setattr(noise, "sum_rule_residual",
-                            lambda *a, **k: 1.0)
+        monkeypatch.setattr(noise, "_sum_rule_residual", lambda *a: 1.0)
         with pytest.raises(noise.SumRuleViolation):
             noise.noise_flux(bil, W1, check_sum_rule=True)
 
@@ -120,16 +119,17 @@ class TestSumRule:
         # builds each layer's commutator once, and its flux and residual are
         # the unchecked flux and the stand-alone residual bit for bit
         bil = media.preset("set1", alpha)
-        residual, commutator = noise.sum_rule_residual, noise.layer_commutator
+        standalone = noise.sum_rule_residual(bil, W1)
+        residual, commutator = noise._sum_rule_residual, noise.layer_commutator
         residuals, calls = [], []
-        monkeypatch.setattr(noise, "sum_rule_residual", lambda *a, **k: (
-            residuals.append(residual(*a, **k)) or residuals[-1]))
+        monkeypatch.setattr(noise, "_sum_rule_residual", lambda *a: (
+            residuals.append(residual(*a)) or residuals[-1]))
         monkeypatch.setattr(noise, "layer_commutator",
                             lambda *a, **k: calls.append(a) or commutator(*a, **k))
         checked = noise.noise_flux(bil, W1, check_sum_rule=True)
         assert len(calls) == 2
         assert checked == noise.noise_flux(bil, W1)
-        assert residuals == [residual(bil, W1)]
+        assert residuals == [standalone]
 
     def test_check_flag_requires_full_mode(self):
         bil = media.preset("set1", 5.0)

@@ -206,6 +206,15 @@ class TestFormats:
         meta2 = run_sweep(spec(count=3, reproducible=False)).metadata
         assert "timestamp" in meta2
 
+    def test_metadata_names_the_families_in_table_order(self, capsys):
+        rc = cli_main(["sweep", "--preset", "set1", "--range", "1:10:3", "--linear",
+                       "--obs", "mandel,scattering,mandel", "--format", "json",
+                       "--reproducible"])
+        assert rc == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["metadata"]["observables"] == ["scattering", "mandel"]
+        assert obj["columns"].index("T") < obj["columns"].index("mandel_q")
+
 
 class TestCompare:
     def test_effective_columns_present(self):
