@@ -56,12 +56,23 @@ _EXP_MAX = math.log(sys.float_info.max)   # math.exp(x) overflows for x above it
 # what a spec means at a grid value
 
 
-def default_omega_trad(spec) -> float:
-    if spec.fixed_omega_trad is not None:
-        return spec.fixed_omega_trad
-    if spec.preset is not None:
-        return media.preset_default_omega(spec.preset) / TRAD
-    return (spec.materials[0].omega0) / TRAD
+def fixed_values(spec) -> dict:
+    """{"alpha_l", "omega", "temperature"} as the spec fixes them, omega in
+    Trad/s; the swept variable is None. A default frequency is looked up only
+    when omega is not swept."""
+    values = {"alpha_l": spec.fixed_alpha_l, "omega": spec.fixed_omega_trad,
+              "temperature": spec.temperature_k, spec.variable: None}
+    if spec.variable != "omega" and values["omega"] is None:
+        values["omega"] = (media.preset_default_omega(spec.preset) if spec.preset is not None
+                           else spec.materials[0].omega0) / TRAD
+    return values
+
+
+def grid_parameters(spec, x):
+    """(alpha_l, omega_rad_s, temperature_k) at grid value x: a float, or an
+    array of grid values (the fixed parameters stay floats)."""
+    values = fixed_values(spec) | {spec.variable: x}
+    return values["alpha_l"], values["omega"] * TRAD, values["temperature"]
 
 
 def bilayer_at(spec, alpha_l: float) -> Bilayer:
@@ -71,30 +82,6 @@ def bilayer_at(spec, alpha_l: float) -> Bilayer:
     gain, loss = spec.materials
     return Bilayer(gain=gain, loss=replace(loss, alpha=alpha_l),
                    layer_thickness=thickness)
-
-
-def point_parameters(spec, x: float) -> tuple[Bilayer, float, float]:
-    """(bilayer, omega_rad_s, temperature_k) at grid value x."""
-    if spec.variable == "alpha_l":
-        return (bilayer_at(spec, float(x)),
-                default_omega_trad(spec) * TRAD, spec.temperature_k)
-    if spec.variable == "omega":
-        return (bilayer_at(spec, spec.fixed_alpha_l),
-                float(x) * TRAD, spec.temperature_k)
-    return (bilayer_at(spec, spec.fixed_alpha_l),
-            default_omega_trad(spec) * TRAD, float(x))
-
-
-def grid_parameters(spec, xs: np.ndarray):
-    """(alpha_l, omega_rad_s, temperature_k), one array entry per grid value."""
-    n = len(xs)
-    alpha_l = xs if spec.variable == "alpha_l" else np.full(n, float(spec.fixed_alpha_l))
-    if spec.variable == "omega":
-        omega = xs * TRAD
-    else:
-        omega = np.full(n, default_omega_trad(spec) * TRAD)
-    temperature = xs if spec.variable == "temperature" else np.full(n, spec.temperature_k)
-    return alpha_l, omega, temperature
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +152,8 @@ def layer_arrays(spec, alpha_l, omega):
         raise ValueError("omega must be positive")
     template = bilayer_at(spec, 0.0)
     if spec.preset is not None:
+        if np.any(alpha_l < 0):
+            raise ValueError("alpha_l must be nonnegative")
         gain_alpha, loss_alpha = media.preset_amplitudes(spec.preset, alpha_l)
     else:
         gain_alpha, loss_alpha = template.gain.alpha, alpha_l
@@ -247,7 +236,7 @@ class ExactStack:
 
     def layer_terms(self, rows: np.ndarray):
         """[(n, D, K)] at rows for the gain layer, then the loss layer, as
-        noise._layer_terms builds them (noise_couplings and layer_commutator)."""
+        noise._layer_terms builds them (_coupling and layer_commutator)."""
         A = self.total[rows]
         a12, a22 = A[:, 0, 1], A[:, 1, 1]
         inv = 1.0 / a22
@@ -485,7 +474,7 @@ def evaluate_grid(spec, xs):
     denominator.
     """
     xs = np.asarray(xs, dtype=float)
-    alpha_l, omega, temperature = grid_parameters(spec, xs)
+    alpha_l, omega, temperature = np.broadcast_arrays(*grid_parameters(spec, xs))
     wants = frozenset(spec.observables)
     cells = _Cells(len(xs))
     use_exact = spec.theory in ("exact", "both")

@@ -152,6 +152,7 @@ def pt_delta_epsilon(loss: LorentzMedium, gain: LorentzMedium, omega: float) -> 
 
 
 _BALANCE_REL_TOL = 1e-12   # relative width at which bisection stops
+BALANCE_SCAN = (0.01, 100)  # pt_frequency's scan range, in units of max(w0)
 PT_TOL = 1e-9              # relative mismatch verify_pt accepts
 
 
@@ -160,9 +161,9 @@ def pt_frequency(loss: LorentzMedium, gain: LorentzMedium) -> list[float]:
 
     Equal backgrounds admit a closed form independent of the amplitudes:
     w^2 = (gamma_g w0l^2 + gamma_l w0g^2) / (gamma_g + gamma_l). Otherwise a
-    2048-point logarithmic scan over [0.01, 100] * max(w0), evaluated as one
+    2048-point logarithmic scan over BALANCE_SCAN * max(w0), evaluated as one
     array, brackets every sign change of the real-part mismatch and bisection
-    refines each root.
+    refines each root; with no sign change the list is empty.
     """
     if loss.alpha == 0:
         raise ValueError("loss amplitude must be nonzero")
@@ -172,7 +173,7 @@ def pt_frequency(loss: LorentzMedium, gain: LorentzMedium) -> list[float]:
         return [w]
 
     wmax = max(loss.omega0, gain.omega0)
-    grid = np.logspace(math.log10(0.01 * wmax), math.log10(100 * wmax), 2048)
+    grid = np.logspace(*(math.log10(f * wmax) for f in BALANCE_SCAN), 2048)
     vals = _delta_epsilon(loss, gain, grid)
     roots = []
     for i in np.flatnonzero((vals[:-1] < 0) != (vals[1:] < 0)).tolist():
@@ -232,10 +233,9 @@ def preset_amplitudes(set_id: str, alpha_l):
     """(gain, loss) oscillator amplitudes of a preset at loss amplitude alpha_l.
 
     Elementwise over an array of loss amplitudes; the set2 gain amplitude is
-    a scalar for every alpha_l.
+    a scalar for every alpha_l. The rule only: callers check that alpha_l is
+    nonnegative.
     """
-    if np.any(np.asarray(alpha_l) < 0):
-        raise ValueError("alpha_l must be nonnegative")
     if set_id == "set1":
         return -alpha_l, alpha_l
     if set_id == "set2":
@@ -251,6 +251,8 @@ def preset(set_id: str, alpha_l: float,
     every alpha_l). "set2": detuned pair with the gain amplitude held at its
     reference value for all alpha_l; only alpha_l = 2 is balanced.
     """
+    if alpha_l < 0:
+        raise ValueError("alpha_l must be nonnegative")
     gain_alpha, loss_alpha = preset_amplitudes(set_id, alpha_l)
     gain, loss = _PRESET_MEDIA[set_id]
     return Bilayer(gain=LorentzMedium(alpha=gain_alpha, **gain),

@@ -51,6 +51,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     x = HBAR * omega / (K_BOLTZMANN * temperature)
     if x > 700.0:  # expm1 would overflow; the tail underflows cleanly
         return math.exp(-x)
+    if x == 0.0:   # hbar w / kT underflowed: the occupation's limit
+        return math.inf
     return 1.0 / math.expm1(x)
 
 
@@ -104,10 +106,9 @@ def noise_couplings(bilayer: Bilayer, omega: float,
 
     Row 0 of each matrix feeds the left output, row 1 the right output.
     """
-    mode = canonical_mode(mode)
-    (_, d_gain, _), (_, d_loss, _) = _layer_terms(
-        bilayer, omega, mode, transfer_chain(bilayer, omega, mode))
-    return {"d_gain": d_gain, "d_loss": d_loss}
+    chain = transfer_chain(bilayer, omega, canonical_mode(mode))
+    return {"d_gain": _coupling(chain.total, chain.from_gain),
+            "d_loss": _coupling(chain.total, chain.from_loss)}
 
 
 def _sum_rule_residual(chain: TransferChain, terms) -> float:

@@ -45,7 +45,8 @@ class ConfigError(Exception):
 
 
 class NoSignChange(Exception):
-    """Bracket does not straddle the requested threshold (CLI exit code 3)."""
+    """A locate bracket, or pt-solve's balance scan, holds no sign change of
+    its scalar (CLI exit code 3)."""
 
 
 class EvaluationFailed(Exception):
@@ -208,11 +209,8 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
         "variable": spec.variable,
         "grid": {"start": spec.start, "stop": spec.stop, "count": spec.count,
                  "spacing": spec.spacing or "auto"},
-        # the swept parameter has no fixed value
-        "fixed": {key: None if key == VARIABLE_COLUMNS[spec.variable] else value
-                  for key, value in (("omega_trad", grid.default_omega_trad(spec)),
-                                     ("alpha_l", spec.fixed_alpha_l),
-                                     ("temperature_k", spec.temperature_k))},
+        "fixed": {VARIABLE_COLUMNS[name]: value
+                  for name, value in grid.fixed_values(spec).items()},
         "thickness_nm": spec.thickness_nm,
         "theory": spec.theory,
         "mode": scattering.canonical_mode(spec.mode),
@@ -266,7 +264,8 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
     noisy = kind in ("squeeze_crossing", "mandel_crossing")
 
     def evaluate(x: float) -> float:
-        bil, omega, theta = grid.point_parameters(spec, x)
+        alpha_l, omega, theta = grid.grid_parameters(spec, float(x))
+        bil = grid.bilayer_at(spec, alpha_l)
         l = bil.layer_thickness
         if kind == "eta_unity" or not exact:
             eps = (media.permittivity(bil.gain, omega), media.permittivity(bil.loss, omega))
@@ -577,6 +576,10 @@ def _cmd_pt_solve(spec: SweepSpec) -> dict:
     bil = grid.bilayer_at(spec, alpha_l)
     gain_template, loss = bil.gain, bil.loss
     roots = media.pt_frequency(loss, gain_template)
+    if not roots:
+        lo, hi = (f * max(loss.omega0, gain_template.omega0) / TRAD for f in media.BALANCE_SCAN)
+        raise NoSignChange(f"balance: the real-part mismatch at alpha_l={alpha_l!r} "
+                           f"does not change sign on [{lo:g}, {hi:g}] Trad/s")
     omega_pt = roots[-1]
     alpha_gain = media.pt_balanced_gain(loss, gain_template, omega_pt)
     eps = [media.lorentz_permittivity(m.eps_b, a, m.omega0, m.gamma, omega_pt)

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -44,7 +45,8 @@ def ordered(lam):
 def scalar_row(spec, x):
     """Status and values of one row, from the scalar library, in the order a
     table row meets its failures; s and flux are the main theory's."""
-    bil, omega, theta = grid.point_parameters(spec, x)
+    alpha_l, omega, theta = grid.grid_parameters(spec, float(x))
+    bil = grid.bilayer_at(spec, alpha_l)
     l = bil.layer_thickness
     eps = (media.permittivity(bil.gain, omega), media.permittivity(bil.loss, omega))
     exact = spec.theory != "effective"
@@ -101,7 +103,7 @@ def test_kernel_reproduces_scalar_library(gain, loss, alpha_l, thickness, mode,
                      observables=EXACT + ("eta",) * eta)
     xs = np.array(omegas)
     cells, status = grid.evaluate_grid(spec, xs)
-    alpha_ls, omega, _ = grid.grid_parameters(spec, xs)
+    alpha_ls, omega, _ = np.broadcast_arrays(*grid.grid_parameters(spec, xs))
     stack = grid.ExactStack(spec, grid.layer_arrays(spec, alpha_ls, omega)[1], omega)
     ok = np.flatnonzero(~stack.singular)
     residuals = dict(zip(ok.tolist(), grid.sum_rule_residuals(
@@ -173,6 +175,37 @@ def test_kernel_reproduces_scalar_library(gain, loss, alpha_l, thickness, mode,
             main = cells[col][i]
             assert same(cells[f"{col}_effective"][i], want), col
             assert same(cells[f"{col}_rel_dev"][i], abs(want - main) / max(abs(main), 1e-300)), col
+
+
+MATERIALS = (LorentzMedium(2.0, -3.0, 1000.0 * TRAD, 67.0 * TRAD),
+             LorentzMedium(2.5, 3.0, 1100.0 * TRAD, 90.0 * TRAD))
+
+
+@pytest.mark.parametrize("stack", [{"preset": "set2"},
+                                   {"preset": None, "materials": MATERIALS}])
+@pytest.mark.parametrize("variable, start, stop", [("alpha_l", 0.5, 60.0),
+                                                   ("omega", 300.0, 2000.0),
+                                                   ("temperature", 0.0, 600.0)])
+def test_one_mapping_serves_a_point_and_the_grid(stack, variable, start, stop):
+    # grid_parameters at one float is row i of the kernel's broadcast arrays
+    spec = SweepSpec(**stack, variable=variable, start=start, stop=stop, count=7,
+                     fixed_alpha_l=5.0, temperature_k=30.0)
+    xs = grid_values(spec)
+    rows = np.broadcast_arrays(*grid.grid_parameters(spec, xs))
+    assert all(r.shape == xs.shape and r.dtype == float for r in rows)
+    for i, x in enumerate(xs.tolist()):
+        point = grid.grid_parameters(spec, x)
+        assert all(isinstance(v, float) for v in point)
+        assert same([r[i] for r in rows], point)
+    fixed = grid.fixed_values(spec)
+    assert fixed[variable] is None
+    assert sorted(fixed) == ["alpha_l", "omega", "temperature"]
+
+
+def test_negative_preset_amplitude_is_refused_on_a_grid():
+    spec = SweepSpec(preset="set1", start=0.0, stop=2.0, count=3, fixed_omega_trad=1000.0)
+    with pytest.raises(ValueError, match="alpha_l must be nonnegative"):
+        grid.evaluate_grid(spec, np.array([1.0, -1.0, 2.0]))
 
 
 def test_layer_terms_are_derived_once_per_grid(monkeypatch):

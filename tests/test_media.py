@@ -253,10 +253,11 @@ class TestPresets:
         assert bil.layer_thickness == pytest.approx(10e-9)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown preset"):
             media.preset("set3", 1.0)
-        with pytest.raises(ValueError):
-            media.preset("set1", -1.0)
+        for set_id in ("set1", "set2", "set3"):   # the amplitude is checked first
+            with pytest.raises(ValueError, match="alpha_l must be nonnegative"):
+                media.preset(set_id, -1.0)
 
     def test_default_omegas(self):
         assert media.preset_default_omega("set1") == 1000.0 * TRAD

@@ -46,6 +46,14 @@ class TestThermalOccupation:
         n = noise.thermal_occupation(3000.0 * TRAD, 1.0)
         assert 0.0 <= n < 1e-300
 
+    def test_underflowed_ratio_gives_the_classical_limit(self):
+        # hbar w / kT underflows to 0 here, and to a subnormal one step up;
+        # the occupation's limit, inf, is the result of both
+        assert HBAR * 1e-12 / (K_BOLTZMANN * 1e308) == 0.0
+        assert noise.thermal_occupation(1e-12, 1e308) == math.inf
+        assert 0.0 < HBAR * 1e-12 / (K_BOLTZMANN * 1e300) < 2.3e-308
+        assert noise.thermal_occupation(1e-12, 1e300) == math.inf
+
 
 class TestCommutatorBlocks:
     def test_same_side_value(self):
@@ -130,6 +138,19 @@ class TestSumRule:
         assert len(calls) == 2
         assert checked == noise.noise_flux(bil, W1)
         assert residuals == [standalone]
+
+    def test_couplings_build_no_commutator(self, monkeypatch):
+        # noise_couplings reads D only: the same D as the flux's layer terms,
+        # and no layer_commutator call
+        bil, w = media.preset("set1", 24.0), 1000.0 * TRAD
+        want = [d for _, d, _ in noise._layer_terms(
+            bil, w, MODE_FULL, scattering.transfer_chain(bil, w))]
+        calls, commutator = [], noise.layer_commutator
+        monkeypatch.setattr(noise, "layer_commutator",
+                            lambda *a, **k: calls.append(a) or commutator(*a, **k))
+        got = noise.noise_couplings(bil, w)
+        assert calls == []
+        assert [got["d_gain"].tobytes(), got["d_loss"].tobytes()] == [d.tobytes() for d in want]
 
     def test_check_flag_requires_full_mode(self):
         bil = media.preset("set1", 5.0)

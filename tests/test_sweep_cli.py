@@ -596,6 +596,50 @@ class TestCli:
                               "overflows (gain amplitude ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("alpha_l, code", [("0.2", 3), ("0.5", 0)])
+    def test_pt_solve_without_a_balance_frequency_exits_3(self, alpha_l, code, capsys):
+        # below alpha_l of about 0.213 set2's real-part mismatch keeps its sign
+        rc = cli_main(["pt-solve", "--preset", "set2", "--alpha-l", alpha_l])
+        out, err = capsys.readouterr()
+        assert rc == code
+        if code == 3:
+            assert out == ""
+            assert err == ("no sign change: balance: the real-part mismatch at alpha_l=0.2 "
+                           "does not change sign on [12, 120000] Trad/s\n")
+        else:
+            assert json.loads(out)["balanced"] is True
+
+    def test_underflowed_thermal_ratio_runs_to_its_limit(self, capsys):
+        # hbar w / kT underflows to 0: the occupation is inf, so the sweep's
+        # noise cells are inf and the Mandel scalar of locate is nan at both ends
+        stack = ["--preset", "set1", "--omega-trad", "1e-24", "--temperature-k", "1e308"]
+        rc = cli_main(["sweep", *stack, "--range", "1:2:2", "--obs", "noise"])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[1:3] for row in rows] == [["inf", "inf"]] * 2
+        rc = cli_main(["locate", *stack, "--kind", "mandel_crossing", "--bracket", "1:10"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (3, "")
+        assert err == ("no sign change: mandel_crossing: no sign change on [1.0, 10.0] "
+                       "(f(lo)=nan, f(hi)=nan)\n")
+
+    def test_omega_runs_do_not_look_up_the_default_frequency(self, monkeypatch, capsys):
+        # set2's gain amplitude is pinned at its balance frequency, so that
+        # frequency is solved once; the default operating frequency, which
+        # omega runs never read, is not looked up again
+        media.set2_gain_alpha()
+        calls, solve = [], media.set2_operating_frequency
+        monkeypatch.setattr(media, "set2_operating_frequency",
+                            lambda: calls.append(1) or solve())
+        assert cli_main(["sweep", "--preset", "set2", "--var", "omega", "--range",
+                         "300:2000:5", "--format", "json", "--reproducible"]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["fixed"] == {
+            "alpha_l": 2.0, "omega_trad": None, "temperature_k": 0.0}
+        assert cli_main(["locate", "--preset", "set2", "--kind", "squeeze_crossing",
+                         "--var", "omega", "--bracket", "700:900"]) == 0
+        assert calls == []
+
     def test_failed_verification_exits_4(self, monkeypatch, capsys):
         # bisection lands on a narrow positive spike at 20; the verification
         # points on either side of it are both negative
