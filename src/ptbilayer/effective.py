@@ -31,11 +31,14 @@ def bloch_index(indices: tuple[complex, complex], omega: float,
     """Effective index at omega of the cell whose layer indices are (n_gain, n_loss)."""
     ng, nl = indices
     k = omega / C_VACUUM
+    two_kl = 2 * k * layer_thickness
+    if two_kl == 0:   # k l underflowed: the long-wavelength limit, sqrt of the mean permittivity
+        return cmath.sqrt((ng * ng + nl * nl) / 2)
     x = ng * k * layer_thickness
     y = nl * k * layer_thickness
     rhs = cmath.cos(x) * cmath.cos(y) \
         - 0.5 * (ng / nl + nl / ng) * cmath.sin(x) * cmath.sin(y)
-    n = cmath.acos(rhs) / (2 * k * layer_thickness)
+    n = cmath.acos(rhs) / two_kl
     if n.real < 0:
         n = -n
     if abs(n.real) < 1e-9 * abs(n) and min(ng.imag, nl.imag) < 0 and n.imag > 0:

@@ -4,15 +4,15 @@ evaluate_grid computes every table cell of a SweepSpec over a whole grid of
 (alpha_l, omega, temperature) in one pass of array operations: the layer
 permittivities and indices, the five chain factors as stacked (N, 2, 2)
 arrays, S, the eigenpair, each layer's noise coupling and commutator (built
-once for both the flux and the sum rule), the flux, the sum-rule residual,
-the conservation residuals and the observables. A row that fails keeps the
-cells filled before its first failure, and its status names that failure.
-The columns come out in table order, so this module is the one place that
-names them.
+once for both the flux and the sum rule), the flux, the sum-rule residual
+and the table cells. A row that fails keeps the cells filled before its
+first failure, and its status names that failure. The columns come out in
+table order, so this module is the one place that names them.
 
-The kernel repeats the rounding of the scalar library (transfer_chain,
-scattering_from_transfer, eigenvalues, noise_flux, ...), which stays the
-public API and the reference the tests hold the kernel to:
+The kernel restates only what its array form would round differently from
+the scalar library (transfer_chain, scattering_from_transfer, eigenvalues,
+noise_flux, ...), the public API and the tests' reference; each cell rule
+is the scalar modules' own, called on arrays. To repeat the scalar rounding:
 
 - complex products that the scalar path forms on scalars are written out in
   real arithmetic, because numpy's SIMD complex multiply fuses multiply-adds
@@ -50,6 +50,7 @@ VARIABLE_COLUMNS = {"alpha_l": "alpha_l", "omega": "omega_trad", "temperature": 
 COMPARED = {"scattering": ("T", "R_left", "R_right"), "noise": ("s_right", "s_left"),
             "variance": ("variance",), "mandel": ("mandel_q",)}
 _EXP_MAX = math.log(sys.float_info.max)   # math.exp(x) overflows for x above it
+_abs = scattering._modulus   # np.hypot of the parts, as the scalar rules take moduli
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +117,6 @@ def _py_div(a, b) -> np.ndarray:
 
 def _cis(theta) -> np.ndarray:
     return np.exp(_cx(0.0, theta))
-
-
-def _abs(z) -> np.ndarray:
-    return np.hypot(z.real, z.imag)
-
-
-def _angle(z) -> np.ndarray:
-    return np.arctan2(z.imag, z.real)
 
 
 def _each(fn, x) -> np.ndarray:
@@ -278,7 +271,7 @@ def noise_fluxes(terms, temperature: np.ndarray, omega: np.ndarray):
 def sum_rule_residuals(exact: ExactStack, rows: np.ndarray, terms) -> np.ndarray:
     """noise.sum_rule_residual at rows, from the stack's layer_terms(rows)."""
     (_, d2, k2), (_, d3, k3) = terms
-    s = exact.s.take(rows).matrices()
+    s = exact.s.matrices()[rows]
     lhs = d2 @ k2 @ _conj_t(d2) + d3 @ k3 @ _conj_t(d3)
     rhs = np.eye(2) - s @ _conj_t(s)
     return np.max(np.abs(lhs - rhs), axis=(1, 2))
@@ -289,21 +282,16 @@ def sum_rule_residuals(exact: ExactStack, rows: np.ndarray, terms) -> np.ndarray
 
 
 class Amplitudes:
-    """(r_left, t, r_right) arrays and the quantities derived from them, with
-    the rounding of ScatteringAmplitudes and the observables module."""
+    """(r_left, t, r_right) arrays, and T, R_left and R_right derived from them
+    once, named and rounded as ScatteringAmplitudes' properties."""
 
     def __init__(self, r_left, t, r_right):
         self.r_left, self.t, self.r_right = r_left, t, r_right
-
-    def take(self, rows) -> "Amplitudes":
-        return Amplitudes(self.r_left[rows], self.t[rows], self.r_right[rows])
+        self.T, self.R_left, self.R_right = (media.libm_square(_abs(a))
+                                             for a in (t, r_left, r_right))
 
     def matrices(self) -> np.ndarray:
         return _stack(self.r_left, self.t, self.t, self.r_right)
-
-    def power(self):
-        """(T, R_left, R_right)."""
-        return tuple(media.libm_square(_abs(a)) for a in (self.t, self.r_left, self.r_right))
 
 
 def _family_cells(family: str, s: Amplitudes, flux, spec, live: np.ndarray):
@@ -311,50 +299,33 @@ def _family_cells(family: str, s: Amplitudes, flux, spec, live: np.ndarray):
 
     s and flux (s_left, s_right) are that theory's amplitudes and noise flux;
     degenerate marks the rows where the family fails with
-    DegenerateDenominator. The arithmetic is the scalar library's.
+    DegenerateDenominator. The cell rules are the scalar library's.
     """
-    T, R_left, R_right = s.power()
     degenerate = np.zeros(len(live), dtype=bool)
     inp = spec.input_state
     if family == "scattering":
-        pl, pr, pt = _angle(s.r_left), _angle(s.r_right), _angle(s.t)
+        pl, pr, pt = np.angle(s.r_left), np.angle(s.r_right), np.angle(s.t)
         # phase_t unwrapped over the rows whose phase_t cell gets filled
         valid = live & ~np.isnan(pt)
         unwrapped = np.full_like(pt, np.nan)
         unwrapped[valid] = np.unwrap(pt[valid])
-        gen = np.abs(np.abs(T - 1.0) - np.sqrt(R_left * R_right))
-        no_phase = ((np.minimum(np.minimum(_abs(s.r_left), _abs(s.r_right)), _abs(s.t)) < 1e-14)
-                    | (np.abs(T - 1.0) < 1e-14))
-        phase = np.where(T < 1.0, np.abs(scattering._wrap(pl - pr)),
-                         np.maximum(np.abs(scattering._wrap(pl - pr + np.pi)),
-                                    np.abs(scattering._wrap(pl - pt + np.pi / 2))))
-        return {"T": T, "R_left": R_left, "R_right": R_right, "phase_t": pt,
+        gen, phase = scattering.conservation_parts(s)
+        return {"T": s.T, "R_left": s.R_left, "R_right": s.R_right, "phase_t": pt,
                 "phase_r_left": pl, "phase_r_right": pr, "phase_t_unwrapped": unwrapped,
-                "conservation_generalized": gen,
-                "conservation_phase": np.where(no_phase, np.nan, phase)}, degenerate
+                "conservation_generalized": gen, "conservation_phase": phase}, degenerate
     if family == "noise":
-        return {"s_right": flux[1], "s_left": flux[0], "deficit_left": 1.0 - T - R_left,
-                "deficit_right": 1.0 - T - R_right}, degenerate
+        deficit = noise.unitarity_deficit(s)
+        return {"s_right": flux[1], "s_left": flux[0], "deficit_left": deficit["left"],
+                "deficit_right": deficit["right"]}, degenerate
     if family == "variance":
-        cos = _each(math.cos, inp.phi_xi - 2.0 * spec.phi_lo - 2.0 * _angle(s.t))
-        return {"variance": observables.variance_from(T, cos, flux[1], inp)}, degenerate
-    num, den = observables.mandel_parts(T, flux[1], inp)
+        cos = _each(math.cos, inp.phi_xi - 2.0 * spec.phi_lo - 2.0 * np.angle(s.t))
+        return {"variance": observables.variance_from(s.T, cos, flux[1], inp)}, degenerate
+    num, den = observables.mandel_parts(s.T, flux[1], inp)
     return {"mandel_q": num / den}, np.abs(den) < 1e-30
 
 
 def _rel_dev(eff, exact):
     return np.abs(eff - exact) / np.maximum(np.abs(exact), 1e-300)
-
-
-def _classify(l1, l2) -> np.ndarray:
-    """scattering.classify_phase, with "inconsistent" for its exception."""
-    m1, m2 = _abs(l1), _abs(l2)
-    tol = scattering.PHASE_TOL
-    return np.select(
-        [_abs(l1 - l2) <= tol * np.maximum(np.maximum(m1, m2), 1.0),
-         (np.abs(m1 - 1) <= tol) & (np.abs(m2 - 1) <= tol),
-         (np.abs(m1 * m2 - 1) <= tol) & (np.abs(m1 - 1) > tol)],
-        ["exceptional", "exact", "broken"], "inconsistent").astype(object)
 
 
 # ---------------------------------------------------------------------------
@@ -395,20 +366,20 @@ def _eigenvalue_cells(cells: _Cells, exact, s: Amplitudes) -> None:
     closed form when there is one, and for either theory ordered as
     scattering.eigenvalues orders them (ties in modulus by ascending argument)."""
     rows = cells.rows()
-    lam = np.linalg.eigvals(s.take(rows).matrices())
+    lam = np.linalg.eigvals(s.matrices()[rows])
     if exact is not None:
         cells.fail(rows[exact.inconsistent(rows, lam)], "InconsistentEigenvalues")
     a, b = lam[:, 0], lam[:, 1]
     ma, mb = _abs(a), _abs(b)
     tie = np.abs(ma - mb) <= 1e-12 * np.maximum(np.maximum(ma, mb), 1e-300)
-    swap = np.where(tie, _angle(a) > _angle(b), ma < mb)
+    swap = np.where(tie, np.angle(a) > np.angle(b), ma < mb)
     l1, l2 = np.where(swap, b, a), np.where(swap, a, b)
     m1, m2 = _abs(l1), _abs(l2)
     cells.put("eigenvalues", rows, {
-        "lambda1_mod": m1, "lambda1_arg": _angle(l1),
-        "lambda2_mod": m2, "lambda2_arg": _angle(l2),
+        "lambda1_mod": m1, "lambda1_arg": np.angle(l1),
+        "lambda2_mod": m2, "lambda2_arg": np.angle(l2),
         "unimodularity_dev": np.maximum(np.abs(m1 - 1), np.abs(m2 - 1)),
-        "phase_class": _classify(l1, l2)})
+        "phase_class": scattering.phase_classes(l1, l2)})
 
 
 def _effective_rows(spec, wants, omega, temperature, eps, indices, cells: _Cells):

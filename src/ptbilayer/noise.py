@@ -46,9 +46,10 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ValueError("omega must be positive")
     if temperature < 0:
         raise ValueError("temperature must be nonnegative")
-    if temperature == 0.0:
+    kt = K_BOLTZMANN * temperature
+    if kt == 0.0:   # zero temperature, or k_B T underflowed: the T -> 0 limit
         return 0.0
-    x = HBAR * omega / (K_BOLTZMANN * temperature)
+    x = HBAR * omega / kt
     if x > 700.0:  # expm1 would overflow; the tail underflows cleanly
         return math.exp(-x)
     if x == 0.0:   # hbar w / kT underflowed: the occupation's limit

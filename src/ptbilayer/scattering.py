@@ -190,6 +190,23 @@ def eigenvalues(transfer) -> tuple[complex, complex]:
     return complex(l1), complex(l2)
 
 
+def _modulus(z):
+    return np.hypot(z.real, z.imag)
+
+
+# inf and nan eigenvalues get a class like any other; numpy need not warn about them
+@np.errstate(invalid="ignore", over="ignore")
+def phase_classes(l1, l2) -> np.ndarray:
+    """classify_phase elementwise over eigenpairs (l1, l2), complex numbers or
+    arrays, as an object array with "inconsistent" where it raises."""
+    m1, m2 = _modulus(l1), _modulus(l2)
+    return np.select(
+        [_modulus(l1 - l2) <= PHASE_TOL * np.maximum(np.maximum(m1, m2), 1.0),
+         (np.abs(m1 - 1) <= PHASE_TOL) & (np.abs(m2 - 1) <= PHASE_TOL),
+         (np.abs(m1 * m2 - 1) <= PHASE_TOL) & (np.abs(m1 - 1) > PHASE_TOL)],
+        ["exceptional", "exact", "broken"], "inconsistent").astype(object)
+
+
 def classify_phase(eigenpair: tuple[complex, complex]) -> str:
     """"exact" (both unimodular), "broken" (inverse moduli), or "exceptional".
 
@@ -199,19 +216,29 @@ def classify_phase(eigenpair: tuple[complex, complex]) -> str:
     InconsistentEigenvalues.
     """
     l1, l2 = eigenpair
-    m1, m2 = abs(l1), abs(l2)
-    if abs(l1 - l2) <= PHASE_TOL * max(m1, m2, 1.0):
-        return "exceptional"
-    if abs(m1 - 1) <= PHASE_TOL and abs(m2 - 1) <= PHASE_TOL:
-        return "exact"
-    if abs(m1 * m2 - 1) <= PHASE_TOL and abs(m1 - 1) > PHASE_TOL:
-        return "broken"
-    raise InconsistentEigenvalues(
-        f"moduli ({m1}, {m2}) fit neither phase at tol={PHASE_TOL}")
+    phase = phase_classes(l1, l2).item()
+    if phase == "inconsistent":
+        raise InconsistentEigenvalues(
+            f"moduli ({abs(l1)}, {abs(l2)}) fit neither phase at tol={PHASE_TOL}")
+    return phase
 
 
 def _wrap(phi: float) -> float:
     return (phi + np.pi) % (2 * np.pi) - np.pi
+
+
+def conservation_parts(s):
+    """(generalized, phase) residuals of conservation_residuals elementwise over
+    s's amplitudes, numbers or arrays; phase is nan where it does not apply."""
+    T = s.T
+    gen = np.abs(np.abs(T - 1.0) - np.sqrt(s.R_left * s.R_right))
+    smallest = np.minimum(np.minimum(_modulus(s.r_left), _modulus(s.r_right)), _modulus(s.t))
+    no_phase = (smallest < 1e-14) | (np.abs(T - 1.0) < 1e-14)
+    pl, pr, pt = np.angle(s.r_left), np.angle(s.r_right), np.angle(s.t)
+    phase = np.where(T < 1.0, np.abs(_wrap(pl - pr)),
+                     np.maximum(np.abs(_wrap(pl - pr + np.pi)),
+                                np.abs(_wrap(pl - pt + np.pi / 2))))
+    return gen, np.where(no_phase, np.nan, phase)
 
 
 def conservation_residuals(s: ScatteringAmplitudes) -> dict:
@@ -223,16 +250,8 @@ def conservation_residuals(s: ScatteringAmplitudes) -> dict:
     (not applicable) when any amplitude modulus is below 1e-14 or T is at
     unity within 1e-14.
     """
-    T = s.T
-    gen = abs(abs(T - 1.0) - np.sqrt(s.R_left * s.R_right))
-    if min(abs(s.r_left), abs(s.r_right), abs(s.t)) < 1e-14 or abs(T - 1.0) < 1e-14:
-        return {"generalized": float(gen), "phase": None}
-    pl, pr, pt = np.angle(s.r_left), np.angle(s.r_right), np.angle(s.t)
-    if T < 1.0:
-        phase = abs(_wrap(pl - pr))
-    else:
-        phase = max(abs(_wrap(pl - pr + np.pi)), abs(_wrap(pl - pt + np.pi / 2)))
-    return {"generalized": float(gen), "phase": float(phase)}
+    gen, phase = conservation_parts(s)
+    return {"generalized": float(gen), "phase": None if np.isnan(phase) else float(phase)}
 
 
 def scattering_amplitudes(bilayer: Bilayer, omega: float,

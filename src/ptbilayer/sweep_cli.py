@@ -130,6 +130,8 @@ class SweepSpec:
             raise ConfigError("sum rule check requires full-complex mode")
         if not self.thickness_nm > 0:
             raise ConfigError("thickness must be positive")
+        if not self.thickness_nm * NM > 0:
+            raise ConfigError(f"thickness {self.thickness_nm!r} nm underflows to 0 m")
         # the smallest value each parameter takes, fixed or on the grid
         omega = 1.0 if self.fixed_omega_trad is None else self.fixed_omega_trad
         low = {"alpha_l": self.fixed_alpha_l, "omega": omega, "temperature": self.temperature_k}
@@ -274,7 +276,8 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
             return abs(effective.round_trip(n_eff, omega, l)) - 1.0
         if exact:
             chain = scattering.transfer_chain(bil, omega, spec.mode)
-            s = scattering.scattering_from_transfer(chain)
+            if kind != "exceptional_point":   # eigenvalues extracts S itself
+                s = scattering.scattering_from_transfer(chain)
             if noisy:
                 flux = noise.noise_flux(bil, omega, spec.mode, theta,
                                         check_sum_rule=spec.check_sum_rule, chain=chain)

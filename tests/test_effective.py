@@ -51,6 +51,17 @@ class TestBlochIndex:
         # residual is O((kl)^2) ~ 1e-3 from quartic dispersion terms
         assert n_eff ** 2 == pytest.approx(eps_mean, rel=5e-3)
 
+    def test_underflowed_cell_phase_gives_the_long_wavelength_limit(self):
+        # 2 k l underflows to 0 at a subnormal frequency: n_eff is the root of the
+        # mean permittivity, which a small but representable frequency approaches
+        bil = media.preset("set1", 5.0)
+        w = 5e-324
+        eps = (media.permittivity(bil.gain, w), media.permittivity(bil.loss, w))
+        assert 2 * (w / media.C_VACUUM) * bil.layer_thickness == 0.0
+        n_eff = bloch_index(bil, w)
+        assert n_eff == cmath.sqrt((eps[0] + eps[1]) / 2)
+        assert n_eff == pytest.approx(bloch_index(bil, 1.0 * TRAD), rel=1e-5)
+
     def test_amplifying_branch_beyond_coalescence(self):
         # deep in the broken regime the Bloch index turns imaginary;
         # the physical branch amplifies (gain present, so Im n_eff < 0

@@ -54,6 +54,12 @@ class TestThermalOccupation:
         assert 0.0 < HBAR * 1e-12 / (K_BOLTZMANN * 1e300) < 2.3e-308
         assert noise.thermal_occupation(1e-12, 1e300) == math.inf
 
+    @pytest.mark.parametrize("theta", [5e-324, 1e-310])
+    def test_underflowed_thermal_energy_gives_the_zero_temperature_limit(self, theta):
+        # k_B T underflows to 0, so hbar w / kT is +inf and the occupation is 0
+        assert K_BOLTZMANN * theta == 0.0
+        assert noise.thermal_occupation(W1, theta) == 0.0
+
 
 class TestCommutatorBlocks:
     def test_same_side_value(self):

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ptbilayer import media, scattering
+from ptbilayer import grid, media, scattering
 from ptbilayer.media import TRAD
 from ptbilayer.scattering import (
     MODE_FULL,
     MODE_PAPER,
     InconsistentEigenvalues,
+    ScatteringAmplitudes,
     SingularTransfer,
 )
 
@@ -167,3 +168,65 @@ class TestConservation:
     def test_generalized_relation_everywhere(self, alpha):
         res = scattering.conservation_residuals(smat("set1", alpha))
         assert res["generalized"] < 1e-8
+
+
+def same(a, b):
+    """Equal bit for bit, nan equal to nan."""
+    return np.array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                          equal_nan=True)
+
+
+class TestElementwiseRules:
+    """The kernel calls phase_classes and conservation_parts on whole columns;
+    each element must be what one scalar call gives."""
+
+    TOL = scattering.PHASE_TOL
+    NAN = complex(math.nan, math.nan)
+
+    def pairs(self):
+        up, down = math.nextafter(1 + self.TOL, 2), math.nextafter(1 + self.TOL, 0)
+        edge = 1 / (1 - self.TOL)    # |1 - edge| = PHASE_TOL * edge
+        return [
+            (cmath.exp(0.3j), cmath.exp(-0.3j)),                    # exact
+            (1.5 * cmath.exp(0.2j), cmath.exp(0.2j) / 1.5),          # broken
+            (cmath.exp(0.1j), cmath.exp(0.1j)),                      # exceptional
+            (2.0 * cmath.exp(0.4j), 3.0 * cmath.exp(0.4j)),          # inconsistent
+            # ties at PHASE_TOL: the moduli's, the pair distance's and the product's
+            (up * cmath.exp(0.5j), cmath.exp(-0.5j)), (down * cmath.exp(0.5j), cmath.exp(-0.5j)),
+            (1.0 + 0j, complex(edge)), (1.0 + 0j, complex(math.nextafter(edge, 2))),
+            (2.0 + 0j, complex(0.5 * up)), (2.0 + 0j, complex(0.5 * down)),
+            (self.NAN, 1.0 + 0j), (complex(math.inf, 0.0), 0j), (0j, 0j),
+        ]
+
+    def test_phase_classes_over_an_array_match_each_pair(self):
+        pairs = self.pairs()
+        got = scattering.phase_classes(*map(np.array, zip(*pairs)))
+        assert got.dtype == object
+        assert set(got) == {"exact", "broken", "exceptional", "inconsistent"}
+        for i, (l1, l2) in enumerate(pairs):
+            assert got[i] == scattering.phase_classes(l1, l2).item()
+            try:
+                want = scattering.classify_phase((l1, l2))
+            except InconsistentEigenvalues:
+                want = "inconsistent"
+            assert got[i] == want, (l1, l2)
+
+    def test_conservation_parts_over_an_array_match_each_point(self):
+        t_tie = math.sqrt(1 + 1e-14)
+        rows = (smat("set1", 5.0), smat("set1", 50.0), smat("set1", 950.0)) + tuple(
+            ScatteringAmplitudes(*row) for row in [
+            (0.3j, 1.0 + 0j, 0.3j),                                  # T = 1
+            (1e-15 + 0j, 0.9 + 0j, 0.4j), (0.4j, 1e-15j, 0.4j),      # an amplitude below 1e-14
+            (0.1 + 0j, complex(t_tie), -0.1 + 0j),                   # |T - 1| at 1e-14
+            (0.1 + 0j, complex(math.nextafter(t_tie, 2)), 0.1j),
+            (self.NAN, self.NAN, self.NAN), (0.5 + 0j, self.NAN, 0.5 + 0j),
+        ])
+        s = grid.Amplitudes(*(np.array([getattr(r, name) for r in rows])
+                              for name in ("r_left", "t", "r_right")))
+        gen, phase = scattering.conservation_parts(s)
+        assert np.isnan(phase).sum() >= 5
+        for i, row in enumerate(rows):
+            assert same([gen[i], phase[i]], scattering.conservation_parts(row))
+            res = scattering.conservation_residuals(row)
+            assert same(res["generalized"], gen[i])
+            assert same(math.nan if res["phase"] is None else res["phase"], phase[i])

@@ -68,6 +68,8 @@ class TestGrid:
             spec(variable="phase")
         with pytest.raises(ConfigError):
             spec(mode="paper", check_sum_rule=True)
+        with pytest.raises(ConfigError, match="underflows"):
+            spec(thickness_nm=5e-324)    # positive, but 0 in metres
 
 
 class TestConfig:
@@ -245,6 +247,15 @@ class TestLocate:
         x = locate_threshold(ThresholdQuery("exceptional_point",
                                             (800.0, 1000.0)), spec())
         assert x == pytest.approx(889.7, abs=1.5)
+
+    def test_exceptional_point_extracts_s_once_per_evaluation(self, monkeypatch):
+        # scattering.eigenvalues extracts S from the chain; the scalar reads only that
+        calls, extract = [], scattering.scattering_from_transfer
+        monkeypatch.setattr(scattering, "scattering_from_transfer",
+                            lambda *a: calls.append(a) or extract(*a))
+        f = sweep_cli._threshold_scalar(spec(), "exceptional_point")
+        assert f(800.0) < 0 < f(1000.0)
+        assert len(calls) == 2
 
     def test_round_trip_unity(self):
         x = locate_threshold(ThresholdQuery("eta_unity", (100.0, 200.0)),
@@ -623,6 +634,31 @@ class TestCli:
         assert (rc, out) == (3, "")
         assert err == ("no sign change: mandel_crossing: no sign change on [1.0, 10.0] "
                        "(f(lo)=nan, f(hi)=nan)\n")
+
+    @pytest.mark.parametrize("value", ["5e-324", "1e-310"])
+    @pytest.mark.parametrize("flag", ["--omega-trad", "--temperature-k", "--thickness-nm"])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--obs", workloads.ALL_FAMILIES],
+        ["compare", "--obs", workloads.ALL_FAMILIES],
+        ["locate", "--kind", "squeeze_crossing"],
+        ["locate", "--kind", "mandel_crossing", "--theory", "effective"],
+        ["locate", "--kind", "eta_unity"],
+    ], ids=["sweep", "compare", "squeeze", "mandel-effective", "eta"])
+    def test_subnormal_stack_values_end_without_a_traceback(self, command, flag, value,
+                                                            capsys):
+        # a frequency, temperature or thickness that underflows where it is
+        # converted or multiplied ends in a table, a located root or one error line
+        grid = ["--bracket", "1:2"] if command[0] == "locate" else ["--range", "1:2:2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main([*command, *grid, flag, value])
+        out, err = capsys.readouterr()
+        assert rc in (0, 2, 3, 4)
+        assert err.count("\n") == (rc != 0) and err.endswith("\n") == (rc != 0)
+        if flag == "--thickness-nm" and value == "5e-324":
+            assert (rc, err) == (2, "config error: thickness 5e-324 nm underflows to 0 m\n")
+        elif command[0] != "locate" and value == "5e-324":
+            assert rc == 0    # at 1e-310 Trad/s the Bloch index's acos cancels to 0
 
     def test_omega_runs_do_not_look_up_the_default_frequency(self, monkeypatch, capsys):
         # set2's gain amplitude is pinned at its balance frequency, so that
