@@ -112,19 +112,30 @@ def noise_couplings(bilayer: Bilayer, omega: float,
             "d_loss": _coupling(chain.total, chain.from_loss)}
 
 
-def _sum_rule_residual(chain: TransferChain, terms) -> float:
-    # sum_rule_residual from the chain and the list of its _layer_terms
-    lhs = sum(d @ k @ d.conj().T for _, d, k in terms)
-    s = scattering_from_transfer(chain).matrix()
-    rhs = np.eye(2) - s @ s.conj().T
-    return float(np.max(np.abs(lhs - rhs)))
+def sum_rule_residuals(terms, s):
+    """Max-entry residual of sum_layers D K D^dagger = 1 - S S^dagger over the
+    last two axes: terms are the layers' (n, D, K) and s is S's matrix, for
+    one point (2, 2) or a stack of rows (N, 2, 2)."""
+    lhs = sum(d @ k @ np.swapaxes(d, -1, -2).conj() for _, d, k in terms)
+    return np.max(np.abs(lhs - (np.eye(2) - s @ np.swapaxes(s, -1, -2).conj())), axis=(-2, -1))
+
+
+def enforce_sum_rule(terms, s) -> None:
+    """Raise SumRuleViolation at the first row whose sum_rule_residuals
+    exceeds SUM_RULE_TOL (a nan residual exceeds it too)."""
+    res = np.atleast_1d(sum_rule_residuals(terms, s))
+    bad = np.flatnonzero(~(res <= SUM_RULE_TOL))
+    if bad.size:
+        raise SumRuleViolation(f"sum rule residual {res[bad[0]]:.3e} "
+                               f"exceeds {SUM_RULE_TOL:.1e}")
 
 
 def sum_rule_residual(bilayer: Bilayer, omega: float, mode: str = MODE_FULL) -> float:
     """Max-entry residual of sum_layers D K D^dagger = 1 - S S^dagger."""
     mode = canonical_mode(mode)
     chain = transfer_chain(bilayer, omega, mode)
-    return _sum_rule_residual(chain, _layer_terms(bilayer, omega, mode, chain))
+    return float(sum_rule_residuals(_layer_terms(bilayer, omega, mode, chain),
+                                    scattering_from_transfer(chain).matrix()))
 
 
 def noise_flux(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
@@ -132,23 +143,21 @@ def noise_flux(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
                chain: TransferChain = None) -> dict:
     """Noise photon flux into each output, {"s_left", "s_right"}.
 
-    With check_sum_rule the commutator sum rule is validated at this
-    configuration first (residual at most SUM_RULE_TOL); that requires
-    full_complex mode (the approximate paper_real_part bookkeeping does not
-    close the rule). chain, when given, is transfer_chain(bilayer, omega,
-    mode) built by the caller.
+    With check_sum_rule, enforce_sum_rule checks this configuration first;
+    that requires full_complex mode (the approximate paper_real_part
+    bookkeeping does not close the rule). chain, when given, is
+    transfer_chain(bilayer, omega, mode) built by the caller.
     """
     mode = canonical_mode(mode)
+    if check_sum_rule and mode != MODE_FULL:
+        raise ValueError("sum rule check requires full_complex mode")
     if chain is None:
         chain = transfer_chain(bilayer, omega, mode)
+    # S first: a table row meets a singular chain before the layer terms
+    s = scattering_from_transfer(chain).matrix() if check_sum_rule else None
     terms = list(_layer_terms(bilayer, omega, mode, chain))
     if check_sum_rule:
-        if mode != MODE_FULL:
-            raise ValueError("sum rule check requires full_complex mode")
-        res = _sum_rule_residual(chain, terms)
-        if not (res <= SUM_RULE_TOL):
-            raise SumRuleViolation(
-                f"sum rule residual {res:.3e} exceeds {SUM_RULE_TOL:.1e}")
+        enforce_sum_rule(terms, s)
 
     nth = thermal_occupation(omega, temperature)
     out = np.zeros(2)

@@ -192,9 +192,15 @@ def grid_values(spec: SweepSpec) -> np.ndarray:
         decades = (math.log10(spec.stop / spec.start)
                    if spec.variable == "alpha_l" and spec.start > 0 else 0.0)
         spacing = "log" if decades >= 2.0 else "linear"
-    if spacing == "log":
-        return np.logspace(math.log10(spec.start), math.log10(spec.stop), spec.count)
-    return np.linspace(spec.start, spec.stop, spec.count)
+    # checked here, not in SweepSpec: a locate bracket may be wider (ITP takes half-widths)
+    if not math.isfinite(spec.stop - spec.start):
+        raise ConfigError(f"grid width {spec.stop!r} - ({spec.start!r}) overflows")
+    try:
+        if spacing == "log":
+            return np.logspace(math.log10(spec.start), math.log10(spec.stop), spec.count)
+        return np.linspace(spec.start, spec.stop, spec.count)
+    except (ValueError, MemoryError) as exc:   # numpy refuses the count
+        raise ConfigError(f"cannot build a grid of {spec.count} points: {exc}") from None
 
 
 def run_sweep(spec: SweepSpec) -> ResultTable:
@@ -260,7 +266,8 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
     It evaluates only the theory the scalar reads (the exact one unless the
     spec's theory is "effective"; eta_unity reads the effective slab), as a
     table row of the kind's family would and in the same order, and raises
-    EvaluationFailed naming the first failure.
+    EvaluationFailed naming the first failure. With spec.check_sum_rule each
+    evaluation of the exact chain checks its sum rule, as a table row does.
     """
     exact = spec.theory != "effective"
     noisy = kind in ("squeeze_crossing", "mandel_crossing")
@@ -278,7 +285,7 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
             chain = scattering.transfer_chain(bil, omega, spec.mode)
             if kind != "exceptional_point":   # eigenvalues extracts S itself
                 s = scattering.scattering_from_transfer(chain)
-            if noisy:
+            if noisy or spec.check_sum_rule:
                 flux = noise.noise_flux(bil, omega, spec.mode, theta,
                                         check_sum_rule=spec.check_sum_rule, chain=chain)
         else:
@@ -495,12 +502,13 @@ def _build_parser() -> argparse.ArgumentParser:
     stack.add_argument("--temperature-k", type=float)
     stack.add_argument("--thickness-nm", type=float)
     stack.add_argument("--mode", choices=("full-complex", "paper"))
+    stack.add_argument("--var", dest="variable", choices=VARIABLES)
     stack.add_argument("--check", dest="check_sum_rule", action="store_true", default=None,
-                       help="validate the commutator sum rule at every point")
+                       help="validate the commutator sum rule wherever the exact chain "
+                            "is evaluated")
     table.add_argument("--format", choices=("csv", "json"), default="csv")
     table.add_argument("--reproducible", action="store_true", default=None,
                        help="omit the metadata timestamp")
-    table.add_argument("--var", dest="variable", choices=VARIABLES)
     table.add_argument("--range", dest="range_", metavar="START:STOP:COUNT")
     spacing = table.add_mutually_exclusive_group()
     spacing.add_argument("--log", dest="spacing", action="store_const", const="log")
@@ -525,8 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
     locate = sub.choices["locate"]
     locate.add_argument("--kind", choices=THRESHOLD_KINDS, required=True)
     locate.add_argument("--bracket", required=True, metavar="LO:HI")
-    locate.add_argument("--var", dest="variable", choices=("alpha_l", "omega"),
-                        default="alpha_l")
     locate.add_argument("--tol", type=float, default=ThresholdQuery.tol,
                         help="relative bracket width at which ITP stops (%(default)s)")
     return parser

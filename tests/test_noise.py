@@ -123,7 +123,7 @@ class TestSumRule:
 
     def test_check_flag_raises_on_breach(self, monkeypatch):
         bil = media.preset("set1", 5.0)
-        monkeypatch.setattr(noise, "_sum_rule_residual", lambda *a: 1.0)
+        monkeypatch.setattr(noise, "sum_rule_residuals", lambda *a: 1.0)
         with pytest.raises(noise.SumRuleViolation):
             noise.noise_flux(bil, W1, check_sum_rule=True)
 
@@ -134,9 +134,9 @@ class TestSumRule:
         # the unchecked flux and the stand-alone residual bit for bit
         bil = media.preset("set1", alpha)
         standalone = noise.sum_rule_residual(bil, W1)
-        residual, commutator = noise._sum_rule_residual, noise.layer_commutator
+        residual, commutator = noise.sum_rule_residuals, noise.layer_commutator
         residuals, calls = [], []
-        monkeypatch.setattr(noise, "_sum_rule_residual", lambda *a: (
+        monkeypatch.setattr(noise, "sum_rule_residuals", lambda *a: (
             residuals.append(residual(*a)) or residuals[-1]))
         monkeypatch.setattr(noise, "layer_commutator",
                             lambda *a, **k: calls.append(a) or commutator(*a, **k))

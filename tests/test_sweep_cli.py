@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ptbilayer
-from ptbilayer import effective, grid, media, scattering, sweep_cli
+from ptbilayer import effective, media, noise, scattering, sweep_cli
 from ptbilayer.sweep_cli import (
     ConfigError,
     NoSignChange,
@@ -494,6 +494,13 @@ class TestCli:
         (None, ["locate", "--kind", "atr", "--bracket", "5:50", "--tol", "1e-17"]),
         (None, ["presets", "--out", "/nonexistent/x.json"]),        # cannot be written
         (None, ["sweep", "--range", "1:10:3", "--out", "/nonexistent/d/x.csv"]),
+        # a grid numpy cannot build: its width overflows, or it refuses the count
+        ({"materials": {
+            "gain": {"eps_b": 2.0, "alpha": -3.0, "omega0_trad": 1000.0, "gamma_trad": 67.0},
+            "loss": {"eps_b": 2.5, "alpha": 3.0, "omega0_trad": 1100.0, "gamma_trad": 80.0}}},
+         ["sweep", "--range=-1e308:1e308:3", "--omega-trad", "1000", "--linear"]),
+        (None, ["sweep", "--range", "1:2:100000000000000000000"]),
+        ({"sweep": {"count": 2**62}}, ["sweep"]),
     ])
     def test_bad_input_exits_2(self, config, argv, tmp_path, capsys):
         if config is not None:
@@ -501,7 +508,39 @@ class TestCli:
             path.write_text(json.dumps(config))
             argv = argv + ["--config", str(path)]
         assert cli_main(argv) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+
+    def test_a_grid_numpy_cannot_allocate_is_a_config_error(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        assert cli_main(["sweep", "--range", "1:2:3"]) == 2
+        assert capsys.readouterr().err == ("config error: cannot build a grid of 3 points: "
+                                           "Unable to allocate\n")
+
+    @pytest.mark.parametrize("config, argv, variable, abscissa", [
+        ({"sweep": {"variable": "omega"}}, ["--bracket", "650:810", "--alpha-l", "24"],
+         "omega", 722.7290753700495),
+        ({"sweep": {"variable": "temperature"}},
+         ["--bracket", "0:20000", "--alpha-l", "24", "--omega-trad", "700"],
+         "temperature", 2466.75),
+        (None, ["--var", "temperature", "--bracket", "0:20000", "--alpha-l", "24",
+                "--omega-trad", "700"], "temperature", 2466.75),
+    ], ids=["config-omega", "config-temperature", "flag-temperature"])
+    def test_locate_sweeps_the_configured_variable(self, config, argv, variable, abscissa,
+                                                   tmp_path, capsys):
+        # locate's variable comes from the config unless --var is given
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        assert cli_main(["locate", "--preset", "set1", "--kind", "squeeze_crossing"]
+                        + argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["variable"] == variable
+        assert out["abscissa"] == pytest.approx(abscissa, rel=1e-6)
 
     @pytest.mark.parametrize("count", [5, 5.0])
     def test_integral_count_is_accepted(self, count, tmp_path, capsys):
@@ -704,13 +743,39 @@ class TestCli:
         assert rc == 3
         assert "no sign change" in capsys.readouterr().err
 
-    def test_sum_rule_breach_exit_code(self, monkeypatch, capsys):
-        # sweeps check the sum rule in the batched kernel
-        monkeypatch.setattr(grid, "sum_rule_residuals", lambda *a, **k: 1.0)
-        rc = cli_main(["sweep", "--preset", "set1", "--range", "1:10:3",
-                       "--linear", "--obs", "noise", "--check"])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--range", "1:10:3", "--linear", "--obs", "noise"],
+        ["sweep", "--range", "1:10:3", "--linear", "--obs", "scattering"],
+        ["sweep", "--range", "1:10:3", "--linear", "--obs", "eigenvalues,eta"],
+        ["compare", "--range", "1:10:3", "--linear", "--obs", "scattering"],
+        ["locate", "--kind", "atr", "--bracket", "5:50"],
+        ["locate", "--kind", "accidental_degeneracy", "--bracket", "30:80"],
+        ["locate", "--kind", "exceptional_point", "--bracket", "850:950"],
+        ["locate", "--kind", "squeeze_crossing", "--bracket", "1:10", "--theory", "both"],
+    ], ids=["sweep-noise", "sweep-scattering", "sweep-eigenvalues", "compare-scattering",
+            "atr", "accidental_degeneracy", "exceptional_point", "squeeze_crossing"])
+    def test_sum_rule_breach_exit_code(self, argv, monkeypatch, capsys):
+        # --check checks the sum rule wherever the exact chain is evaluated,
+        # whatever the table prints: sweeps in the batched kernel, locate in
+        # noise_flux, both through noise.enforce_sum_rule
+        monkeypatch.setattr(noise, "sum_rule_residuals", lambda *a, **k: 1.0)
+        rc = cli_main(argv + ["--preset", "set1", "--omega-trad", "1000", "--check"])
         assert rc == 4
-        assert "consistency" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("internal consistency failure: sum rule "
+                                           "residual 1.000e+00 exceeds 1.0e-10\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--range", "1:10:3", "--obs", "noise,variance", "--theory", "effective"],
+        ["sweep", "--range", "1:10:3", "--obs", "eta"],
+        ["locate", "--kind", "eta_unity", "--bracket", "100:200"],
+        ["locate", "--kind", "mandel_crossing", "--bracket", "1:10", "--theory", "effective"],
+    ], ids=["effective-sweep", "eta-sweep", "eta_unity", "effective-locate"])
+    def test_check_without_the_exact_chain_has_nothing_to_check(self, argv, monkeypatch,
+                                                                 capsys):
+        calls = []
+        monkeypatch.setattr(noise, "sum_rule_residuals", lambda *a: calls.append(a) or 1.0)
+        assert cli_main(argv + ["--preset", "set1", "--omega-trad", "1000", "--check"]) == 0
+        assert calls == []
 
     def test_check_with_paper_mode_is_config_error(self):
         rc = cli_main(["sweep", "--preset", "set1", "--range", "1:10:3",
