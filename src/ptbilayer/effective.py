@@ -14,7 +14,7 @@ import cmath
 import math
 
 from .media import C_VACUUM
-from .noise import thermal_occupation
+from .noise import thermal_occupation, unitarity_deficit
 from .scattering import ScatteringAmplitudes
 
 
@@ -34,6 +34,8 @@ def bloch_index(indices: tuple[complex, complex], omega: float,
     two_kl = 2 * k * layer_thickness
     if two_kl == 0:   # k l underflowed: the long-wavelength limit, sqrt of the mean permittivity
         return cmath.sqrt((ng * ng + nl * nl) / 2)
+    if not math.isfinite(two_kl):   # k l overflowed: the cell phase is far above pi/2
+        raise BranchAmbiguity(f"cell phase overflows (2 k l = {two_kl})")
     x = ng * k * layer_thickness
     y = nl * k * layer_thickness
     rhs = cmath.cos(x) * cmath.cos(y) \
@@ -87,33 +89,29 @@ def round_trip(n_eff: complex, omega: float, layer_thickness: float) -> complex:
     return ((n - 1) / (n + 1)) ** 2 * cmath.exp(4j * n * kl)
 
 
-def _deficit(n_eff: complex, omega: float, layer_thickness: float) -> float:
-    s = effective_amplitudes(n_eff, omega, layer_thickness)
-    return 1.0 - s.T - s.R_right
-
-
-def effective_noise(n_eff: complex, eps: tuple[complex, complex], omega: float,
+def effective_noise(n_eff: complex, s: ScatteringAmplitudes,
+                    eps: tuple[complex, complex], omega: float,
                     layer_thickness: float, temperature: float = 0.0) -> dict:
     """Noise flux of the effective slab, {"s_left", "s_right", "occupation"}.
 
-    eps is (eps_gain, eps_loss) at omega. The effective occupation multiplies
-    the unitarity deficit: flux = deficit * (S / (2 Im n_eff^2) - 1/2) with
-    the pump strength S = (|Im eps_gain| + |Im eps_loss|) (2 N_th + 1) / 2
-    (equal layer weights). At exact balance both deficit and Im n_eff^2
-    vanish; the finite limit is taken via a central difference of the deficit
-    with respect to Im n_eff^2 (guard at 1e-12 of the larger |Im eps|), where
-    the occupation itself diverges and is reported as nan.
+    s is effective_amplitudes(n_eff, omega, layer_thickness), as the caller
+    built it, and eps is (eps_gain, eps_loss) at omega. The flux is the slab's
+    unitarity deficit times the occupation S / (2 Im n_eff^2) - 1/2, with the
+    pump strength S = (|Im eps_gain| + |Im eps_loss|) (2 N_th + 1) / 2 (equal
+    layer weights). At balance (|Im n_eff^2| below 1e-12 of the larger |Im eps|)
+    deficit and Im n_eff^2 both vanish: the occupation is nan, and the flux's
+    limit takes a central difference of the deficit with respect to Im n_eff^2.
     """
     eg, el = eps
     nth = thermal_occupation(omega, temperature)
     pump = 0.5 * (abs(eg.imag) + abs(el.imag)) * (2.0 * nth + 1.0)
     im_eff = (n_eff * n_eff).imag
-    deficit = _deficit(n_eff, omega, layer_thickness)
+    deficit = unitarity_deficit(s)["right"]
     scale = max(abs(eg.imag), abs(el.imag), 1e-300)
     if abs(im_eff) < 1e-12 * scale:
         h = 1e-7 * scale
-        dplus = _deficit(cmath.sqrt(n_eff * n_eff + 1j * h), omega, layer_thickness)
-        dminus = _deficit(cmath.sqrt(n_eff * n_eff - 1j * h), omega, layer_thickness)
+        dplus, dminus = (unitarity_deficit(effective_amplitudes(cmath.sqrt(
+            n_eff * n_eff + d), omega, layer_thickness))["right"] for d in (1j * h, -1j * h))
         slope = (dplus - dminus) / (2 * h)
         flux = pump * slope / 2.0 - 0.5 * deficit
         occupation = math.nan

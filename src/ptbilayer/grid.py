@@ -397,7 +397,7 @@ def _effective_rows(spec, wants, omega, temperature, eps, indices, cells: _Cells
                 s = effective.effective_amplitudes(n_eff, w, l)
                 amp[:, i] = (s.r_left, s.t, s.r_right)
                 if want_flux:
-                    f = effective.effective_noise(n_eff, (eg, el), w, l, theta)
+                    f = effective.effective_noise(n_eff, s, (eg, el), w, l, theta)
                     flux[:, i] = (f["s_left"], f["s_right"])
         except (BranchAmbiguity, LasingPole, OverflowError) as exc:
             failures.append((i, type(exc).__name__))

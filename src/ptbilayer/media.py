@@ -43,12 +43,9 @@ class LorentzMedium:
     gamma: float    # rad/s
 
     def __post_init__(self):
-        if not (self.eps_b > 0 and math.isfinite(self.eps_b)):
-            raise ValueError("eps_b must be positive and finite")
-        if not (self.omega0 > 0 and math.isfinite(self.omega0)):
-            raise ValueError("omega0 must be positive and finite")
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ValueError("gamma must be positive and finite")
+        for name in ("eps_b", "omega0", "gamma"):
+            if not (getattr(self, name) > 0 and math.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be positive and finite")
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
 
@@ -160,17 +157,18 @@ def pt_frequency(loss: LorentzMedium, gain: LorentzMedium) -> list[float]:
     """All balance frequencies of the pair, ascending (rad/s).
 
     Equal backgrounds admit a closed form independent of the amplitudes:
-    w^2 = (gamma_g w0l^2 + gamma_l w0g^2) / (gamma_g + gamma_l). Otherwise a
-    2048-point logarithmic scan over BALANCE_SCAN * max(w0), evaluated as one
-    array, brackets every sign change of the real-part mismatch and bisection
-    refines each root; with no sign change the list is empty.
+    w^2 = (gamma_g w0l^2 + gamma_l w0g^2) / (gamma_g + gamma_l), and no root
+    where w underflows to 0. Otherwise a 2048-point logarithmic scan over
+    BALANCE_SCAN * max(w0), evaluated as one array, brackets every sign change
+    of the real-part mismatch and bisection refines each root; with no sign
+    change the list is empty.
     """
     if loss.alpha == 0:
         raise ValueError("loss amplitude must be nonzero")
     if loss.eps_b == gain.eps_b:
         w = math.sqrt((gain.gamma * loss.omega0 ** 2 + loss.gamma * gain.omega0 ** 2)
                       / (gain.gamma + loss.gamma))
-        return [w]
+        return [w] if w > 0 else []
 
     wmax = max(loss.omega0, gain.omega0)
     grid = np.logspace(*(math.log10(f * wmax) for f in BALANCE_SCAN), 2048)
@@ -204,29 +202,26 @@ def verify_pt(bilayer: Bilayer, omega: float) -> bool:
 # loss amplitude 2, the reference configuration for the family (the balance
 # then holds solely at that amplitude).
 
-_SET1_LOSS = dict(eps_b=2.0, omega0=1000 * TRAD, gamma=67 * TRAD)
-_SET1_GAIN = dict(eps_b=2.0, omega0=1000 * TRAD, gamma=67 * TRAD)
+_SET1_LOSS = _SET1_GAIN = dict(eps_b=2.0, omega0=1000 * TRAD, gamma=67 * TRAD)
 _SET2_LOSS = dict(eps_b=3.22, omega0=1200 * TRAD, gamma=140 * TRAD)
 _SET2_GAIN = dict(eps_b=2.0, omega0=1000 * TRAD, gamma=67 * TRAD)
 
 PRESET_IDS = ("set1", "set2")
 _PRESET_MEDIA = {"set1": (_SET1_GAIN, _SET1_LOSS), "set2": (_SET2_GAIN, _SET2_LOSS)}
+# set2's (loss, gain) pair at its reference loss amplitude 2
+_SET2_REFERENCE = (LorentzMedium(alpha=2.0, **_SET2_LOSS), LorentzMedium(alpha=-1.0, **_SET2_GAIN))
 
 
 @lru_cache(maxsize=1)
 def set2_operating_frequency() -> float:
     """Largest balance root of the second family at loss amplitude 2 (rad/s)."""
-    loss = LorentzMedium(alpha=2.0, **_SET2_LOSS)
-    gain = LorentzMedium(alpha=-1.0, **_SET2_GAIN)
-    return pt_frequency(loss, gain)[-1]
+    return pt_frequency(*_SET2_REFERENCE)[-1]
 
 
 @lru_cache(maxsize=1)
 def set2_gain_alpha() -> float:
     """Fixed gain amplitude of the second family (balanced at alpha_l = 2)."""
-    loss = LorentzMedium(alpha=2.0, **_SET2_LOSS)
-    gain = LorentzMedium(alpha=-1.0, **_SET2_GAIN)
-    return pt_balanced_gain(loss, gain, set2_operating_frequency())
+    return pt_balanced_gain(*_SET2_REFERENCE, set2_operating_frequency())
 
 
 def preset_amplitudes(set_id: str, alpha_l):

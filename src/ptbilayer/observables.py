@@ -37,12 +37,14 @@ class SqueezedCoherentInput:
             raise ValueError("xi must be nonnegative")
         if self.coherent_weight < 0:
             raise ValueError("coherent_weight must be nonnegative")
-
-
-def _transmission(s) -> complex:
-    if isinstance(s, ScatteringAmplitudes):
-        return complex(s.t)
-    return complex(s)
+        try:   # the observables read sinh(2 xi), sinh^2 xi and cos(2 phi_rho - phi_xi)
+            sinhs = (math.sinh(2.0 * self.xi), math.sinh(self.xi) ** 2)
+        except OverflowError:
+            sinhs = (math.inf,)
+        if not all(map(math.isfinite, sinhs)):
+            raise ValueError(f"sinh(2 xi) or sinh(xi)^2 is not finite at xi={self.xi!r}")
+        if not math.isfinite(2.0 * self.phi_rho - self.phi_xi):
+            raise ValueError("2 phi_rho - phi_xi is not finite")
 
 
 def homodyne_variance(s, flux_right: float, inp: SqueezedCoherentInput = None,
@@ -56,7 +58,7 @@ def homodyne_variance(s, flux_right: float, inp: SqueezedCoherentInput = None,
     enters with weight 2 and is never negative in aggregate.
     """
     inp = inp or SqueezedCoherentInput()
-    t = _transmission(s)
+    t = complex(getattr(s, "t", s))   # s is ScatteringAmplitudes or t itself
     offset = inp.phi_xi - 2.0 * phi_lo
     return variance_from(abs(t) ** 2, math.cos(offset - 2.0 * np.angle(t)), flux_right, inp)
 
@@ -80,7 +82,7 @@ def mandel_q(s, flux_right: float, inp: SqueezedCoherentInput = None) -> float:
     (real t, zero flux) this reduces exactly to T times the input value.
     """
     inp = inp or SqueezedCoherentInput()
-    num, den = mandel_parts(abs(_transmission(s)) ** 2, flux_right, inp)
+    num, den = mandel_parts(abs(complex(getattr(s, "t", s))) ** 2, flux_right, inp)
     if abs(den) < 1e-30:
         raise DegenerateDenominator("mean photocount vanishes")
     return num / den

@@ -98,6 +98,8 @@ def interface_matrix(n_from: complex, n_to: complex, omega: float, z: float,
     k = omega / C_VACUUM
     nf, nt = complex(n_from), complex(n_to)
     a, b = (complex(nf.real), complex(nt.real)) if mode == MODE_PAPER else (nf, nt)
+    if a == 0 or b == 0:   # a real part vanishes in paper mode: the kernel's row is singular too
+        raise SingularTransfer("paper-mode interface ratio divides by a zero real part")
     ar, br = nf.real, nt.real
     pre = np.sqrt(a / b)
     t11 = pre * (b + a) / (2 * a) * np.exp(1j * (ar - br) * k * z)
@@ -131,11 +133,9 @@ def transfer_chain(bilayer: Bilayer, omega: float,
     r2 = propagation_matrix(ng, omega, l)
     t2 = interface_matrix(ng, nl, omega, 0.0, mode)
     r3 = propagation_matrix(nl, omega, l)
-    t3 = interface_matrix(nl, one, omega, l, mode)
-    from_loss = t3
-    from_gain = t3 @ r3 @ t2
-    total = from_gain @ r2 @ t1
-    return TransferChain(total, from_gain, from_loss, indices=(ng, nl))
+    from_loss = interface_matrix(nl, one, omega, l, mode)
+    from_gain = from_loss @ r3 @ t2
+    return TransferChain(from_gain @ r2 @ t1, from_gain, from_loss, indices=(ng, nl))
 
 
 def scattering_from_transfer(transfer) -> ScatteringAmplitudes:

@@ -142,6 +142,8 @@ class SweepSpec:
             raise ConfigError("a preset's alpha_l must be nonnegative")
         if low["temperature"] < 0:
             raise ConfigError("temperature must be nonnegative")
+        if not math.isfinite(self.input_state.phi_xi - 2.0 * self.phi_lo):
+            raise ConfigError("phi_xi - 2 phi_lo is not finite")
 
 
 def _number(value, name: str) -> float:
@@ -195,11 +197,12 @@ def grid_values(spec: SweepSpec) -> np.ndarray:
     # checked here, not in SweepSpec: a locate bracket may be wider (ITP takes half-widths)
     if not math.isfinite(spec.stop - spec.start):
         raise ConfigError(f"grid width {spec.stop!r} - ({spec.start!r}) overflows")
-    try:
-        if spacing == "log":
-            return np.logspace(math.log10(spec.start), math.log10(spec.stop), spec.count)
-        return np.linspace(spec.start, spec.stop, spec.count)
-    except (ValueError, MemoryError) as exc:   # numpy refuses the count
+    try:   # numpy refuses the count, or a grid value rounds past the largest float
+        with np.errstate(over="raise"):
+            if spacing == "log":
+                return np.logspace(math.log10(spec.start), math.log10(spec.stop), spec.count)
+            return np.linspace(spec.start, spec.stop, spec.count)
+    except (ValueError, MemoryError, FloatingPointError) as exc:
         raise ConfigError(f"cannot build a grid of {spec.count} points: {exc}") from None
 
 
@@ -259,6 +262,10 @@ class ThresholdQuery:
         if not (math.isfinite(self.tol) and self.tol >= sys.float_info.epsilon):
             raise ConfigError(f"tol must be finite and at least {sys.float_info.epsilon:.3g}")
 
+    def range_fields(self) -> dict:
+        """The SweepSpec fields of a locate: the bracket is the range the scalar is evaluated on."""
+        return {"start": self.bracket[0], "stop": self.bracket[1], "spacing": None}
+
 
 def _threshold_scalar(spec: SweepSpec, kind: str):
     """Scalar function of the swept variable whose zero is the threshold.
@@ -291,7 +298,7 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
         else:
             s = effective.effective_amplitudes(n_eff, omega, l)
             if noisy:
-                flux = effective.effective_noise(n_eff, eps, omega, l, theta)
+                flux = effective.effective_noise(n_eff, s, eps, omega, l, theta)
         if kind == "atr":
             return s.T - 1.0
         if kind == "accidental_degeneracy":
@@ -317,25 +324,25 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
 def locate_threshold(query: ThresholdQuery, spec: SweepSpec) -> float:
     """The threshold abscissa inside the query bracket, found by ITP.
 
-    The swept variable and all fixed parameters come from the spec; the
-    result is verified by a sign check at x +- sqrt(tol)-scaled offsets.
+    The spec, evaluated over the bracket, gives the swept variable and all
+    fixed parameters; a sign check at x +- sqrt(tol)-scaled offsets verifies it.
     """
-    return _locate(query, spec)[0]
+    return _locate(query, replace(spec, **query.range_fields()))[0]
 
 
 # Overflowing stacks fail as row errors, as in the grid kernel; numpy need not
 # warn about them.
 @np.errstate(all="ignore")
 def _locate(query: ThresholdQuery, spec: SweepSpec) -> tuple[float, int]:
-    """locate_threshold's abscissa and the number of scalar evaluations it took.
+    """locate_threshold's abscissa and evaluation count; spec carries query.range_fields().
 
     Each step is ITP's (Oliveira & Takahashi, ACM TOMS 47(1), 2020): the
     regula falsi point, moved toward the midpoint by k1 (hi - lo)^2 with
     k1 = 0.2 / (hi0 - lo0), and kept so near the midpoint that n_max steps,
     one more than bisection needs, narrow the bracket to 2 eps with
-    eps = tol * max(|lo0|, |hi0|) / 2. The loop stops when the bracket is at
-    most tol * max(|lo|, |hi|) wide, when f is exactly 0, or after n_max steps
-    (a bracket that closes on 0 never gets that narrow).
+    eps = min(tol * max(|lo0|, |hi0|) / 2, (hi0 - lo0) / 2). The loop stops
+    when the bracket is at most tol * max(|lo|, |hi|) wide, when f is exactly
+    0, or after n_max steps (a bracket that closes on 0 never gets that narrow).
     """
     lo, hi = lo0, hi0 = query.bracket
     f = _threshold_scalar(spec, query.kind)
@@ -350,7 +357,7 @@ def _locate(query: ThresholdQuery, spec: SweepSpec) -> tuple[float, int]:
             f"(f(lo)={flo:.6g}, f(hi)={fhi:.6g})")
     # half-widths, so that no width overflows
     half0 = 0.5 * hi0 - 0.5 * lo0
-    eps = max(0.5 * query.tol * max(abs(lo0), abs(hi0)), math.ulp(0.0))
+    eps = min(max(0.5 * query.tol * max(abs(lo0), abs(hi0)), math.ulp(0.0)), half0)
     n_max = max(math.ceil(math.log2(half0 / eps)), 0) + 1
     steps = 0
     while steps < n_max and hi - lo > query.tol * max(abs(lo), abs(hi)):
@@ -640,11 +647,9 @@ def cli_main(argv=None) -> int:
         elif args.command == "locate":
             query = ThresholdQuery(args.kind, _parse_fields(
                 args.bracket, "--bracket", "LO:HI", (float, float)), args.tol)
-            lo, hi = query.bracket
-            # the bracket is the range the scalar is evaluated on
-            spec = _spec_from_args(args, start=lo, stop=hi, spacing=None)
+            spec = _spec_from_args(args, **query.range_fields())
             x, evaluations = _locate(query, spec)
-            _emit({"kind": query.kind, "variable": spec.variable, "bracket": [lo, hi],
+            _emit({"kind": query.kind, "variable": spec.variable, "bracket": list(query.bracket),
                    "abscissa": x, "evaluations": evaluations}, args.out)
         else:
             table = run_sweep(_spec_from_args(

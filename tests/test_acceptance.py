@@ -109,7 +109,7 @@ def eff_vq(preset_id, a, w):
     eps = (p.permittivity(b.gain, w), p.permittivity(b.loss, w))
     n = p.bloch_index(tuple(map(p.refractive_index, eps)), w, b.layer_thickness)
     s = p.effective_amplitudes(n, w, b.layer_thickness)
-    fr = p.effective_noise(n, eps, w, b.layer_thickness)["s_right"]
+    fr = p.effective_noise(n, s, eps, w, b.layer_thickness)["s_right"]
     return p.homodyne_variance(s, fr), p.mandel_q(s, fr)
 
 
@@ -497,7 +497,8 @@ def test_criterion_09_property_suites():
         eps = (p.permittivity(b.gain, W0), p.permittivity(b.loss, W0))
         n = p.bloch_index(tuple(map(p.refractive_index, eps)), W0, b.layer_thickness)
         fx = p.noise_flux(b, W0)
-        fe = p.effective_noise(n, eps, W0, b.layer_thickness)
+        fe = p.effective_noise(n, p.effective_amplitudes(n, W0, b.layer_thickness), eps, W0,
+                               b.layer_thickness)
         worst = max(worst, abs(fx["s_right"] - fe["s_right"]),
                     abs(fx["s_left"] - fe["s_left"]))
     clauses.append((worst <= 1e-10,

@@ -1,6 +1,7 @@
 """Bloch index of the fine-period stack and homogeneous-slab closed forms."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ def bloch_index(bil, omega):
 
 def effective_noise(bil, omega):
     eps = (media.permittivity(bil.gain, omega), media.permittivity(bil.loss, omega))
-    return effective.effective_noise(bloch_index(bil, omega), eps, omega, bil.layer_thickness)
+    n, l = bloch_index(bil, omega), bil.layer_thickness
+    return effective.effective_noise(n, effective.effective_amplitudes(n, omega, l), eps, omega, l)
 
 
 def uniform_bilayer(eps_b, alpha, w0_trad=1000.0, g_trad=67.0,
@@ -61,6 +63,15 @@ class TestBlochIndex:
         n_eff = bloch_index(bil, w)
         assert n_eff == cmath.sqrt((eps[0] + eps[1]) / 2)
         assert n_eff == pytest.approx(bloch_index(bil, 1.0 * TRAD), rel=1e-5)
+
+    def test_overflowed_cell_phase_is_a_branch_ambiguity(self):
+        # 2 k l overflows to inf, far above pi/2: a real index times it would
+        # give a nan part (0 * inf), so no branch is trusted
+        bil = media.preset("set1", 5.0)
+        w, l = 1e6 * TRAD, 1e308 * media.NM
+        assert 2 * (w / media.C_VACUUM) * l == math.inf
+        with pytest.raises(BranchAmbiguity, match="overflows"):
+            effective.bloch_index(scattering.layer_indices(bil, w), w, l)
 
     def test_amplifying_branch_beyond_coalescence(self):
         # deep in the broken regime the Bloch index turns imaginary;

@@ -63,7 +63,8 @@ def scalar_row(spec, x):
             out["round_trip"] = effective.round_trip(n_eff, omega, l)
         if spec.theory != "exact":
             s_eff = out["s_eff"] = effective.effective_amplitudes(n_eff, omega, l)
-            flux_eff = out["flux_eff"] = effective.effective_noise(n_eff, eps, omega, l, theta)
+            flux_eff = out["flux_eff"] = effective.effective_noise(
+                n_eff, s_eff, eps, omega, l, theta)
         if not exact:
             s, flux = out["s"], out["flux"] = s_eff, flux_eff
         out["scattering_cells"] = True

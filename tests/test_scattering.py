@@ -58,6 +58,15 @@ class TestInterface:
         m = scattering.interface_matrix(1.3, 2.6, W1, 0.0)
         assert m[0, 0] ** 2 - m[0, 1] ** 2 == pytest.approx(1.0, abs=1e-12)
 
+    def test_paper_mode_at_a_zero_real_part_is_singular(self):
+        # a negative real permittivity has a purely imaginary index; the
+        # real-part ratio divides by 0, and the grid kernel's row is singular
+        for n_from, n_to in ((1.0, 0.5j), (0.5j, 1.0)):
+            with pytest.raises(SingularTransfer):
+                scattering.interface_matrix(n_from, n_to, W1, 0.0, MODE_PAPER)
+        m = scattering.interface_matrix(1.0, 0.5j, W1, 0.0, MODE_FULL)
+        assert np.all(np.isfinite(m))
+
 
 class TestChainAndSmatrix:
     @given(alpha=st.floats(0.01, 1000.0))

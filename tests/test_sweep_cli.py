@@ -31,6 +31,9 @@ import gate  # noqa: E402
 import workloads  # noqa: E402
 
 
+SMALL = ["--range", "1:2:2", "--omega-trad", "1000"]   # a two-row grid
+
+
 def spec(**kw):
     base = dict(preset="set1", variable="alpha_l", start=1.0, stop=1000.0,
                 count=40, spacing="log", fixed_omega_trad=1000.0,
@@ -383,6 +386,21 @@ class TestLocate:
         with pytest.raises(NoSignChange):
             locate_threshold(ThresholdQuery("atr", (1.0, 10.0)), spec())
 
+    @pytest.mark.parametrize("query, fields, flags", [
+        (ThresholdQuery("atr", (-5.0, 50.0)), {"fixed_omega_trad": 1000.0},
+         ["--omega-trad", "1000"]),
+        (ThresholdQuery("squeeze_crossing", (-650.0, 810.0)),
+         {"variable": "omega", "fixed_alpha_l": 24.0}, ["--var", "omega", "--alpha-l", "24"]),
+    ], ids=["alpha_l", "omega"])
+    def test_the_library_checks_the_bracket_as_the_cli_does(self, query, fields, flags,
+                                                            capsys):
+        # the bracket is the range the scalar is evaluated on, in both
+        with pytest.raises(ConfigError) as exc:
+            locate_threshold(query, SweepSpec(**fields))
+        lo, hi = query.bracket
+        assert cli_main(["locate", "--kind", query.kind, f"--bracket={lo}:{hi}", *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {exc.value}\n"
+
     def test_bad_bracket(self):
         with pytest.raises(ConfigError):
             locate_threshold(ThresholdQuery("atr", (40.0, 10.0)), spec())
@@ -501,6 +519,16 @@ class TestCli:
          ["sweep", "--range=-1e308:1e308:3", "--omega-trad", "1000", "--linear"]),
         (None, ["sweep", "--range", "1:2:100000000000000000000"]),
         ({"sweep": {"count": 2**62}}, ["sweep"]),
+        # a grid value that rounds past the largest float
+        (None, ["sweep", "--range", "2:1.7976931348623157e308:2", "--log"]),
+        (None, ["sweep", "--range", "0:1.7976931348623157e308:4"]),
+        # an input state whose sinh(2 xi) or phase offsets overflow
+        *[({"input_state": {"xi": 400}}, ["sweep", *SMALL, "--obs", obs])
+          for obs in ("variance", "mandel")],
+        ({"input_state": {"xi": 400}},
+         ["locate", "--preset", "set2", "--kind", "squeeze_crossing", "--bracket", "10:30"]),
+        ({"input_state": {"phi_lo": 1e308}}, ["sweep", *SMALL, "--obs", "variance"]),
+        ({"input_state": {"phi_rho": -1e308}}, ["sweep", *SMALL, "--obs", "mandel"]),
     ])
     def test_bad_input_exits_2(self, config, argv, tmp_path, capsys):
         if config is not None:
@@ -658,6 +686,71 @@ class TestCli:
                            "does not change sign on [12, 120000] Trad/s\n")
         else:
             assert json.loads(out)["balanced"] is True
+
+    def test_the_largest_accepted_squeeze_evaluates(self, tmp_path, capsys):
+        # the largest xi whose sinh(2 xi) and sinh(xi)^2 are finite floats: the
+        # variance and Mandel paths reach their tables and scalars without an exception
+        def accepted(xi):
+            try:
+                sweep_cli.SqueezedCoherentInput(xi=xi)
+            except ValueError:
+                return False
+            return True
+
+        lo, hi = 1.0, 1000.0
+        while math.nextafter(lo, hi) != hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        assert 355.0 < lo < 356.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"input_state": {"xi": lo}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main(["sweep", *SMALL, "--obs", "variance,mandel", "--theory", "both",
+                           "--config", str(path)])
+            assert (rc, capsys.readouterr().err) == (0, "")
+            for kind in ("squeeze_crossing", "mandel_crossing"):
+                rc = cli_main(["locate", "--preset", "set2", "--kind", kind,
+                               "--bracket", "10:30", "--config", str(path)])
+                assert rc == 3 and capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, err", [
+        (["sweep", "--range", "0:1:2", "--obs", "eta"],
+         "evaluation failed at every grid point: 2 BranchAmbiguity\n"),
+        (["locate", "--kind", "eta_unity", "--bracket", "0:1"],
+         "evaluation failed at 0.0: BranchAmbiguity\n"),
+        (["locate", "--kind", "atr", "--bracket", "0:1", "--theory", "effective"],
+         "evaluation failed at 0.0: BranchAmbiguity\n"),
+    ], ids=["sweep-eta", "eta_unity", "atr-effective"])
+    def test_an_overflowed_cell_phase_exits_4(self, argv, err, capsys):
+        # 2 k l overflows: the effective slab's cell phase is far above pi/2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main([*argv, "--omega-trad", "1e6", "--thickness-nm", "1e308"])
+        assert (rc, capsys.readouterr().err) == (4, err)
+
+    @pytest.mark.parametrize("argv, per_row", [
+        (["compare", "--preset", "set2", "--range", "5:30:6"], 1),
+        (["compare", "--preset", "set1", "--omega-trad", "1000", "--range", "1:100:6"], 3),
+    ], ids=["off-balance", "balance"])
+    def test_an_effective_row_builds_its_slab_once(self, argv, per_row, monkeypatch, capsys):
+        # the flux reads the row's slab; at balance its central difference
+        # builds two more, at offsets of Im n_eff^2
+        calls, build = [], effective.effective_amplitudes
+        monkeypatch.setattr(effective, "effective_amplitudes",
+                            lambda *a: calls.append(a) or build(*a))
+        assert cli_main([*argv, "--obs", "noise"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert all(row.endswith(",ok") for row in rows)
+        assert len(calls) == per_row * len(rows) == per_row * 6
+
+    def test_an_effective_locate_builds_one_slab_per_evaluation(self, monkeypatch, capsys):
+        calls, build = [], effective.effective_amplitudes
+        monkeypatch.setattr(effective, "effective_amplitudes",
+                            lambda *a: calls.append(a) or build(*a))
+        assert cli_main(["locate", "--preset", "set2", "--kind", "squeeze_crossing",
+                         "--bracket", "10:30", "--theory", "effective"]) == 0
+        assert len(calls) == json.loads(capsys.readouterr().out)["evaluations"]
 
     def test_underflowed_thermal_ratio_runs_to_its_limit(self, capsys):
         # hbar w / kT underflows to 0: the occupation is inf, so the sweep's
