@@ -187,6 +187,50 @@ class ResultTable:
         return {"metadata": self.metadata, "columns": self.columns,
                 "rows": [list(row) for row in zip(*clean)]}
 
+    def to_json_text(self) -> str:
+        """json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\\n", a column at a time.
+
+        The metadata and the column names go through json.dumps; the rows,
+        formatted by _json_column, are joined in indent=2's layout after them.
+        """
+        head = json.dumps({"columns": self.columns, "metadata": self.metadata},
+                          indent=2, sort_keys=True)
+        body = "\n    ],\n    [\n      ".join(
+            map(",\n      ".join, zip(*map(_json_column, self.cells.values()))))
+        rows = f"[\n    [\n      {body}\n    ]\n  ]" if body else "[]"
+        return f'{head[:-2]},\n  "rows": {rows}\n}}\n'
+
+
+# cells of these types are equal only if their JSON is, but for 0.0 and -0.0
+_MEMO_TYPES = {float, str, type(None)}
+_NULLS = {"nan": "null", "inf": "null", "-inf": "null"}
+
+
+def _json_cell(c) -> str:
+    if isinstance(c, float):
+        return float.__repr__(c) if math.isfinite(c) else "null"
+    return json.dumps(c)
+
+
+def _json_column(cells: list) -> list[str]:
+    """Each cell's JSON text, as json.dumps writes the cell to_json_obj makes of it.
+
+    A column whose distinct values are at most half its cells formats each
+    distinct value once (each nan is its own object, so nans are not merged).
+    """
+    distinct = set(cells)
+    if 2 * len(distinct) <= len(cells) and set(map(type, cells)) <= _MEMO_TYPES:
+        text = {c: _json_cell(c) for c in distinct}
+        if 0.0 in text:   # one key holds both zeros
+            return [float.__repr__(c) if c == 0.0 else text[c] for c in cells]
+        return list(map(text.__getitem__, cells))
+    try:
+        text = list(map(float.__repr__, cells))
+    except TypeError:   # a cell that is not a float
+        return list(map(_json_cell, cells))
+    # a finite sum means every cell is finite
+    return text if math.isfinite(sum(cells)) else list(map(_NULLS.get, text, text))
+
 
 def grid_values(spec: SweepSpec) -> np.ndarray:
     spacing = spec.spacing
@@ -246,7 +290,9 @@ class ThresholdQuery:
     """A threshold kind and the bracket to search by ITP; checks itself when built.
 
     tol is the relative bracket width at which ITP stops. Below one ulp
-    (sys.float_info.epsilon) the bracket could never get that narrow.
+    (sys.float_info.epsilon) the bracket could never get that narrow; at 1 or
+    more a bracket whose ends share a sign is that narrow already, and ITP
+    would return its midpoint without a step.
     """
 
     kind: str
@@ -259,8 +305,9 @@ class ThresholdQuery:
         lo, hi = self.bracket
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ConfigError("bracket must be finite with lo < hi")
-        if not (math.isfinite(self.tol) and self.tol >= sys.float_info.epsilon):
-            raise ConfigError(f"tol must be finite and at least {sys.float_info.epsilon:.3g}")
+        if not sys.float_info.epsilon <= self.tol < 1.0:
+            raise ConfigError(f"tol must be at least {sys.float_info.epsilon:.3g} and less than 1, "
+                              f"got {self.tol!r}")
 
     def range_fields(self) -> dict:
         """The SweepSpec fields of a locate: the bracket is the range the scalar is evaluated on."""
@@ -570,9 +617,10 @@ def _emit(result, out: str | None, fmt: str = "json") -> None:
     """Write a ResultTable as fmt says, or any other result as JSON."""
     if fmt == "csv":
         text = result.to_csv_text()
+    elif isinstance(result, ResultTable):
+        text = result.to_json_text()
     else:
-        obj = result.to_json_obj() if isinstance(result, ResultTable) else result
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if out:
         try:
             with open(out, "w", encoding="utf-8", newline="") as fh:

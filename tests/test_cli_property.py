@@ -140,7 +140,7 @@ SUBNORMAL = {"eps_b": 1.0, "alpha": 700.0, "omega0_trad": 5e-324, "gamma_trad": 
 # a grid value that rounds past the largest float
 @example((["compare", "--range", "2:1.7976931348623157e308:2", "--log"], None))
 @example((["compare", "--range", "0:1.7976931348623157e308:4"], None))
-# a tol so wide that ITP's eps overflows
+# a tol so wide that ITP's eps overflowed; a tol of 1 or more is now refused
 @example((["locate", "--tol", "1e308", "--kind", "atr", "--bracket", "0.5:24"], None))
 # a paper-mode index whose real part is 0 (the gain permittivity is negative real)
 @example((["locate", "--omega-trad", "5e-324", "--mode", "paper", "--kind", "atr",

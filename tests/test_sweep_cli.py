@@ -1,5 +1,6 @@
 """Sweep engine, threshold location, table formats, CLI contract."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,12 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import ptbilayer
 from ptbilayer import effective, media, noise, scattering, sweep_cli
 from ptbilayer.sweep_cli import (
     ConfigError,
     NoSignChange,
+    ResultTable,
     SweepSpec,
     ThresholdQuery,
     cli_main,
@@ -100,6 +104,34 @@ class TestConfig:
             thickness_nm=20.0, theory="both", mode="paper", observables=("noise",),
             input_state=sweep_cli.SqueezedCoherentInput(0.3, 1.0, 4.0, 0.5), phi_lo=0.25)
         assert type(spec.start) is float and type(spec.count) is int
+
+
+# cells as the grid kernel writes them (floats with IEEE extremes, status and
+# phase-class names) and as a library caller might (None, ints and bools, which
+# equal floats but print differently), in columns of distinct cells and in
+# columns that repeat a few values, as the JSON writer formats each repeated
+# value once
+NAMES = ["ok", *(e.__name__ for e in sweep_cli._ROW_ERRORS),
+         "exact", "broken", "exceptional", "inconsistent"]
+EXTREMES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+cell_values = st.one_of(st.floats(), st.sampled_from(EXTREMES), st.sampled_from(NAMES),
+                        st.sampled_from([None, 0, 1, True, False]))
+
+
+def _columns(n: int):
+    distinct = st.lists(cell_values, min_size=n, max_size=n)
+    repeating = st.lists(cell_values, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return st.lists(st.one_of(distinct, repeating), max_size=5)
+
+
+tables = st.builds(
+    lambda names, columns, metadata: ResultTable(dict(zip(names, columns)), metadata),
+    st.lists(st.text(max_size=4), min_size=5, max_size=5, unique=True),
+    st.integers(0, 12).flatmap(_columns),
+    st.dictionaries(st.text(max_size=4), st.one_of(st.none(), st.floats(), st.text(max_size=4)),
+                    max_size=3))
 
 
 class TestRunSweep:
@@ -202,6 +234,29 @@ class TestFormats:
         obj = json.loads(json.dumps(table.to_json_obj()))
         flat = [c for row in obj["rows"] for c in row]
         assert None in flat
+
+    @staticmethod
+    def oracle(table):
+        return json.dumps(table.to_json_obj(), indent=2, sort_keys=True) + "\n"
+
+    @given(tables)
+    # a zero-row table, a table without columns, and a column that repeats both zeros
+    @example(ResultTable({"alpha_l": [], "status": []}, {"grid": {"count": 0}}))
+    @example(ResultTable({}, {}))
+    @example(ResultTable({"n_eff_im": [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 1.5, 1.5],
+                          "status": ["ok"] * 8}, {"preset": "set1"}))
+    def test_json_text_is_json_dumps_of_the_json_obj(self, table):
+        assert table.to_json_text() == self.oracle(table)
+
+    @pytest.mark.parametrize("sweep", workloads.SWEEP_EXACT + workloads.COMPARE_EFFECTIVE,
+                             ids=lambda sweep: sweep.name)
+    def test_every_benchmark_sweep_writes_json_dumps_of_its_table(self, sweep, monkeypatch,
+                                                                   capsys):
+        written = []
+        monkeypatch.setattr(sweep_cli, "run_sweep",
+                            lambda spec: written.append(run_sweep(spec)) or written[-1])
+        assert cli_main(dataclasses.replace(sweep, fmt="json").argv()) == 0
+        assert capsys.readouterr().out == self.oracle(*written)
 
     def test_metadata_reproducible(self):
         meta = run_sweep(spec(count=3)).metadata
@@ -592,6 +647,17 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: tol")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("tol", ["1", "1e308"])
+    def test_a_tol_of_one_or_more_is_refused(self, tol, capsys):
+        # a bracket whose ends share a sign is that narrow before the first
+        # step, so locate returned the bracket's midpoint (12.25) with exit 0
+        argv = ["locate", "--kind", "atr", "--bracket", "0.5:24", "--omega-trad", "1000"]
+        assert cli_main(argv + [f"--tol={tol}"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: tol must be at least 2.22e-16 and less than 1, got {float(tol)!r}\n")
+        with pytest.raises(ConfigError, match="less than 1"):
+            ThresholdQuery("atr", (0.5, 24.0), tol=float(tol))
 
     @pytest.mark.parametrize("argv", [
         ["pt-solve", "--thickness-nm", "500"],
