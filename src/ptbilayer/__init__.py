@@ -72,7 +72,6 @@ from .scattering import (
     classify_phase,
     conservation_residuals,
     eigenvalues,
-    scattering_amplitudes,
     scattering_from_transfer,
     transfer_chain,
 )

@@ -16,6 +16,7 @@ small-absorption approximation; phases are real-part phases in both modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,11 @@ class TransferChain:
     from_loss: np.ndarray
     indices: tuple[complex, complex]
 
+    @cached_property
+    def s(self) -> ScatteringAmplitudes:
+        """scattering_from_transfer(total), extracted on first read."""
+        return scattering_from_transfer(self.total)
+
 
 def interface_matrix(n_from: complex, n_to: complex, omega: float, z: float,
                      mode: str = MODE_FULL) -> np.ndarray:
@@ -139,14 +145,16 @@ def transfer_chain(bilayer: Bilayer, omega: float,
 
 
 def scattering_from_transfer(transfer) -> ScatteringAmplitudes:
-    """Extract (r_left, t, r_right) from a total transfer matrix.
+    """Extract (r_left, t, r_right) from a total transfer matrix; a chain gives its s.
 
     The transmission is computed two ways, 1/A22 and det A / A22 with the
     analytic det A = 1; disagreement beyond 1e-8 relative (or |A22| below
     1e-300) raises SingularTransfer, as does a chain that overflowed to inf
     or nan (the tests are written so that nan fails them).
     """
-    A = transfer.total if isinstance(transfer, TransferChain) else np.asarray(transfer)
+    if isinstance(transfer, TransferChain):
+        return transfer.s
+    A = np.asarray(transfer)
     a22 = A[1, 1]
     if not abs(a22) >= 1e-300:
         raise SingularTransfer("A22 vanishes; stack is at a scattering pole")
@@ -167,8 +175,8 @@ def eigenvalues(transfer) -> tuple[complex, complex]:
     ((A12 - A21) +- sqrt((A12 - A21)^2 + 4 A11 A22)) / (2 A22),
     cross-checks the numerical pair to 1e-8.
     """
+    s = scattering_from_transfer(transfer)
     A = transfer.total if isinstance(transfer, TransferChain) else np.asarray(transfer)
-    s = scattering_from_transfer(A)
     lam = np.linalg.eigvals(s.matrix())
 
     b = A[0, 1] - A[1, 0]
@@ -252,9 +260,3 @@ def conservation_residuals(s: ScatteringAmplitudes) -> dict:
     """
     gen, phase = conservation_parts(s)
     return {"generalized": float(gen), "phase": None if np.isnan(phase) else float(phase)}
-
-
-def scattering_amplitudes(bilayer: Bilayer, omega: float,
-                          mode: str = MODE_FULL) -> ScatteringAmplitudes:
-    """Convenience: chain assembly plus extraction in one call."""
-    return scattering_from_transfer(transfer_chain(bilayer, omega, mode))

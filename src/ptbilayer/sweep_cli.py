@@ -337,8 +337,7 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
             return abs(effective.round_trip(n_eff, omega, l)) - 1.0
         if exact:
             chain = scattering.transfer_chain(bil, omega, spec.mode)
-            if kind != "exceptional_point":   # eigenvalues extracts S itself
-                s = scattering.scattering_from_transfer(chain)
+            s = scattering.scattering_from_transfer(chain)
             if noisy or spec.check_sum_rule:
                 flux = noise.noise_flux(bil, omega, spec.mode, theta,
                                         check_sum_rule=spec.check_sum_rule, chain=chain)
@@ -641,9 +640,9 @@ def _cmd_pt_solve(spec: SweepSpec) -> dict:
     gain_template, loss = bil.gain, bil.loss
     roots = media.pt_frequency(loss, gain_template)
     if not roots:
-        lo, hi = (f * max(loss.omega0, gain_template.omega0) / TRAD for f in media.BALANCE_SCAN)
-        raise NoSignChange(f"balance: the real-part mismatch at alpha_l={alpha_l!r} "
-                           f"does not change sign on [{lo:g}, {hi:g}] Trad/s")
+        lo, hi, w0 = *media.BALANCE_SCAN, max(loss.omega0, gain_template.omega0) / TRAD
+        raise NoSignChange(f"balance: the real-part mismatch at alpha_l={alpha_l!r} keeps its "
+                           f"sign from {lo:g} to {hi:g} times the larger resonance, {w0:g} Trad/s")
     omega_pt = roots[-1]
     alpha_gain = media.pt_balanced_gain(loss, gain_template, omega_pt)
     eps = [media.lorentz_permittivity(m.eps_b, a, m.omega0, m.gamma, omega_pt)

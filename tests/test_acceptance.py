@@ -434,7 +434,7 @@ def test_criterion_08_thermal_insensitivity():
             for w in np.linspace(500.0, 2000.0, 31) * T:
                 f0 = p.noise_flux(b, w)
                 e = thermal_weights(b, w)
-                s = p.scattering_amplitudes(b, w)
+                s = p.transfer_chain(b, w).s
                 floor = np.abs([1.0 - s.T - s.R_left, 1.0 - s.T - s.R_right])
                 margin = min(margin, float(np.min(e - floor)))
                 floor_max = max(floor_max, p.thermal_occupation(w, 300.0)

@@ -120,7 +120,7 @@ class TestSlabClosedForms:
             n_eff = bloch_index(bil, W1)
             s_eff = effective.effective_amplitudes(n_eff, W1,
                                                    bil.layer_thickness)
-            s_exact = scattering.scattering_amplitudes(bil, W1)
+            s_exact = scattering.transfer_chain(bil, W1).s
             assert abs(s_eff.t - s_exact.t) < 1e-10
             assert abs(s_eff.r_left - s_exact.r_left) < 1e-10
             assert abs(s_eff.r_right - s_exact.r_right) < 1e-10

@@ -170,7 +170,7 @@ class TestNoiseFlux:
         fx = noise.noise_flux(bil, W1)
         assert fx["s_left"] == 0.0
         assert fx["s_right"] == 0.0
-        s = scattering.scattering_amplitudes(bil, W1)
+        s = scattering.transfer_chain(bil, W1).s
         deficit = noise.unitarity_deficit(s)
         assert abs(deficit["left"]) < 1e-10
         assert abs(deficit["right"]) < 1e-10
@@ -183,7 +183,7 @@ class TestNoiseFlux:
         passive = LorentzMedium(eps_b=2.0, alpha=1e-300, omega0=1000 * TRAD,
                                 gamma=67 * TRAD)
         bil = Bilayer(gain=gain, loss=passive)
-        s = scattering.scattering_amplitudes(bil, W1)
+        s = scattering.transfer_chain(bil, W1).s
         fx = noise.noise_flux(bil, W1)
         assert fx["s_right"] == pytest.approx(s.T + s.R_right - 1.0, abs=1e-12)
 

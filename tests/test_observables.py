@@ -16,7 +16,7 @@ XI, PHI_XI, WEIGHT = 0.2, 5.0, 25.0
 
 def channel(alpha):
     bil = media.preset("set1", alpha)
-    s = scattering.scattering_amplitudes(bil, W1)
+    s = scattering.transfer_chain(bil, W1).s
     fx = noise.noise_flux(bil, W1)
     return s, fx["s_right"]
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ptbilayer import grid, media, scattering
-from ptbilayer.media import TRAD
+from ptbilayer.media import NM, TRAD
 from ptbilayer.scattering import (
     MODE_FULL,
     MODE_PAPER,
@@ -83,7 +84,7 @@ class TestChainAndSmatrix:
     def test_lossless_slab_is_unitary(self):
         # alpha = 0 on both layers: plain dielectric, T + R = 1 both sides
         bil = media.preset("set1", 0.0)
-        s = scattering.scattering_amplitudes(bil, W1)
+        s = scattering.transfer_chain(bil, W1).s
         assert s.T + s.R_left == pytest.approx(1.0, abs=1e-10)
         assert s.T + s.R_right == pytest.approx(1.0, abs=1e-10)
 
@@ -91,6 +92,23 @@ class TestChainAndSmatrix:
         with pytest.raises(SingularTransfer):
             scattering.scattering_from_transfer(
                 np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
+
+    def test_a_chain_carries_its_s(self):
+        ch = chain("set1", 24.0)
+        assert scattering.scattering_from_transfer(ch) is ch.s
+        bare = scattering.scattering_from_transfer(ch.total)
+        assert (ch.s.r_left, ch.s.t, ch.s.r_right) == (bare.r_left, bare.t, bare.r_right)
+
+    @pytest.mark.parametrize("alpha", [100.0, 1000.0])
+    def test_a_singular_chain_raises_on_every_read_of_s(self, alpha):
+        # 12000 nm layers: the transmission estimates disagree at alpha_l 100,
+        # and the chain overflows to nan at 1000; a failed extraction is not cached
+        bil = replace(media.preset("set1", alpha), layer_thickness=12000 * NM)
+        with np.errstate(all="ignore"):
+            ch = scattering.transfer_chain(bil, W1)
+            for _ in range(2):
+                with pytest.raises(SingularTransfer):
+                    ch.s
 
     def test_matrix_layout(self):
         s = smat("set1", 5.0)

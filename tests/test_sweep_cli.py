@@ -306,13 +306,38 @@ class TestLocate:
                                             (800.0, 1000.0)), spec())
         assert x == pytest.approx(889.7, abs=1.5)
 
-    def test_exceptional_point_extracts_s_once_per_evaluation(self, monkeypatch):
-        # scattering.eigenvalues extracts S from the chain; the scalar reads only that
+    @staticmethod
+    def bare_extractions(monkeypatch):
+        """The bare matrices that scattering_from_transfer, under the name scattering
+        or noise reads, is called on from here on: a call on a chain reads the
+        chain's s, which one bare call extracts on first read."""
         calls, extract = [], scattering.scattering_from_transfer
-        monkeypatch.setattr(scattering, "scattering_from_transfer",
-                            lambda *a: calls.append(a) or extract(*a))
+
+        def counting(transfer):
+            if not isinstance(transfer, scattering.TransferChain):
+                calls.append(transfer)
+            return extract(transfer)
+
+        for module in (scattering, noise):
+            monkeypatch.setattr(module, "scattering_from_transfer", counting)
+        return calls
+
+    def test_exceptional_point_extracts_s_once_per_evaluation(self, monkeypatch):
+        # the scalar and scattering.eigenvalues read the one S the chain carries
+        calls = self.bare_extractions(monkeypatch)
         f = sweep_cli._threshold_scalar(spec(), "exceptional_point")
         assert f(800.0) < 0 < f(1000.0)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("check", [False, True], ids=["plain", "check"])
+    @pytest.mark.parametrize("kind", ["atr", "accidental_degeneracy", "exceptional_point",
+                                      "squeeze_crossing", "mandel_crossing"])
+    def test_each_exact_evaluation_extracts_s_once(self, kind, check, monkeypatch):
+        # the observable, the eigenvalues and the --check sum rule read one S
+        calls = self.bare_extractions(monkeypatch)
+        f = sweep_cli._threshold_scalar(spec(check_sum_rule=check), kind)
+        for x in (10.0, 100.0):
+            assert math.isfinite(f(x))
         assert len(calls) == 2
 
     def test_round_trip_unity(self):
@@ -749,9 +774,23 @@ class TestCli:
         if code == 3:
             assert out == ""
             assert err == ("no sign change: balance: the real-part mismatch at alpha_l=0.2 "
-                           "does not change sign on [12, 120000] Trad/s\n")
+                           "keeps its sign from 0.01 to 100 times the larger resonance, "
+                           "1200 Trad/s\n")
         else:
             assert json.loads(out)["balanced"] is True
+
+    def test_pt_solve_states_a_subnormal_scan_without_underflow(self, tmp_path, capsys):
+        # equal backgrounds: the closed-form balance frequency underflows to 0, and
+        # 0.01 times the resonance would print as 0
+        medium = {"eps_b": 1.0, "alpha": 700.0, "omega0_trad": 5e-324, "gamma_trad": 300.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"materials": {"gain": medium, "loss": medium}}))
+        rc = cli_main(["pt-solve", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (3, "")
+        assert err == ("no sign change: balance: the real-part mismatch at alpha_l=2.0 "
+                       "keeps its sign from 0.01 to 100 times the larger resonance, "
+                       "4.94066e-324 Trad/s\n")
 
     def test_the_largest_accepted_squeeze_evaluates(self, tmp_path, capsys):
         # the largest xi whose sinh(2 xi) and sinh(xi)^2 are finite floats: the
