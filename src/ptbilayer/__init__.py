@@ -48,6 +48,7 @@ from .media import (
 from .noise import (
     SumRuleViolation,
     layer_commutator,
+    layer_terms,
     noise_couplings,
     noise_flux,
     sum_rule_residual,

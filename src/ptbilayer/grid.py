@@ -224,7 +224,7 @@ class ExactStack:
 
     def layer_terms(self, rows: np.ndarray):
         """[(n, D, K)] at rows for the gain layer, then the loss layer, as
-        noise._layer_terms builds them (_coupling and layer_commutator)."""
+        noise.layer_terms builds them (_coupling and layer_commutator)."""
         A = self.total[rows]
         a12, a22 = A[:, 0, 1], A[:, 1, 1]
         inv = 1.0 / a22
@@ -238,7 +238,9 @@ class ExactStack:
             nr, ni = n.real, n.imag
             u, v = ni * k * l, nr * k * l
             phase = _cis(sign * v)
-            x = np.where(nr == 0.0, -2.0 * ni * k * l, -2.0 * (ni / nr) * np.sin(v))
+            ratio = ni / nr   # the evanescent limit where it overflows, as in the scalar
+            x = np.where((nr == 0.0) | np.isinf(ratio), -2.0 * ni * k * l,
+                         -2.0 * ratio * np.sin(v))
             q = _mul(_cx(x, 0.0), phase)
             scale = 1.0 if self.paper else nr / _abs(n)
             same = 1.0 - _each(math.exp, -2 * u)

@@ -15,8 +15,8 @@ partial transfer products, and the exact sum rule
     sum_layers D K D^dagger = 1 - S S^dagger
 
 closes to machine precision in full_complex mode. In paper_real_part mode the
-rule holds only to O(n''/n') by construction, so the optional consistency
-check is restricted to full_complex mode.
+rule holds only to O(n''/n') by construction, so enforce_sum_rule, the
+consistency check, applies to full_complex terms only.
 
 Observable noise fluxes weight each layer by its thermal occupation: N_th for
 an absorbing layer and -(N_th + 1) for an amplifying one.
@@ -74,8 +74,8 @@ def layer_commutator(n: complex, omega: float, thickness: float,
     u = n.imag * k * thickness
     v = n.real * k * thickness
     phase = np.exp(1j * v) if layer == 2 else np.exp(-1j * v)
-    if n.real == 0.0:
-        # evanescent limit of (n''/n') sin(n' k l): n'' k l
+    if n.real == 0.0 or math.isinf(n.imag / n.real):
+        # evanescent limit of (n''/n') sin(n' k l): n'' k l, also where n''/n' overflows
         q = complex(-2.0 * n.imag * k * thickness * phase)
     else:
         q = complex(-2.0 * (n.imag / n.real) * np.sin(v) * phase)
@@ -92,13 +92,13 @@ def _coupling(A: np.ndarray, B: np.ndarray) -> np.ndarray:
          [b11 * a22 - a12 * b21, b12 * a22 - a12 * b22]])
 
 
-def _layer_terms(bilayer: Bilayer, omega: float, mode: str, chain: TransferChain):
-    """(n, D, K) of the gain layer, then of the loss layer."""
+def layer_terms(bilayer: Bilayer, omega: float, mode: str, chain: TransferChain) -> list:
+    """[(n, D, K)] of the gain layer, then of the loss layer, read off chain,
+    which is transfer_chain(bilayer, omega, mode)."""
     l = bilayer.layer_thickness
-    for n, layer, partial in zip(chain.indices, (2, 3),
-                                 (chain.from_gain, chain.from_loss)):
-        yield (n, _coupling(chain.total, partial),
-               layer_commutator(n, omega, l, layer, mode))
+    return [(n, _coupling(chain.total, partial), layer_commutator(n, omega, l, layer, mode))
+            for n, layer, partial in zip(chain.indices, (2, 3),
+                                         (chain.from_gain, chain.from_loss))]
 
 
 def noise_couplings(bilayer: Bilayer, omega: float,
@@ -134,30 +134,19 @@ def sum_rule_residual(bilayer: Bilayer, omega: float, mode: str = MODE_FULL) -> 
     """Max-entry residual of sum_layers D K D^dagger = 1 - S S^dagger."""
     mode = canonical_mode(mode)
     chain = transfer_chain(bilayer, omega, mode)
-    return float(sum_rule_residuals(_layer_terms(bilayer, omega, mode, chain),
+    return float(sum_rule_residuals(layer_terms(bilayer, omega, mode, chain),
                                     scattering_from_transfer(chain).matrix()))
 
 
 def noise_flux(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
-               temperature: float = 0.0, check_sum_rule: bool = False,
-               chain: TransferChain = None) -> dict:
+               temperature: float = 0.0, terms: list = None) -> dict:
     """Noise photon flux into each output, {"s_left", "s_right"}.
 
-    With check_sum_rule, enforce_sum_rule checks this configuration first;
-    that requires full_complex mode (the approximate paper_real_part
-    bookkeeping does not close the rule). chain, when given, is
-    transfer_chain(bilayer, omega, mode) built by the caller.
+    terms, when given, is layer_terms(bilayer, omega, mode, chain) built by
+    the caller, who may check its sum rule (enforce_sum_rule) first.
     """
-    mode = canonical_mode(mode)
-    if check_sum_rule and mode != MODE_FULL:
-        raise ValueError("sum rule check requires full_complex mode")
-    if chain is None:
-        chain = transfer_chain(bilayer, omega, mode)
-    # S first: a table row meets a singular chain before the layer terms
-    s = scattering_from_transfer(chain).matrix() if check_sum_rule else None
-    terms = list(_layer_terms(bilayer, omega, mode, chain))
-    if check_sum_rule:
-        enforce_sum_rule(terms, s)
+    if terms is None:
+        terms = layer_terms(bilayer, omega, mode, transfer_chain(bilayer, omega, mode))
 
     nth = thermal_occupation(omega, temperature)
     out = np.zeros(2)

@@ -339,8 +339,11 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
             chain = scattering.transfer_chain(bil, omega, spec.mode)
             s = scattering.scattering_from_transfer(chain)
             if noisy or spec.check_sum_rule:
-                flux = noise.noise_flux(bil, omega, spec.mode, theta,
-                                        check_sum_rule=spec.check_sum_rule, chain=chain)
+                terms = noise.layer_terms(bil, omega, spec.mode, chain)
+            if spec.check_sum_rule:
+                noise.enforce_sum_rule(terms, s.matrix())
+            if noisy:
+                flux = noise.noise_flux(bil, omega, spec.mode, theta, terms=terms)
         else:
             s = effective.effective_amplitudes(n_eff, omega, l)
             if noisy:

@@ -244,6 +244,21 @@ def test_checked_grid_builds_the_layer_terms_once(monkeypatch):
     assert passes.count(math.exp) == 4
 
 
+def test_an_overflowing_index_ratio_gives_the_scalar_flux():
+    # at this frequency the set1 gain index is -1.16i plus a subnormal real
+    # part, so n''/n' overflows: kernel and scalar library both take the
+    # commutator's evanescent limit, and the checked sum rule closes
+    spec = SweepSpec(preset="set1", start=1.0, stop=100.0, count=2, spacing="linear",
+                     fixed_omega_trad=2.2250738585072014e-308, observables=("noise",),
+                     check_sum_rule=True)
+    cells, status = grid.evaluate_grid(spec, grid_values(spec))
+    assert list(status) == ["ok"] * 2
+    for i, alpha_l in enumerate(grid_values(spec)):
+        flux = noise.noise_flux(grid.bilayer_at(spec, alpha_l), 2.2250738585072014e-308 * TRAD)
+        assert same([cells["s_left"][i], cells["s_right"][i]], [flux["s_left"], flux["s_right"]])
+        assert math.isfinite(flux["s_right"])
+
+
 def test_effective_eigenvalues_break_ties_by_argument():
     # at set1's balance the effective slab is lossless: both moduli are 1 to
     # rounding, so the argument decides the order, as in the exact theory

@@ -90,6 +90,16 @@ class TestCommutatorBlocks:
             k = noise.layer_commutator(n, w, bil.layer_thickness, layer)
             np.testing.assert_allclose(k, k.conj().T, atol=1e-14)
 
+    @pytest.mark.parametrize("layer", [2, 3])
+    def test_overflowing_index_ratio_takes_the_evanescent_limit(self, layer):
+        # a subnormal real part overflows n''/n' to inf; the coupling is the
+        # n' = 0 limit -2 n'' k l, not inf * sin(n' k l)
+        n, l = complex(2e-312, -1.16), 1e-6
+        assert np.all(np.isfinite(noise.layer_commutator(n, W1, l, layer)))
+        q = noise.layer_commutator(n, W1, l, layer, MODE_PAPER)[0, 1]
+        limit = noise.layer_commutator(complex(0.0, n.imag), W1, l, layer, MODE_PAPER)[0, 1]
+        assert q == pytest.approx(limit, rel=1e-12) and abs(limit) > 1.0
+
     def test_invalid_layer_rejected(self):
         with pytest.raises(ValueError):
             noise.layer_commutator(1.5 + 0.1j, W1, 10e-9, layer=1)
@@ -123,33 +133,35 @@ class TestSumRule:
 
     def test_check_flag_raises_on_breach(self, monkeypatch):
         bil = media.preset("set1", 5.0)
+        chain = scattering.transfer_chain(bil, W1)
+        terms = noise.layer_terms(bil, W1, MODE_FULL, chain)
         monkeypatch.setattr(noise, "sum_rule_residuals", lambda *a: 1.0)
         with pytest.raises(noise.SumRuleViolation):
-            noise.noise_flux(bil, W1, check_sum_rule=True)
+            noise.enforce_sum_rule(terms, scattering.scattering_from_transfer(chain).matrix())
 
     @pytest.mark.parametrize("alpha", [0.0, 5.0, 24.0, 900.0])
     def test_checked_flux_builds_the_layer_terms_once(self, alpha, monkeypatch):
-        # the check and the flux share one list of (n, D, K): a checked call
+        # the check and the flux share one list of (n, D, K): a checked flux
         # builds each layer's commutator once, and its flux and residual are
-        # the unchecked flux and the stand-alone residual bit for bit
+        # the stand-alone flux and residual bit for bit
         bil = media.preset("set1", alpha)
-        standalone = noise.sum_rule_residual(bil, W1)
-        residual, commutator = noise.sum_rule_residuals, noise.layer_commutator
-        residuals, calls = [], []
-        monkeypatch.setattr(noise, "sum_rule_residuals", lambda *a: (
-            residuals.append(residual(*a)) or residuals[-1]))
+        standalone = noise.sum_rule_residual(bil, W1), noise.noise_flux(bil, W1)
+        commutator, calls = noise.layer_commutator, []
         monkeypatch.setattr(noise, "layer_commutator",
                             lambda *a, **k: calls.append(a) or commutator(*a, **k))
-        checked = noise.noise_flux(bil, W1, check_sum_rule=True)
+        chain = scattering.transfer_chain(bil, W1)
+        terms = noise.layer_terms(bil, W1, MODE_FULL, chain)
+        s = scattering.scattering_from_transfer(chain).matrix()
+        noise.enforce_sum_rule(terms, s)
+        checked = float(noise.sum_rule_residuals(terms, s)), noise.noise_flux(bil, W1, terms=terms)
         assert len(calls) == 2
-        assert checked == noise.noise_flux(bil, W1)
-        assert residuals == [standalone]
+        assert checked == standalone
 
     def test_couplings_build_no_commutator(self, monkeypatch):
         # noise_couplings reads D only: the same D as the flux's layer terms,
         # and no layer_commutator call
         bil, w = media.preset("set1", 24.0), 1000.0 * TRAD
-        want = [d for _, d, _ in noise._layer_terms(
+        want = [d for _, d, _ in noise.layer_terms(
             bil, w, MODE_FULL, scattering.transfer_chain(bil, w))]
         calls, commutator = [], noise.layer_commutator
         monkeypatch.setattr(noise, "layer_commutator",
@@ -157,11 +169,6 @@ class TestSumRule:
         got = noise.noise_couplings(bil, w)
         assert calls == []
         assert [got["d_gain"].tobytes(), got["d_loss"].tobytes()] == [d.tobytes() for d in want]
-
-    def test_check_flag_requires_full_mode(self):
-        bil = media.preset("set1", 5.0)
-        with pytest.raises(ValueError):
-            noise.noise_flux(bil, W1, MODE_PAPER, check_sum_rule=True)
 
 
 class TestNoiseFlux:

@@ -1,5 +1,6 @@
 """Sweep engine, threshold location, table formats, CLI contract."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -339,6 +340,31 @@ class TestLocate:
         for x in (10.0, 100.0):
             assert math.isfinite(f(x))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("check", [False, True], ids=["plain", "check"])
+    @pytest.mark.parametrize("kind, x, flux", [
+        ("atr", 24.0, False), ("accidental_degeneracy", 50.0, False),
+        ("exceptional_point", 890.0, False), ("mandel_crossing", 5.0, True),
+        ("squeeze_crossing", 24.0, True)])
+    def test_checked_evaluation_computes_only_the_flux_it_reads(self, kind, x, flux, check,
+                                                                monkeypatch):
+        # a checked evaluation builds the layer terms and checks them once; only
+        # a noisy kind goes on to the flux, and so to the thermal occupation
+        calls = collections.Counter()
+
+        def count(name):
+            fn = getattr(noise, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(noise, name, counted)
+
+        names = ("thermal_occupation", "layer_commutator", "sum_rule_residuals")
+        for name in names:
+            count(name)
+        assert math.isfinite(sweep_cli._threshold_scalar(spec(check_sum_rule=check), kind)(x))
+        assert [calls[name] for name in names] == [flux, 2 * (flux or check), check]
 
     def test_round_trip_unity(self):
         x = locate_threshold(ThresholdQuery("eta_unity", (100.0, 200.0)),
@@ -955,7 +981,7 @@ class TestCli:
     def test_sum_rule_breach_exit_code(self, argv, monkeypatch, capsys):
         # --check checks the sum rule wherever the exact chain is evaluated,
         # whatever the table prints: sweeps in the batched kernel, locate in
-        # noise_flux, both through noise.enforce_sum_rule
+        # its scalar, both through noise.enforce_sum_rule
         monkeypatch.setattr(noise, "sum_rule_residuals", lambda *a, **k: 1.0)
         rc = cli_main(argv + ["--preset", "set1", "--omega-trad", "1000", "--check"])
         assert rc == 4
