@@ -10,9 +10,10 @@ and its status names that failure. The columns come out in table order, so
 this module is the one place that names them.
 
 The kernel restates only what its array form would round differently from
-the scalar library (transfer_chain, scattering_from_transfer, eigenvalues,
-noise_flux, ...), the public API and the tests' reference; each cell rule
-is the scalar modules' own, called on arrays. To repeat the scalar rounding:
+the scalar library (transfer_chain, scattering_from_transfer, eigenvalues'
+closed-form check, layer_terms), the public API and the tests' reference;
+each other rule, noise.fluxes among them, is the scalar modules' own, called
+on arrays. To repeat the scalar rounding:
 
 - complex products that the scalar path forms on scalars are written out in
   real arithmetic, because numpy's SIMD complex multiply fuses multiply-adds
@@ -251,20 +252,6 @@ class ExactStack:
         return terms
 
 
-def noise_fluxes(terms, temperature: np.ndarray, omega: np.ndarray):
-    """(s_left, s_right) as noise.noise_flux from layer_terms and the rows' temperature, omega."""
-    nth = np.array([noise.thermal_occupation(w, t) for w, t in
-                    zip(omega.tolist(), temperature.tolist())], dtype=float)
-    out = [0.0, 0.0]
-    for n, d, kmat in terms:
-        weight = np.where(n.imag >= 0, nth, -(nth + 1.0))
-        for row in (0, 1):
-            dr = d[:, row:row + 1, :]
-            val = (dr @ kmat) @ np.conj(d[:, row, :])[:, :, None]
-            out[row] = out[row] + weight * val[:, 0, 0].real
-    return out[0], out[1]
-
-
 # ---------------------------------------------------------------------------
 # scattering amplitudes and observables, for either theory
 
@@ -452,8 +439,10 @@ def evaluate_grid(spec, xs):
             if spec.check_sum_rule:
                 noise.enforce_sum_rule(terms, s_main.matrices()[rows])
             if wants & FLUX_FAMILIES:
+                nth = np.array([noise.thermal_occupation(w, t) for w, t in
+                                zip(omega[rows].tolist(), temperature[rows].tolist())])
                 flux_main = np.full((2, len(xs)), np.nan)
-                flux_main[:, rows] = noise_fluxes(terms, temperature[rows], omega[rows])
+                flux_main[:, rows] = noise.fluxes(terms, nth)
 
     s_eff = flux_eff = None
     if spec.theory != "exact" or "eta" in wants:

@@ -150,7 +150,7 @@ def pt_delta_epsilon(loss: LorentzMedium, gain: LorentzMedium, omega: float) -> 
 
 _BALANCE_REL_TOL = 1e-12   # relative width at which bisection stops
 BALANCE_SCAN = (0.01, 100)  # pt_frequency's scan range, in units of max(w0)
-PT_TOL = 1e-9              # relative mismatch verify_pt accepts
+PT_TOL = 1e-9              # relative mismatch balanced accepts
 
 
 def pt_frequency(loss: LorentzMedium, gain: LorentzMedium) -> list[float]:
@@ -188,12 +188,15 @@ def pt_frequency(loss: LorentzMedium, gain: LorentzMedium) -> list[float]:
     return sorted(roots)
 
 
+def balanced(eps_loss, eps_gain):
+    """|eps_loss - conj eps_gain| <= PT_TOL max(1, |eps_loss|, |eps_gain|), elementwise."""
+    scale = np.maximum(1.0, np.maximum(np.abs(eps_loss), np.abs(eps_gain)))
+    return np.abs(eps_loss - np.conj(eps_gain)) <= PT_TOL * scale
+
+
 def verify_pt(bilayer: Bilayer, omega: float) -> bool:
-    """True when eps_loss(omega) == conj(eps_gain(omega)) within PT_TOL."""
-    el = permittivity(bilayer.loss, omega)
-    eg = permittivity(bilayer.gain, omega)
-    scale = max(1.0, abs(el), abs(eg))
-    return abs(el - np.conj(eg)) <= PT_TOL * scale
+    """True when eps_loss(omega) == conj(eps_gain(omega)) within PT_TOL (balanced)."""
+    return bool(balanced(permittivity(bilayer.loss, omega), permittivity(bilayer.gain, omega)))
 
 
 # Preset material families. The first family uses identical resonances for

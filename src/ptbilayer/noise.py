@@ -18,8 +18,8 @@ closes to machine precision in full_complex mode. In paper_real_part mode the
 rule holds only to O(n''/n') by construction, so enforce_sum_rule, the
 consistency check, applies to full_complex terms only.
 
-Observable noise fluxes weight each layer by its thermal occupation: N_th for
-an absorbing layer and -(N_th + 1) for an amplifying one.
+Observable noise fluxes (fluxes) weight each layer's (D K D^dagger)_jj by its
+thermal occupation: N_th for an absorbing layer, -(N_th + 1) for an amplifying one.
 """
 
 from __future__ import annotations
@@ -138,6 +138,17 @@ def sum_rule_residual(bilayer: Bilayer, omega: float, mode: str = MODE_FULL) -> 
                                     scattering_from_transfer(chain).matrix()))
 
 
+def fluxes(terms, nth):
+    """(s_left, s_right) of one point's terms [(n, D (2, 2), K (2, 2))] at nth, or of a
+    stack's [(n (N,), D (N, 2, 2), K (N, 2, 2))] at nth (N,), rounded alike; only Im n >= 0 absorbs."""
+    out = 0.0
+    for n, d, k in terms:
+        weight = np.where(np.imag(n) >= 0, nth, -(nth + 1.0))
+        q = (d[..., :, None, :] @ k[..., None, :, :]) @ np.conj(d)[..., :, :, None]
+        out = out + weight[..., None] * q[..., 0, 0].real
+    return out[..., 0], out[..., 1]
+
+
 def noise_flux(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
                temperature: float = 0.0, terms: list = None) -> dict:
     """Noise photon flux into each output, {"s_left", "s_right"}.
@@ -147,14 +158,8 @@ def noise_flux(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
     """
     if terms is None:
         terms = layer_terms(bilayer, omega, mode, transfer_chain(bilayer, omega, mode))
-
-    nth = thermal_occupation(omega, temperature)
-    out = np.zeros(2)
-    for n, d, k in terms:
-        weight = nth if n.imag >= 0 else -(nth + 1.0)
-        for row in (0, 1):
-            out[row] += weight * float(np.real(d[row] @ k @ d[row].conj()))
-    return {"s_left": float(out[0]), "s_right": float(out[1])}
+    left, right = fluxes(terms, thermal_occupation(omega, temperature))
+    return {"s_left": float(left), "s_right": float(right)}
 
 
 def unitarity_deficit(s) -> dict:

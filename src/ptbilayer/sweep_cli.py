@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, effective, grid, media, noise, observables, scattering
 from .effective import BranchAmbiguity, LasingPole
 from .grid import OBSERVABLE_ORDER, VARIABLE_COLUMNS
-from .media import NM, TRAD, Bilayer, LorentzMedium
+from .media import NM, TRAD, LorentzMedium
 from .noise import SumRuleViolation
 from .observables import DegenerateDenominator, SqueezedCoherentInput
 from .scattering import InconsistentEigenvalues, SingularTransfer
@@ -70,7 +70,7 @@ class SweepSpec:
     count: int = 500
     spacing: str | None = None          # "linear" | "log" | None (auto)
     fixed_omega_trad: float | None = None
-    fixed_alpha_l: float = 2.0
+    fixed_alpha_l: float | None = None
     temperature_k: float = 0.0
     thickness_nm: float = 10.0
     theory: str = "exact"
@@ -82,6 +82,9 @@ class SweepSpec:
     reproducible: bool = False
 
     def __post_init__(self):
+        if self.fixed_alpha_l is None:   # the loss material's alpha, or a preset's 2.0
+            object.__setattr__(self, "fixed_alpha_l", self.materials[1].alpha
+                               if self.preset is None and self.materials else 2.0)
         numeric = ["start", "stop", "count", "fixed_alpha_l", "temperature_k", "thickness_nm",
                    "phi_lo"] + ([] if self.fixed_omega_trad is None else ["fixed_omega_trad"])
         for name in numeric:   # the dataclass is frozen, so set through object
@@ -649,7 +652,7 @@ def _cmd_pt_solve(spec: SweepSpec) -> dict:
     omega_pt = roots[-1]
     alpha_gain = media.pt_balanced_gain(loss, gain_template, omega_pt)
     eps = [media.lorentz_permittivity(m.eps_b, a, m.omega0, m.gamma, omega_pt)
-           for m, a in ((gain_template, alpha_gain), (loss, loss.alpha))]
+           for m, a in ((loss, loss.alpha), (gain_template, alpha_gain))]
     if not np.all(np.isfinite(eps)):
         raise EvaluationFailed(f"evaluation failed at alpha_l={alpha_l!r}: the balanced "
                                f"stack overflows (gain amplitude {alpha_gain!r})")
@@ -662,9 +665,7 @@ def _cmd_pt_solve(spec: SweepSpec) -> dict:
         "alpha_gain": alpha_gain,
         "alpha_gain_abs": abs(alpha_gain),
         "background_delta_eps": loss.eps_b - gain_template.eps_b,
-        "balanced": bool(media.verify_pt(
-            Bilayer(gain=replace(gain_template, alpha=alpha_gain), loss=loss),
-            omega_pt)),
+        "balanced": bool(media.balanced(*eps)),
     }
 
 

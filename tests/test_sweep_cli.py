@@ -86,7 +86,7 @@ class TestConfig:
 
     def test_every_key_sets_its_field(self):
         gain = {"eps_b": 2.0, "alpha": -3.0, "omega0_trad": 1000.0, "gamma_trad": 67.0}
-        loss = {"eps_b": 2.5, "alpha": 3.0, "omega0_trad": 1100.0, "gamma_trad": 80.0}
+        loss = {"eps_b": 2.5, "alpha": 7.0, "omega0_trad": 1100.0, "gamma_trad": 80.0}
         spec = spec_from_config({
             "materials": {"gain": gain, "loss": loss}, "thickness_nm": 20,
             "theory": "both", "mode": "paper", "observables": "noise",
@@ -99,13 +99,55 @@ class TestConfig:
         assert spec == SweepSpec(
             preset=None, materials=(
                 media.LorentzMedium(2.0, -3.0, 1000.0 * media.TRAD, 67.0 * media.TRAD),
-                media.LorentzMedium(2.5, 3.0, 1100.0 * media.TRAD, 80.0 * media.TRAD)),
+                media.LorentzMedium(2.5, 7.0, 1100.0 * media.TRAD, 80.0 * media.TRAD)),
             variable="omega", start=500.0, stop=1500.0, count=9, spacing="log",
             fixed_omega_trad=900.0, fixed_alpha_l=3.0, temperature_k=300.0,
             thickness_nm=20.0, theory="both", mode="paper", observables=("noise",),
             input_state=sweep_cli.SqueezedCoherentInput(0.3, 1.0, 4.0, 0.5), phi_lo=0.25)
         assert type(spec.start) is float and type(spec.count) is int
 
+    def test_a_material_config_holds_its_loss_alpha_fixed(self, tmp_path, capsys):
+        # the loss material's alpha is the fixed alpha_l, as --alpha-l would set it
+        medium = {"eps_b": 2.0, "omega0_trad": 1000.0, "gamma_trad": 67.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "materials": {"gain": {**medium, "alpha": -5.0}, "loss": {**medium, "alpha": 5.0}},
+            "sweep": {"variable": "omega", "start": 900, "stop": 1100, "count": 5},
+            "observables": ["scattering", "noise"]}))
+        tables = []
+        for flags in ([], ["--alpha-l", "5"], ["--alpha-l", "2"]):
+            assert cli_main(["sweep", "--config", str(path), "--format", "json",
+                             "--reproducible", *flags]) == 0
+            tables.append(json.loads(capsys.readouterr().out))
+        assert tables[0]["metadata"]["fixed"]["alpha_l"] == 5.0
+        assert tables[0] == tables[1]
+        assert tables[0]["rows"] != tables[2]["rows"]
+
+    @pytest.mark.parametrize("fixed, flags, alpha_l", [
+        ({"alpha_l": 9}, [], 9.0), ({}, ["--alpha-l", "9"], 9.0),
+        ({"alpha_l": 9}, ["--alpha-l", "8"], 8.0), ({}, ["--preset", "set1"], 2.0)])
+    def test_a_set_alpha_l_wins_over_the_loss_material(self, fixed, flags, alpha_l,
+                                                      tmp_path, capsys):
+        # fixed.alpha_l and --alpha-l override the loss material's alpha, and a
+        # --preset drops the materials: the rows are those of a config that
+        # states alpha_l as its loss alpha, or of the preset alone
+        def table(cfg, flags=()):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            assert cli_main(["sweep", "--config", str(path), "--format", "json",
+                             "--reproducible", *flags]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        def materials(alpha):
+            medium = {"eps_b": 2.0, "omega0_trad": 1000.0, "gamma_trad": 67.0}
+            return {"gain": {**medium, "alpha": -5.0}, "loss": {**medium, "alpha": alpha}}
+
+        sweep = {"variable": "omega", "start": 900, "stop": 1100, "count": 2}
+        got = table({"materials": materials(5.0), "sweep": sweep, "fixed": fixed}, flags)
+        alone = table({"sweep": sweep} if "--preset" in flags else
+                      {"materials": materials(alpha_l), "sweep": sweep})
+        assert got["metadata"]["fixed"]["alpha_l"] == alpha_l
+        assert got["rows"] == alone["rows"]
 
 # cells as the grid kernel writes them (floats with IEEE extremes, status and
 # phase-class names) and as a library caller might (None, ints and bools, which
@@ -545,6 +587,15 @@ class TestCli:
         assert obj["background_delta_eps"] == pytest.approx(1.22, abs=1e-9)
         assert obj["balanced"] is True
 
+    def test_pt_solve_reads_the_loss_material_alpha(self, tmp_path, capsys):
+        medium = {"eps_b": 2.0, "omega0_trad": 1000.0, "gamma_trad": 67.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"materials": {"gain": {**medium, "alpha": -1.0},
+                                                  "loss": {**medium, "alpha": 7.0}}}))
+        assert cli_main(["pt-solve", "--config", str(path)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["alpha_l"], obj["alpha_gain"], obj["balanced"]) == (7.0, -7.0, True)
+
     def test_pt_solve_first_set(self, capsys):
         rc = cli_main(["pt-solve", "--preset", "set1", "--alpha-l", "7"])
         assert rc == 0
@@ -814,7 +865,7 @@ class TestCli:
         rc = cli_main(["pt-solve", "--config", str(path)])
         out, err = capsys.readouterr()
         assert (rc, out) == (3, "")
-        assert err == ("no sign change: balance: the real-part mismatch at alpha_l=2.0 "
+        assert err == ("no sign change: balance: the real-part mismatch at alpha_l=700.0 "
                        "keeps its sign from 0.01 to 100 times the larger resonance, "
                        "4.94066e-324 Trad/s\n")
 
