@@ -49,7 +49,6 @@ from .noise import (
     SumRuleViolation,
     layer_commutator,
     layer_terms,
-    noise_couplings,
     noise_flux,
     sum_rule_residual,
     thermal_occupation,

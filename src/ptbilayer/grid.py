@@ -203,8 +203,9 @@ class ExactStack:
         t = 1.0 / a22
         t_alt = (_mul(A[:, 0, 0], a22) - _mul(A[:, 0, 1], A[:, 1, 0])) / a22
         # written so that a chain that overflowed to inf or nan is singular
-        self.singular = ~((_abs(a22) >= 1e-300)
-                          & (_abs(t - t_alt) <= 1e-8 * np.maximum(_abs(t), 1e-300)))
+        self.singular = ~((_abs(a22) >= scattering.A22_MIN)
+                          & (_abs(t - t_alt)
+                             <= scattering.TRANSMISSION_TOL * np.maximum(_abs(t), 1e-300)))
         self.s = Amplitudes(-A[:, 1, 0] / a22, t, A[:, 0, 1] / a22)
         # rows where noise.layer_commutator's math.exp(+-2u) overflows
         n_imag = np.maximum(np.abs(self.ng.imag), np.abs(self.nl.imag))
@@ -221,7 +222,7 @@ class ExactStack:
         scale = np.maximum(np.maximum(_abs(l1), _abs(l2)), 1e-300)
         mismatch = np.maximum(np.minimum(_abs(l1 - c1), _abs(l1 - c2)),
                               np.minimum(_abs(l2 - c1), _abs(l2 - c2)))
-        return mismatch > 1e-8 * scale
+        return mismatch > scattering.EIGENVALUE_TOL * scale
 
     def layer_terms(self, rows: np.ndarray):
         """[(n, D, K)] at rows for the gain layer, then the loss layer, as
@@ -296,7 +297,7 @@ def _family_cells(family: str, s: Amplitudes, flux, spec, live: np.ndarray):
         cos = _each(math.cos, inp.phi_xi - 2.0 * spec.phi_lo - 2.0 * np.angle(s.t))
         return {"variance": observables.variance_from(s.T, cos, flux[1], inp)}, degenerate
     num, den = observables.mandel_parts(s.T, flux[1], inp)
-    return {"mandel_q": num / den}, np.abs(den) < 1e-30
+    return {"mandel_q": num / den}, np.abs(den) < observables.DENOMINATOR_MIN
 
 
 def _rel_dev(eff, exact):
@@ -346,7 +347,7 @@ def _eigenvalue_cells(cells: _Cells, exact, s: Amplitudes) -> None:
         cells.fail(rows[exact.inconsistent(rows, lam)], "InconsistentEigenvalues")
     a, b = lam[:, 0], lam[:, 1]
     ma, mb = _abs(a), _abs(b)
-    tie = np.abs(ma - mb) <= 1e-12 * np.maximum(np.maximum(ma, mb), 1e-300)
+    tie = np.abs(ma - mb) <= scattering.MODULUS_TIE_TOL * np.maximum(np.maximum(ma, mb), 1e-300)
     swap = np.where(tie, np.angle(a) > np.angle(b), ma < mb)
     l1, l2 = np.where(swap, b, a), np.where(swap, a, b)
     m1, m2 = _abs(l1), _abs(l2)

@@ -29,8 +29,7 @@ import math
 import numpy as np
 
 from .media import C_VACUUM, HBAR, K_BOLTZMANN, Bilayer
-from .scattering import (MODE_FULL, TransferChain, canonical_mode,
-                         scattering_from_transfer, transfer_chain)
+from .scattering import MODE_FULL, TransferChain, canonical_mode, transfer_chain
 
 
 SUM_RULE_TOL = 1e-10   # largest sum-rule residual a check accepts
@@ -92,24 +91,13 @@ def _coupling(A: np.ndarray, B: np.ndarray) -> np.ndarray:
          [b11 * a22 - a12 * b21, b12 * a22 - a12 * b22]])
 
 
-def layer_terms(bilayer: Bilayer, omega: float, mode: str, chain: TransferChain) -> list:
-    """[(n, D, K)] of the gain layer, then of the loss layer, read off chain,
-    which is transfer_chain(bilayer, omega, mode)."""
-    l = bilayer.layer_thickness
-    return [(n, _coupling(chain.total, partial), layer_commutator(n, omega, l, layer, mode))
+def layer_terms(chain: TransferChain) -> list:
+    """[(n, D, K)] of the gain layer, then of the loss layer, read off chain."""
+    l = chain.layer_thickness
+    return [(n, _coupling(chain.total, partial),
+             layer_commutator(n, chain.omega, l, layer, chain.mode))
             for n, layer, partial in zip(chain.indices, (2, 3),
                                          (chain.from_gain, chain.from_loss))]
-
-
-def noise_couplings(bilayer: Bilayer, omega: float,
-                    mode: str = MODE_FULL) -> dict:
-    """Output coupling matrices of the two layer noise sources.
-
-    Row 0 of each matrix feeds the left output, row 1 the right output.
-    """
-    chain = transfer_chain(bilayer, omega, canonical_mode(mode))
-    return {"d_gain": _coupling(chain.total, chain.from_gain),
-            "d_loss": _coupling(chain.total, chain.from_loss)}
 
 
 def sum_rule_residuals(terms, s):
@@ -132,10 +120,8 @@ def enforce_sum_rule(terms, s) -> None:
 
 def sum_rule_residual(bilayer: Bilayer, omega: float, mode: str = MODE_FULL) -> float:
     """Max-entry residual of sum_layers D K D^dagger = 1 - S S^dagger."""
-    mode = canonical_mode(mode)
     chain = transfer_chain(bilayer, omega, mode)
-    return float(sum_rule_residuals(layer_terms(bilayer, omega, mode, chain),
-                                    scattering_from_transfer(chain).matrix()))
+    return float(sum_rule_residuals(layer_terms(chain), chain.s.matrix()))
 
 
 def fluxes(terms, nth):
@@ -153,11 +139,11 @@ def noise_flux(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
                temperature: float = 0.0, terms: list = None) -> dict:
     """Noise photon flux into each output, {"s_left", "s_right"}.
 
-    terms, when given, is layer_terms(bilayer, omega, mode, chain) built by
-    the caller, who may check its sum rule (enforce_sum_rule) first.
+    terms, when given, is layer_terms(transfer_chain(bilayer, omega, mode))
+    built by the caller, who may check its sum rule (enforce_sum_rule) first.
     """
     if terms is None:
-        terms = layer_terms(bilayer, omega, mode, transfer_chain(bilayer, omega, mode))
+        terms = layer_terms(transfer_chain(bilayer, omega, mode))
     left, right = fluxes(terms, thermal_occupation(omega, temperature))
     return {"s_left": float(left), "s_right": float(right)}
 

@@ -17,6 +17,8 @@ import numpy as np
 
 from .scattering import ScatteringAmplitudes
 
+DENOMINATOR_MIN = 1e-30   # a smaller |mean photocount| raises DegenerateDenominator
+
 
 class DegenerateDenominator(Exception):
     """Mean photocount vanishes; the normalized Mandel parameter is undefined."""
@@ -83,7 +85,7 @@ def mandel_q(s, flux_right: float, inp: SqueezedCoherentInput = None) -> float:
     """
     inp = inp or SqueezedCoherentInput()
     num, den = mandel_parts(abs(complex(getattr(s, "t", s))) ** 2, flux_right, inp)
-    if abs(den) < 1e-30:
+    if abs(den) < DENOMINATOR_MIN:
         raise DegenerateDenominator("mean photocount vanishes")
     return num / den
 

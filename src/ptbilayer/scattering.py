@@ -36,6 +36,12 @@ _MODE_ALIASES = {
 # closer than PHASE_TOL (relative) as coalesced.
 PHASE_TOL = 1e-4
 
+# Row-failure bounds, stated once for the scalar functions and the grid kernel.
+A22_MIN = 1e-300          # SingularTransfer below this |A22|, or when the two
+TRANSMISSION_TOL = 1e-8   # transmission estimates differ by more (relative)
+EIGENVALUE_TOL = 1e-8     # InconsistentEigenvalues: misses the closed form (relative)
+MODULUS_TIE_TOL = 1e-12   # eigenvalue moduli this close (relative) order by argument
+
 
 class SingularTransfer(Exception):
     """Transfer matrix too close to singular for scattering extraction."""
@@ -83,13 +89,17 @@ class TransferChain:
 
     from_gain maps amplitudes at the gain layer into the outputs (the product
     of every factor to its right in the chain); from_loss likewise for the
-    loss layer. indices holds the layer indices (n_gain, n_loss).
+    loss layer. indices holds the layer indices (n_gain, n_loss), and omega,
+    layer_thickness and mode (canonical) the point the chain was built at.
     """
 
     total: np.ndarray
     from_gain: np.ndarray
     from_loss: np.ndarray
     indices: tuple[complex, complex]
+    omega: float
+    layer_thickness: float
+    mode: str
 
     @cached_property
     def s(self) -> ScatteringAmplitudes:
@@ -141,27 +151,27 @@ def transfer_chain(bilayer: Bilayer, omega: float,
     r3 = propagation_matrix(nl, omega, l)
     from_loss = interface_matrix(nl, one, omega, l, mode)
     from_gain = from_loss @ r3 @ t2
-    return TransferChain(from_gain @ r2 @ t1, from_gain, from_loss, indices=(ng, nl))
+    return TransferChain(from_gain @ r2 @ t1, from_gain, from_loss, (ng, nl), omega, l, mode)
 
 
 def scattering_from_transfer(transfer) -> ScatteringAmplitudes:
     """Extract (r_left, t, r_right) from a total transfer matrix; a chain gives its s.
 
     The transmission is computed two ways, 1/A22 and det A / A22 with the
-    analytic det A = 1; disagreement beyond 1e-8 relative (or |A22| below
-    1e-300) raises SingularTransfer, as does a chain that overflowed to inf
-    or nan (the tests are written so that nan fails them).
+    analytic det A = 1; disagreement beyond TRANSMISSION_TOL relative (or
+    |A22| below A22_MIN) raises SingularTransfer, as does a chain that
+    overflowed to inf or nan (the tests are written so that nan fails them).
     """
     if isinstance(transfer, TransferChain):
         return transfer.s
     A = np.asarray(transfer)
     a22 = A[1, 1]
-    if not abs(a22) >= 1e-300:
+    if not abs(a22) >= A22_MIN:
         raise SingularTransfer("A22 vanishes; stack is at a scattering pole")
     t = 1.0 / a22
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     t_alt = det / a22
-    if not abs(t - t_alt) <= 1e-8 * max(abs(t), 1e-300):
+    if not abs(t - t_alt) <= TRANSMISSION_TOL * max(abs(t), 1e-300):
         raise SingularTransfer(
             f"transmission estimates disagree: {t} vs {t_alt}")
     return ScatteringAmplitudes(r_left=-A[1, 0] / a22, t=t, r_right=A[0, 1] / a22)
@@ -170,10 +180,10 @@ def scattering_from_transfer(transfer) -> ScatteringAmplitudes:
 def eigenvalues(transfer) -> tuple[complex, complex]:
     """Scattering-matrix eigenvalues, ordered by descending modulus.
 
-    Ties in modulus (within 1e-12 relative) break by ascending principal
-    argument. A closed form in the transfer entries,
+    Ties in modulus (within MODULUS_TIE_TOL relative) break by ascending
+    principal argument. A closed form in the transfer entries,
     ((A12 - A21) +- sqrt((A12 - A21)^2 + 4 A11 A22)) / (2 A22),
-    cross-checks the numerical pair to 1e-8.
+    cross-checks the numerical pair to EIGENVALUE_TOL.
     """
     s = scattering_from_transfer(transfer)
     A = transfer.total if isinstance(transfer, TransferChain) else np.asarray(transfer)
@@ -184,13 +194,13 @@ def eigenvalues(transfer) -> tuple[complex, complex]:
     closed = ((b + root) / (2 * A[1, 1]), (b - root) / (2 * A[1, 1]))
     scale = max(abs(lam[0]), abs(lam[1]), 1e-300)
     mismatch = max(min(abs(l - c) for c in closed) for l in lam)
-    if mismatch > 1e-8 * scale:
+    if mismatch > EIGENVALUE_TOL * scale:
         raise InconsistentEigenvalues(
             "numerical and closed-form eigenvalues disagree")
 
     l1, l2 = lam
     m1, m2 = abs(l1), abs(l2)
-    if abs(m1 - m2) <= 1e-12 * max(m1, m2, 1e-300):
+    if abs(m1 - m2) <= MODULUS_TIE_TOL * max(m1, m2, 1e-300):
         if np.angle(l1) > np.angle(l2):
             l1, l2 = l2, l1
     elif m1 < m2:

@@ -342,7 +342,7 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
             chain = scattering.transfer_chain(bil, omega, spec.mode)
             s = scattering.scattering_from_transfer(chain)
             if noisy or spec.check_sum_rule:
-                terms = noise.layer_terms(bil, omega, spec.mode, chain)
+                terms = noise.layer_terms(chain)
             if spec.check_sum_rule:
                 noise.enforce_sum_rule(terms, s.matrix())
             if noisy:

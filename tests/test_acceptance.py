@@ -399,13 +399,12 @@ def test_criterion_07_effective_theory_agreement():
 
 def thermal_weights(bilayer, omega):
     """E_j = sum over layers of |(D K D^dagger)_jj| for outputs j = left, right."""
-    d = p.noise_couplings(bilayer, omega)
+    terms = p.layer_terms(p.transfer_chain(bilayer, omega))
     e = np.zeros(2)
-    for key, medium, layer in (("d_gain", bilayer.gain, 2),
-                               ("d_loss", bilayer.loss, 3)):
+    for (_, d, _), medium, layer in zip(terms, (bilayer.gain, bilayer.loss), (2, 3)):
         n = p.refractive_index(p.permittivity(medium, omega))
         k = p.layer_commutator(n, omega, bilayer.layer_thickness, layer)
-        e += np.abs(np.real(np.diag(d[key] @ k @ d[key].conj().T)))
+        e += np.abs(np.real(np.diag(d @ k @ d.conj().T)))
     return e
 
 

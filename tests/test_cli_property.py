@@ -26,10 +26,16 @@ from ptbilayer.sweep_cli import THEORIES, THRESHOLD_KINDS, VARIABLES, cli_main
 ORDINARY = ("0.5", "1", "2", "10", "24", "100", "300", "700", "1000")
 EXTREME = ("0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e-310", "1e308",
            "-1e308", "1.7976931348623157e308", "nan", "inf", "-inf", "-1", "400")
-ordinary, extreme = st.sampled_from(ORDINARY), st.sampled_from(EXTREME)
-# one_of draws each distinct branch alike, so about one value in two is extreme
-numbers = st.one_of(ordinary, ordinary, ordinary, extreme)
-counts = st.one_of(*[st.sampled_from(("2", "3", "4"))] * 3, st.sampled_from(("-1", "0", "1")))
+
+
+def one_in(n, usual, unusual):
+    """Draws one of the unusual values about one time in n, a usual one otherwise."""
+    return st.sampled_from(usual * round((n - 1) * len(unusual) / len(usual)) + unusual)
+
+
+# about one number in four is extreme, and one count in four too small
+numbers = one_in(4, ORDINARY, EXTREME)
+counts = one_in(4, ("2", "3", "4"), ("-1", "0", "1"))
 
 
 def flag_table(numbers, tols):
@@ -178,11 +184,6 @@ def test_the_cli_ends_with_an_exit_code_and_one_error_line(invocation):
         assert err.count("\n") == 1 and err.endswith("\n"), err
     if rc == 0:
         assert err == ""
-
-
-def one_in(n, usual, unusual):
-    """Draws one of the unusual values about one time in n, a usual one otherwise."""
-    return st.sampled_from(usual * round((n - 1) * len(unusual) / len(usual)) + unusual)
 
 
 # runs that mostly evaluate: about one number in 16 is extreme and one count in

@@ -1,15 +1,17 @@
 """Thermal occupation, commutator blocks, noise flux, and the sum rule."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ptbilayer import media, noise, scattering
-from ptbilayer.media import HBAR, K_BOLTZMANN, TRAD, Bilayer, LorentzMedium
-from ptbilayer.scattering import MODE_FULL, MODE_PAPER
+from ptbilayer.media import HBAR, K_BOLTZMANN, NM, TRAD, Bilayer, LorentzMedium
+from ptbilayer.scattering import MODE_FULL, MODE_PAPER, SingularTransfer
+from test_grid import medium
 
 W1 = 1000.0 * TRAD
 
@@ -134,7 +136,7 @@ class TestSumRule:
     def test_check_flag_raises_on_breach(self, monkeypatch):
         bil = media.preset("set1", 5.0)
         chain = scattering.transfer_chain(bil, W1)
-        terms = noise.layer_terms(bil, W1, MODE_FULL, chain)
+        terms = noise.layer_terms(chain)
         monkeypatch.setattr(noise, "sum_rule_residuals", lambda *a: 1.0)
         with pytest.raises(noise.SumRuleViolation):
             noise.enforce_sum_rule(terms, scattering.scattering_from_transfer(chain).matrix())
@@ -150,25 +152,22 @@ class TestSumRule:
         monkeypatch.setattr(noise, "layer_commutator",
                             lambda *a, **k: calls.append(a) or commutator(*a, **k))
         chain = scattering.transfer_chain(bil, W1)
-        terms = noise.layer_terms(bil, W1, MODE_FULL, chain)
+        terms = noise.layer_terms(chain)
         s = scattering.scattering_from_transfer(chain).matrix()
         noise.enforce_sum_rule(terms, s)
         checked = float(noise.sum_rule_residuals(terms, s)), noise.noise_flux(bil, W1, terms=terms)
         assert len(calls) == 2
         assert checked == standalone
 
-    def test_couplings_build_no_commutator(self, monkeypatch):
-        # noise_couplings reads D only: the same D as the flux's layer terms,
-        # and no layer_commutator call
-        bil, w = media.preset("set1", 24.0), 1000.0 * TRAD
-        want = [d for _, d, _ in noise.layer_terms(
-            bil, w, MODE_FULL, scattering.transfer_chain(bil, w))]
-        calls, commutator = [], noise.layer_commutator
-        monkeypatch.setattr(noise, "layer_commutator",
-                            lambda *a, **k: calls.append(a) or commutator(*a, **k))
-        got = noise.noise_couplings(bil, w)
-        assert calls == []
-        assert [got["d_gain"].tobytes(), got["d_loss"].tobytes()] == [d.tobytes() for d in want]
+    def test_paper_chain_gives_paper_commutators(self):
+        # layer_terms reads the mode off the chain: paper-mode K has scale 1
+        bil = media.preset("set1", 24.0)
+        l = bil.layer_thickness
+        terms = noise.layer_terms(scattering.transfer_chain(bil, W1, "paper"))
+        for (n, _, k), layer in zip(terms, (2, 3)):
+            paper = noise.layer_commutator(n, W1, l, layer, MODE_PAPER)
+            assert k.tobytes() == paper.tobytes()
+            assert not np.array_equal(k, noise.layer_commutator(n, W1, l, layer, MODE_FULL))
 
 
 class TestNoiseFlux:
@@ -212,3 +211,29 @@ class TestNoiseFlux:
         warm = noise.noise_flux(bil, W1, temperature=300.0)
         assert abs(warm["s_right"] - cold["s_right"]) < 1e-9
         assert abs(warm["s_left"] - cold["s_left"]) < 1e-9
+
+    @given(gain=medium(st.floats(-5.0, 5.0)), loss=medium(st.just(1.0)),
+           alpha_l=st.floats(0.0, 50.0), thickness=st.floats(5.0, 150.0),
+           omega=st.floats(100.0, 3000.0), mode=st.sampled_from([MODE_FULL, MODE_PAPER]),
+           temperature=st.sampled_from([0.0, 300.0]))
+    def test_fluxes_round_as_the_per_row_loop(self, gain, loss, alpha_l, thickness,
+                                              omega, mode, temperature):
+        # the contraction's rounding is part of the tables: fluxes must equal,
+        # bit for bit, this per-layer, per-row loop (the diagonal of the full
+        # product D K D^dagger rounds differently)
+        bil = Bilayer(gain=gain, loss=replace(loss, alpha=alpha_l),
+                      layer_thickness=thickness * NM)
+        w = omega * TRAD
+        try:
+            chain = scattering.transfer_chain(bil, w, mode)
+            chain.s
+        except SingularTransfer:
+            assume(False)
+        terms = noise.layer_terms(chain)
+        nth = noise.thermal_occupation(w, temperature)
+        want = np.zeros(2)
+        for n, d, k in terms:
+            weight = nth if n.imag >= 0 else -(nth + 1.0)
+            for row in range(2):
+                want[row] += weight * float(np.real(d[row] @ k @ d[row].conj()))
+        assert np.array(noise.fluxes(terms, nth)).tobytes() == want.tobytes()

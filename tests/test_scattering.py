@@ -99,6 +99,15 @@ class TestChainAndSmatrix:
         bare = scattering.scattering_from_transfer(ch.total)
         assert (ch.s.r_left, ch.s.t, ch.s.r_right) == (bare.r_left, bare.t, bare.r_right)
 
+    @pytest.mark.parametrize("mode", ["full", "paper"])
+    def test_a_chain_records_its_point(self, mode):
+        # the chain is the one handle on the point it was built at, its mode canonical
+        bil = media.preset("set1", 24.0)
+        ch = scattering.transfer_chain(bil, W1, mode)
+        assert (ch.omega, ch.layer_thickness) == (W1, bil.layer_thickness)
+        assert ch.mode == scattering.canonical_mode(mode)
+        assert scattering.transfer_chain(bil, W1).mode == MODE_FULL
+
     @pytest.mark.parametrize("alpha", [100.0, 1000.0])
     def test_a_singular_chain_raises_on_every_read_of_s(self, alpha):
         # 12000 nm layers: the transmission estimates disagree at alpha_l 100,

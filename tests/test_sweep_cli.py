@@ -351,9 +351,9 @@ class TestLocate:
 
     @staticmethod
     def bare_extractions(monkeypatch):
-        """The bare matrices that scattering_from_transfer, under the name scattering
-        or noise reads, is called on from here on: a call on a chain reads the
-        chain's s, which one bare call extracts on first read."""
+        """The bare matrices that scattering_from_transfer is called on from here
+        on: a call on a chain reads the chain's s, which one bare call extracts
+        on first read."""
         calls, extract = [], scattering.scattering_from_transfer
 
         def counting(transfer):
@@ -361,8 +361,7 @@ class TestLocate:
                 calls.append(transfer)
             return extract(transfer)
 
-        for module in (scattering, noise):
-            monkeypatch.setattr(module, "scattering_from_transfer", counting)
+        monkeypatch.setattr(scattering, "scattering_from_transfer", counting)
         return calls
 
     def test_exceptional_point_extracts_s_once_per_evaluation(self, monkeypatch):
