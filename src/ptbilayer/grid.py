@@ -11,34 +11,37 @@ this module is the one place that names them.
 
 The kernel restates only what its array form would round differently from
 the scalar library (transfer_chain, scattering_from_transfer, eigenvalues'
-closed-form check, layer_terms), the public API and the tests' reference;
-each other rule, noise.fluxes among them, is the scalar modules' own, called
-on arrays. To repeat the scalar rounding:
+closed-form check, layer_terms, and effective's bloch_index, round_trip,
+effective_amplitudes and effective_noise), the public API and the tests'
+reference; each other rule, noise.fluxes among them, is the scalar modules'
+own, called on arrays. To repeat the scalar rounding:
 
 - complex products that the scalar path forms on scalars are written out in
   real arithmetic, because numpy's SIMD complex multiply fuses multiply-adds
-  and scalar multiplication does not;
-- the Python complex divisions of interface_matrix use Python's algorithm,
-  which divides by the denominator where numpy multiplies by its reciprocal;
+  and scalar multiplication does not; Python multiplies a complex by a float
+  x as by x + 0j, and takes z ** 2 as 1 * (z * z);
+- Python complex divisions use Python's algorithm, which divides by the
+  denominator where numpy multiplies by its reciprocal;
 - moduli are np.hypot, squares go through the C library's pow, and the
   math-module exponentials, cosines and thermal occupations are taken
-  element by element.
-
-The effective cells are filled row by row by the scalar library from the
-grid's index and permittivity arrays: numpy's complex arccos differs from
-cmath.acos in the last bits, so batching the Bloch index would change tables.
+  element by element;
+- the effective slab's cmath functions are the scalar path's own, taken
+  element by element (numpy's complex arccos, for one, differs from
+  cmath.acos in the last bits), and a row fails where Python raises:
+  OverflowError from cmath, from z ** 2 or abs(z), BranchAmbiguity and
+  LasingPole where the scalar tests raise them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from . import effective, media, noise, observables, scattering
-from .effective import BranchAmbiguity, LasingPole
+from . import media, noise, observables, scattering
 from .media import C_VACUUM, NM, TRAD, Bilayer
 
 OBSERVABLE_ORDER = ("scattering", "eigenvalues", "noise", "variance", "mandel", "eta")
@@ -90,8 +93,9 @@ def bilayer_at(spec, alpha_l: float) -> Bilayer:
 
 
 def _cx(re, im) -> np.ndarray:
-    re, im = np.broadcast_arrays(re, im)
-    z = np.empty(re.shape, dtype=complex)
+    """re + i im, part by part; one of re and im may be a scalar."""
+    re, im = np.asarray(re), np.asarray(im)
+    z = np.empty(re.shape if re.ndim >= im.ndim else im.shape, dtype=complex)
     z.real = re
     z.imag = im
     return z
@@ -174,9 +178,10 @@ def _interface(n_from, n_to, k, z, paper: bool) -> np.ndarray:
 
 
 def _propagation(n, k, thickness) -> np.ndarray:
+    """scattering.propagation_factors over arrays, as an (N, 1, 2) array that
+    scales the columns of a stack of matrices."""
     u = n.imag * k * thickness
-    zero = np.zeros_like(u)
-    return _stack(np.exp(-u), zero, zero, np.exp(u))
+    return np.stack([np.exp(-u), np.exp(u)], axis=-1)[:, None, :]
 
 
 class ExactStack:
@@ -195,8 +200,8 @@ class ExactStack:
         t2 = _interface(self.ng, self.nl, k, 0.0, self.paper)
         r3 = _propagation(self.nl, k, l)
         self.from_loss = _interface(self.nl, vac, k, l, self.paper)
-        self.from_gain = self.from_loss @ r3 @ t2
-        self.total = self.from_gain @ r2 @ t1
+        self.from_gain = (self.from_loss * r3) @ t2
+        self.total = (self.from_gain * r2) @ t1
 
         A = self.total
         a22 = A[:, 1, 1]
@@ -358,48 +363,157 @@ def _eigenvalue_cells(cells: _Cells, exact, s: Amplitudes) -> None:
         "phase_class": scattering.phase_classes(l1, l2)})
 
 
+def _cmath_each(fn, z, cells: _Cells, where=True) -> np.ndarray:
+    """fn (a cmath function) element by element at the live rows of where,
+    nan elsewhere; a row where fn raises OverflowError fails with that name."""
+    out = np.full(len(z), np.nan, dtype=complex)
+    rows = np.flatnonzero(cells.live & where)
+    args = z[rows].tolist()
+    try:
+        out[rows] = [fn(v) for v in args]
+    except OverflowError:
+        for i, v in zip(rows.tolist(), args):
+            try:
+                out[i] = fn(v)
+            except OverflowError:
+                cells.fail(np.array([i]), "OverflowError")
+    return out
+
+
+def _scale(z, x) -> np.ndarray:
+    """z * x for a float x, as Python multiplies a complex by x + 0j."""
+    return _mul(z, _cx(x, 0.0))
+
+
+def _square(z):
+    """(z ** 2, where it raises OverflowError): Python takes 1 * (z * z), and
+    raises where a part of it is infinite."""
+    p = _mul(1 + 0j, _mul(z, z))
+    return p, np.isinf(p.real) | np.isinf(p.imag)
+
+
+def _py_abs(z):
+    """(abs(z), where it raises OverflowError): Python raises where the parts
+    are finite and the modulus is not."""
+    m = _abs(z)
+    return m, np.isinf(m) & np.isfinite(z)
+
+
+def _bloch_index(cells: _Cells, indices, k, l) -> np.ndarray:
+    """effective.bloch_index at the live rows; a row fails where it raises."""
+    ng, nl = indices
+    two_kl = 2 * k * l
+    limit = two_kl == 0   # k l underflowed: sqrt of the mean permittivity
+    cells.fail(np.flatnonzero(~np.isfinite(two_kl)), "BranchAmbiguity")
+    x, y = (_scale(_scale(n, k), l) for n in indices)
+    cos_x, cos_y, sin_x, sin_y = (_cmath_each(fn, z, cells, ~limit) for fn, z in
+                                  ((cmath.cos, x), (cmath.cos, y), (cmath.sin, x), (cmath.sin, y)))
+    mix = _mul(0.5 + 0j, _py_div(ng, nl) + _py_div(nl, ng))
+    rhs = _mul(cos_x, cos_y) - _mul(_mul(mix, sin_x), sin_y)
+    n = _py_div(_cmath_each(cmath.acos, rhs, cells, ~limit), _cx(two_kl, 0.0))
+    n = np.where(n.real < 0, -n, n)
+    modulus, overflow = _py_abs(n)
+    cells.fail(np.flatnonzero(overflow & ~limit), "OverflowError")
+    lower = np.where(nl.imag < ng.imag, nl.imag, ng.imag)   # min(ng.imag, nl.imag)
+    n = np.where((np.abs(n.real) < 1e-9 * modulus) & (lower < 0) & (n.imag > 0), -n, n)
+    phase, overflow = _py_abs(_scale(_scale(_mul(2 + 0j, n), k), l))
+    cells.fail(np.flatnonzero(overflow & ~limit), "OverflowError")
+    cells.fail(np.flatnonzero(~(phase <= math.pi / 2) & ~limit), "BranchAmbiguity")
+    mean = _py_div(_mul(ng, ng) + _mul(nl, nl), _cx(2.0, 0.0))
+    return np.where(limit, _cmath_each(cmath.sqrt, mean, cells, limit), n)
+
+
+def _round_trip(cells: _Cells, n, kl) -> np.ndarray:
+    """effective.round_trip at the live rows; a row fails where it raises."""
+    ratio, overflow = _square(_py_div(n - 1, n + 1))
+    cells.fail(np.flatnonzero(overflow), "OverflowError")
+    return _mul(ratio, _cmath_each(cmath.exp, _scale(_mul(4j, n), kl), cells))
+
+
+def _slab(cells: _Cells, n, kl, where=True) -> Amplitudes:
+    """effective.effective_amplitudes at the live rows of where; a row fails
+    with LasingPole or OverflowError where it raises."""
+    plus, overflow_plus = _square(n + 1)
+    minus, overflow_minus = _square(n - 1)
+    cells.fail(np.flatnonzero(where & (overflow_plus | overflow_minus)), "OverflowError")
+    round_trip = _cmath_each(cmath.exp, _scale(_mul(4j, n), kl), cells, where)
+    den = plus - _mul(minus, round_trip)
+    modulus, overflow = _py_abs(den)
+    cells.fail(np.flatnonzero(where & overflow), "OverflowError")
+    cells.fail(np.flatnonzero(where & ~(modulus >= 1e-12)), "LasingPole")
+    forward = _cmath_each(cmath.exp, _scale(_mul(2j, n - 1), kl), cells, where)
+    back = _cmath_each(cmath.exp, _scale(-2j, kl), cells, where)
+    t = _py_div(_mul(_mul(4 + 0j, n), forward), den)
+    r = _py_div(_mul(_mul(_mul(n, n) - 1, round_trip - 1), back), den)
+    return Amplitudes(r, t, r)
+
+
+def _deficit(cells: _Cells, s: Amplitudes, where=True) -> np.ndarray:
+    """noise.unitarity_deficit(s)["right"]; a row fails with OverflowError
+    where Python's abs(.) ** 2 of t or r raises."""
+    overflow = ((np.isinf(s.T) & np.isfinite(s.t))
+                | (np.isinf(s.R_right) & np.isfinite(s.r_right)))
+    cells.fail(np.flatnonzero(where & overflow), "OverflowError")
+    return noise.unitarity_deficit(s)["right"]
+
+
+def _slab_flux(cells: _Cells, n, s: Amplitudes, eps, kl, nth) -> np.ndarray:
+    """effective.effective_noise's flux (s_left = s_right) at the live rows;
+    a row fails where it raises, in either slab of the central difference."""
+    eg, el = (np.abs(e.imag) for e in eps)
+    pump = 0.5 * (eg + el) * (2.0 * nth + 1.0)
+    square = _mul(n, n)
+    deficit = _deficit(cells, s)
+    larger = np.where(el > eg, el, eg)   # max(eg, el, 1e-300), nan as Python orders it
+    scale = np.where(1e-300 > larger, 1e-300, larger)
+    balance = np.abs(square.imag) < 1e-12 * scale
+    h = 1e-7 * scale
+    dplus, dminus = (_deficit(cells, _slab(cells, _cmath_each(
+        cmath.sqrt, square + _scale(d, h), cells, balance), kl, balance), balance)
+        for d in (1j, -1j))
+    slope = (dplus - dminus) / (2 * h)
+    return np.where(balance, pump * slope / 2.0 - 0.5 * deficit,
+                    deficit * (pump / (2.0 * square.imag) - 0.5))
+
+
+def _occupations(omega, temperature, rows) -> np.ndarray:
+    """noise.thermal_occupation at rows, element by element."""
+    return np.array([noise.thermal_occupation(w, t) for w, t in
+                     zip(omega[rows].tolist(), temperature[rows].tolist())])
+
+
 def _effective_rows(spec, wants, omega, temperature, eps, indices, cells: _Cells):
-    """Effective-medium cells row by row from the scalar library.
+    """Effective-medium cells over the live rows: the scalar library's slab,
+    step by step over arrays, each row stopping at its first failure.
 
     eps and indices are the grid's (gain, loss) pairs from layer_arrays. Puts
     the eta family's cells, and returns the slab's Amplitudes and its
-    (s_left, s_right) flux as arrays over the grid (nan where not computed),
-    or (None, None) when the spec needs no effective slab.
+    (s_left, s_right) flux as arrays over the grid, or (None, None) when the
+    spec needs no effective slab.
     """
-    n = cells.n
     want_s = spec.theory != "exact" and bool(wants & EXACT_FAMILIES)
-    want_flux = want_s and bool(wants & FLUX_FAMILIES)
-    amp = np.full((3, n), np.nan, dtype=complex)
-    flux = np.full((2, n), np.nan)
-    eta_cells = np.full((4, n), np.nan)
-    rows = cells.rows()
-    failures = []
     l = spec.thickness_nm * NM
-    # as Python numbers, whose complex division is the scalar path's (numpy's is not)
-    values = (a[rows].tolist() for a in (omega, temperature, *indices, *eps))
-    for i, w, theta, ng, nl, eg, el in zip(rows.tolist(), *values):
-        try:
-            n_eff = effective.bloch_index((ng, nl), w, l)
-            if "eta" in wants:
-                eta = effective.round_trip(n_eff, w, l)
-                eta_cells[:, i] = (n_eff.real, n_eff.imag, abs(eta), float(np.angle(eta)))
-            if want_s:
-                s = effective.effective_amplitudes(n_eff, w, l)
-                amp[:, i] = (s.r_left, s.t, s.r_right)
-                if want_flux:
-                    f = effective.effective_noise(n_eff, s, (eg, el), w, l, theta)
-                    flux[:, i] = (f["s_left"], f["s_right"])
-        except (BranchAmbiguity, LasingPole, OverflowError) as exc:
-            failures.append((i, type(exc).__name__))
-    # eta cells are written before the effective slab can fail
+    k = omega / C_VACUUM
+    kl = k * l
+    n_eff = _bloch_index(cells, indices, k, l)
+    every = np.arange(cells.n)
     if "eta" in wants:
-        cells.put("eta", rows, {name: eta_cells[k, rows] for k, name in
-                                enumerate(("n_eff_re", "n_eff_im", "eta_mod", "eta_arg"))})
-    for i, name in failures:
-        cells.fail(np.array([i]), name)
+        eta = _round_trip(cells, n_eff, kl)
+        eta_mod, overflow = _py_abs(eta)
+        cells.fail(np.flatnonzero(overflow), "OverflowError")
+        # written before the effective slab can fail
+        cells.put("eta", every, {"n_eff_re": n_eff.real, "n_eff_im": n_eff.imag,
+                                 "eta_mod": eta_mod, "eta_arg": np.angle(eta)})
     if not want_s:
         return None, None
-    return Amplitudes(*amp), flux
+    s = _slab(cells, n_eff, kl)
+    if not wants & FLUX_FAMILIES:
+        return s, None
+    nth = np.full(cells.n, np.nan)
+    rows = cells.rows()
+    nth[rows] = _occupations(omega, temperature, rows)
+    flux = _slab_flux(cells, n_eff, s, eps, kl, nth)
+    return s, (flux, flux)
 
 
 # Rows that overflow or divide by zero carry inf and nan into their cells and
@@ -440,10 +554,8 @@ def evaluate_grid(spec, xs):
             if spec.check_sum_rule:
                 noise.enforce_sum_rule(terms, s_main.matrices()[rows])
             if wants & FLUX_FAMILIES:
-                nth = np.array([noise.thermal_occupation(w, t) for w, t in
-                                zip(omega[rows].tolist(), temperature[rows].tolist())])
                 flux_main = np.full((2, len(xs)), np.nan)
-                flux_main[:, rows] = noise.fluxes(terms, nth)
+                flux_main[:, rows] = noise.fluxes(terms, _occupations(omega, temperature, rows))
 
     s_eff = flux_eff = None
     if spec.theory != "exact" or "eta" in wants:

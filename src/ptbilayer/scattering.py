@@ -125,10 +125,11 @@ def interface_matrix(n_from: complex, n_to: complex, omega: float, z: float,
     return np.array([[t11, t12], [t21, t22]])
 
 
-def propagation_matrix(n: complex, omega: float, thickness: float) -> np.ndarray:
-    """Decay-only propagation over one layer (mode-independent)."""
+def propagation_factors(n: complex, omega: float, thickness: float) -> np.ndarray:
+    """Decay-only propagation over one layer (mode-independent), the diagonal
+    (e^{-u}, e^{u}) of its matrix: M @ diag(f) is M * f, which rounds alike."""
     u = complex(n).imag * (omega / C_VACUUM) * thickness
-    return np.array([[np.exp(-u), 0.0], [0.0, np.exp(u)]], dtype=complex)
+    return np.array([np.exp(-u), np.exp(u)])
 
 
 def layer_indices(bilayer: Bilayer, omega: float) -> tuple[complex, complex]:
@@ -146,12 +147,12 @@ def transfer_chain(bilayer: Bilayer, omega: float,
     l = bilayer.layer_thickness
     one = 1.0 + 0j
     t1 = interface_matrix(one, ng, omega, -l, mode)
-    r2 = propagation_matrix(ng, omega, l)
+    r2 = propagation_factors(ng, omega, l)
     t2 = interface_matrix(ng, nl, omega, 0.0, mode)
-    r3 = propagation_matrix(nl, omega, l)
+    r3 = propagation_factors(nl, omega, l)
     from_loss = interface_matrix(nl, one, omega, l, mode)
-    from_gain = from_loss @ r3 @ t2
-    return TransferChain(from_gain @ r2 @ t1, from_gain, from_loss, (ng, nl), omega, l, mode)
+    from_gain = (from_loss * r3) @ t2
+    return TransferChain((from_gain * r2) @ t1, from_gain, from_loss, (ng, nl), omega, l, mode)
 
 
 def scattering_from_transfer(transfer) -> ScatteringAmplitudes:

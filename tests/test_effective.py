@@ -101,8 +101,8 @@ class TestSlabClosedForms:
         s_closed = effective.effective_amplitudes(n, W1, l)
         total = np.eye(2, dtype=complex)
         for mat in (scattering.interface_matrix(1.0, n, W1, -l),
-                    scattering.propagation_matrix(n, W1, l),
-                    scattering.propagation_matrix(n, W1, l),
+                    np.diag(scattering.propagation_factors(n, W1, l)),
+                    np.diag(scattering.propagation_factors(n, W1, l)),
                     scattering.interface_matrix(n, 1.0, W1, l)):
             total = mat @ total
         s_chain = scattering.scattering_from_transfer(total)

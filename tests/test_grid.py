@@ -208,6 +208,45 @@ def test_the_flux_of_a_stack_is_the_flux_of_each_row(gain, loss, alpha_l, thickn
             assert same([left[i], right[i]], noise.fluxes(point, float(nth[i])))
 
 
+# stacks whose effective slab takes the branches the property above never
+# draws, with the statuses they give
+EFFECTIVE_BRANCHES = {
+    "pole": ({"theory": "both", "fixed_omega_trad": 1e-310, "start": 1.0, "stop": 2.0,
+              "count": 2}, {"LasingPole": 2}),
+    "pole-omega": ({"theory": "effective", "variable": "omega", "start": 1e-300,
+                    "stop": 1e-290, "count": 5}, {"LasingPole": 5}),
+    "thick": ({"theory": "effective", "fixed_omega_trad": 1000.0, "thickness_nm": 1e5,
+               "start": 1.0, "stop": 1000.0, "count": 12},
+              {"BranchAmbiguity": 4, "OverflowError": 8}),
+    "underflowed-2kl": ({"theory": "both", "fixed_omega_trad": 5e-324, "start": 1.0,
+                         "stop": 2.0, "count": 2}, {"ok": 2}),
+}
+
+
+@pytest.mark.parametrize("stack, statuses", EFFECTIVE_BRANCHES.values(), ids=EFFECTIVE_BRANCHES)
+def test_kernel_takes_every_effective_branch_as_the_scalar_library(stack, statuses):
+    spec = SweepSpec(preset="set1", observables=EXACT + ("eta",), **stack)
+    xs = grid_values(spec)
+    cells, status = grid.evaluate_grid(spec, xs)
+    assert collections.Counter(status) == statuses
+    suffix = "_effective" if spec.theory == "both" else ""
+    for i, x in enumerate(xs):
+        ref = scalar_row(spec, x)
+        assert status[i] == ref["status"]
+        want = dict.fromkeys(["n_eff_re", "n_eff_im", "eta_mod", "eta_arg", "T" + suffix,
+                              "R_right" + suffix, "s_right" + suffix], np.nan)
+        if "round_trip" in ref:
+            n_eff, round_trip = ref["n_eff"], ref["round_trip"]
+            want.update(n_eff_re=n_eff.real, n_eff_im=n_eff.imag, eta_mod=abs(round_trip),
+                        eta_arg=np.angle(round_trip))
+        if ref["status"] == "ok":
+            s_eff, flux_eff = ref["s_eff"], ref["flux_eff"]
+            want.update({"T" + suffix: s_eff.T, "R_right" + suffix: s_eff.R_right,
+                         "s_right" + suffix: flux_eff["s_right"]})
+        for col, value in want.items():
+            assert same(cells[col][i], value), col
+
+
 MATERIALS = (LorentzMedium(2.0, -3.0, 1000.0 * TRAD, 67.0 * TRAD),
              LorentzMedium(2.5, 3.0, 1100.0 * TRAD, 90.0 * TRAD))
 

@@ -910,20 +910,20 @@ class TestCli:
             rc = cli_main([*argv, "--omega-trad", "1e6", "--thickness-nm", "1e308"])
         assert (rc, capsys.readouterr().err) == (4, err)
 
-    @pytest.mark.parametrize("argv, per_row", [
-        (["compare", "--preset", "set2", "--range", "5:30:6"], 1),
-        (["compare", "--preset", "set1", "--omega-trad", "1000", "--range", "1:100:6"], 3),
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--preset", "set2", "--range", "5:30:6"],
+        ["compare", "--preset", "set1", "--omega-trad", "1000", "--range", "1:100:6"],
     ], ids=["off-balance", "balance"])
-    def test_an_effective_row_builds_its_slab_once(self, argv, per_row, monkeypatch, capsys):
-        # the flux reads the row's slab; at balance its central difference
-        # builds two more, at offsets of Im n_eff^2
-        calls, build = [], effective.effective_amplitudes
-        monkeypatch.setattr(effective, "effective_amplitudes",
-                            lambda *a: calls.append(a) or build(*a))
-        assert cli_main([*argv, "--obs", "noise"]) == 0
+    def test_a_compare_calls_no_scalar_effective_function(self, argv, monkeypatch, capsys):
+        # the grid kernel evaluates the slab over arrays; off balance and at
+        # balance, where the flux takes a central difference of two more slabs
+        calls = []
+        for name in ("bloch_index", "round_trip", "effective_amplitudes", "effective_noise"):
+            monkeypatch.setattr(effective, name, lambda *a, name=name: calls.append(name))
+        assert cli_main([*argv, "--obs", "scattering,eigenvalues,noise,variance,mandel,eta"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
-        assert all(row.endswith(",ok") for row in rows)
-        assert len(calls) == per_row * len(rows) == per_row * 6
+        assert len(rows) == 6 and all(row.endswith(",ok") for row in rows)
+        assert calls == []
 
     def test_an_effective_locate_builds_one_slab_per_evaluation(self, monkeypatch, capsys):
         calls, build = [], effective.effective_amplitudes
