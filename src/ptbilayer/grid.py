@@ -5,16 +5,18 @@ evaluate_grid computes every table cell of a SweepSpec over a whole grid of
 permittivities and indices, the five chain factors as stacked (N, 2, 2)
 arrays, S, the eigenpair, each layer's noise coupling and commutator (built
 once for both the flux and the sum rule check), the flux and the table
-cells. A row that fails keeps the cells filled before its first failure,
-and its status names that failure. The columns come out in table order, so
-this module is the one place that names them.
+cells. Each is evaluated once per distinct value of the parameters it
+reads, so a temperature sweep builds one stack. A row that fails keeps the
+cells filled before its first failure, and its status names that failure.
+The columns come out in table order, so this module is the one place that
+names them.
 
 The kernel restates only what its array form would round differently from
 the scalar library (transfer_chain, scattering_from_transfer, eigenvalues'
 closed-form check, layer_terms, and effective's bloch_index, round_trip,
 effective_amplitudes and effective_noise), the public API and the tests'
-reference; each other rule, noise.fluxes among them, is the scalar modules'
-own, called on arrays. To repeat the scalar rounding:
+reference; each other rule, noise.flux_parts and noise.fluxes among them, is
+the scalar modules' own, called on arrays. To repeat the scalar rounding:
 
 - complex products that the scalar path forms on scalars are written out in
   real arithmetic, because numpy's SIMD complex multiply fuses multiply-adds
@@ -185,7 +187,7 @@ def _propagation(n, k, thickness) -> np.ndarray:
 
 
 class ExactStack:
-    """Chain and S of every grid row from its layer indices (n_gain, n_loss)
+    """Chain and S of every stack row from its layer indices (n_gain, n_loss)
     (scattering.transfer_chain and scattering_from_transfer over arrays)."""
 
     def __init__(self, spec, indices, omega):
@@ -264,12 +266,14 @@ class ExactStack:
 
 class Amplitudes:
     """(r_left, t, r_right) arrays, and T, R_left and R_right derived from them
-    once, named and rounded as ScatteringAmplitudes' properties."""
+    once, named and rounded as ScatteringAmplitudes' properties (a symmetric
+    slab passes one array as r_left and r_right, and squares it once)."""
 
     def __init__(self, r_left, t, r_right):
         self.r_left, self.t, self.r_right = r_left, t, r_right
-        self.T, self.R_left, self.R_right = (media.libm_square(_abs(a))
-                                             for a in (t, r_left, r_right))
+        self.T, self.R_left = (media.libm_square(_abs(a)) for a in (t, r_left))
+        self.R_right = (self.R_left if r_right is r_left
+                        else media.libm_square(_abs(r_right)))
 
     def matrices(self) -> np.ndarray:
         return _stack(self.r_left, self.t, self.t, self.r_right)
@@ -314,7 +318,8 @@ def _rel_dev(eff, exact):
 
 
 class _Cells:
-    """Column arrays by family, statuses and the rows still being evaluated."""
+    """Column arrays by family, statuses and the rows still being evaluated:
+    the rows of a stack, or of the grid."""
 
     def __init__(self, n: int):
         self.n = n
@@ -326,10 +331,13 @@ class _Cells:
         return np.flatnonzero(self.live)
 
     def put(self, family: str, rows: np.ndarray, values: dict) -> None:
-        """Write values (arrays with one entry per row in rows) where rows are live."""
+        """Write values (arrays with one entry per row in rows, or one entry
+        for them all) where rows are live."""
         columns = self.families.setdefault(family, {})
         keep = self.live[rows]
         for name, v in values.items():
+            if v.shape != rows.shape:
+                v = np.broadcast_to(v, rows.shape)
             col = columns.get(name)
             if col is None:
                 col = columns[name] = np.full(self.n, np.nan, dtype=v.dtype)
@@ -340,6 +348,17 @@ class _Cells:
         rows = rows[self.live[rows]]
         self.status[rows] = name
         self.live[rows] = False
+
+    def spread(self, n: int) -> "_Cells":
+        """These cells over n grid rows: themselves when they have n rows, else
+        their one row repeated."""
+        if self.n == n:
+            return self
+        out = _Cells(n)
+        out.status, out.live = np.repeat(self.status, n), np.repeat(self.live, n)
+        out.families = {family: {name: np.repeat(v, n) for name, v in columns.items()}
+                        for family, columns in self.families.items()}
+        return out
 
 
 def _eigenvalue_cells(cells: _Cells, exact, s: Amplitudes) -> None:
@@ -423,28 +442,31 @@ def _bloch_index(cells: _Cells, indices, k, l) -> np.ndarray:
     return np.where(limit, _cmath_each(cmath.sqrt, mean, cells, limit), n)
 
 
-def _round_trip(cells: _Cells, n, kl) -> np.ndarray:
-    """effective.round_trip at the live rows; a row fails where it raises."""
+def _round_trip(cells: _Cells, n, kl):
+    """effective.round_trip at the live rows, and its factor e^{4 i n k l}, which
+    the slab reuses; a row fails where it raises."""
     ratio, overflow = _square(_py_div(n - 1, n + 1))
     cells.fail(np.flatnonzero(overflow), "OverflowError")
-    return _mul(ratio, _cmath_each(cmath.exp, _scale(_mul(4j, n), kl), cells))
+    exp4 = _cmath_each(cmath.exp, _scale(_mul(4j, n), kl), cells)
+    return _mul(ratio, exp4), exp4
 
 
-def _slab(cells: _Cells, n, kl, where=True) -> Amplitudes:
+def _slab(cells: _Cells, n, kl, back, where=True, exp4=None) -> Amplitudes:
     """effective.effective_amplitudes at the live rows of where; a row fails
-    with LasingPole or OverflowError where it raises."""
+    with LasingPole or OverflowError where it raises. back is e^{-2 i k l}, and
+    exp4, when given, e^{4 i n k l} as the round trip took it."""
     plus, overflow_plus = _square(n + 1)
     minus, overflow_minus = _square(n - 1)
     cells.fail(np.flatnonzero(where & (overflow_plus | overflow_minus)), "OverflowError")
-    round_trip = _cmath_each(cmath.exp, _scale(_mul(4j, n), kl), cells, where)
-    den = plus - _mul(minus, round_trip)
+    if exp4 is None:
+        exp4 = _cmath_each(cmath.exp, _scale(_mul(4j, n), kl), cells, where)
+    den = plus - _mul(minus, exp4)
     modulus, overflow = _py_abs(den)
     cells.fail(np.flatnonzero(where & overflow), "OverflowError")
     cells.fail(np.flatnonzero(where & ~(modulus >= 1e-12)), "LasingPole")
     forward = _cmath_each(cmath.exp, _scale(_mul(2j, n - 1), kl), cells, where)
-    back = _cmath_each(cmath.exp, _scale(-2j, kl), cells, where)
     t = _py_div(_mul(_mul(4 + 0j, n), forward), den)
-    r = _py_div(_mul(_mul(_mul(n, n) - 1, round_trip - 1), back), den)
+    r = _py_div(_mul(_mul(_mul(n, n) - 1, exp4 - 1), back), den)
     return Amplitudes(r, t, r)
 
 
@@ -457,9 +479,11 @@ def _deficit(cells: _Cells, s: Amplitudes, where=True) -> np.ndarray:
     return noise.unitarity_deficit(s)["right"]
 
 
-def _slab_flux(cells: _Cells, n, s: Amplitudes, eps, kl, nth) -> np.ndarray:
-    """effective.effective_noise's flux (s_left = s_right) at the live rows;
-    a row fails where it raises, in either slab of the central difference."""
+def _slab_flux(cells: _Cells, n, s: Amplitudes, eps, kl, back, nth) -> np.ndarray:
+    """effective.effective_noise's flux (s_left = s_right) at the live rows of
+    the stack, at the thermal occupations nth: the stack gives the slope and
+    the deficit, and the pump broadcasts over nth. A row fails where it
+    raises, in either slab of the central difference."""
     eg, el = (np.abs(e.imag) for e in eps)
     pump = 0.5 * (eg + el) * (2.0 * nth + 1.0)
     square = _mul(n, n)
@@ -469,36 +493,42 @@ def _slab_flux(cells: _Cells, n, s: Amplitudes, eps, kl, nth) -> np.ndarray:
     balance = np.abs(square.imag) < 1e-12 * scale
     h = 1e-7 * scale
     dplus, dminus = (_deficit(cells, _slab(cells, _cmath_each(
-        cmath.sqrt, square + _scale(d, h), cells, balance), kl, balance), balance)
+        cmath.sqrt, square + _scale(d, h), cells, balance), kl, back, balance), balance)
         for d in (1j, -1j))
     slope = (dplus - dminus) / (2 * h)
     return np.where(balance, pump * slope / 2.0 - 0.5 * deficit,
                     deficit * (pump / (2.0 * square.imag) - 0.5))
 
 
-def _occupations(omega, temperature, rows) -> np.ndarray:
-    """noise.thermal_occupation at rows, element by element."""
+def _occupations(omega, temperature) -> np.ndarray:
+    """noise.thermal_occupation element by element over the broadcast of omega
+    and temperature, a number or an array each."""
+    omega, temperature = np.broadcast_arrays(omega, temperature)
     return np.array([noise.thermal_occupation(w, t) for w, t in
-                     zip(omega[rows].tolist(), temperature[rows].tolist())])
+                     zip(omega.ravel().tolist(), temperature.ravel().tolist())])
 
 
-def _effective_rows(spec, wants, omega, temperature, eps, indices, cells: _Cells):
-    """Effective-medium cells over the live rows: the scalar library's slab,
-    step by step over arrays, each row stopping at its first failure.
+def _effective_rows(spec, wants, omega, nth, eps, indices, cells: _Cells):
+    """Effective-medium cells over the live rows of the stack: the scalar
+    library's slab, step by step over arrays, each row stopping at its first
+    failure.
 
-    eps and indices are the grid's (gain, loss) pairs from layer_arrays. Puts
-    the eta family's cells, and returns the slab's Amplitudes and its
-    (s_left, s_right) flux as arrays over the grid, or (None, None) when the
-    spec needs no effective slab.
+    omega is a number, or an array with one entry per stack row; nth holds the
+    grid's thermal occupations (_occupations); eps and indices are the stack's
+    (gain, loss) pairs from layer_arrays. Puts the eta family's cells, and
+    returns the slab's Amplitudes and its (s_left, s_right) flux over the grid,
+    or (None, None) when the spec needs no effective slab.
     """
     want_s = spec.theory != "exact" and bool(wants & EXACT_FAMILIES)
     l = spec.thickness_nm * NM
-    k = omega / C_VACUUM
+    k_omega = np.atleast_1d(omega / C_VACUUM)
+    k = np.broadcast_to(k_omega, (cells.n,))
     kl = k * l
     n_eff = _bloch_index(cells, indices, k, l)
     every = np.arange(cells.n)
+    exp4 = None
     if "eta" in wants:
-        eta = _round_trip(cells, n_eff, kl)
+        eta, exp4 = _round_trip(cells, n_eff, kl)
         eta_mod, overflow = _py_abs(eta)
         cells.fail(np.flatnonzero(overflow), "OverflowError")
         # written before the effective slab can fail
@@ -506,13 +536,16 @@ def _effective_rows(spec, wants, omega, temperature, eps, indices, cells: _Cells
                                  "eta_mod": eta_mod, "eta_arg": np.angle(eta)})
     if not want_s:
         return None, None
-    s = _slab(cells, n_eff, kl)
+    # e^{-2 i k l} reads omega alone: taken once per distinct omega for all three slabs,
+    # where it is finite (elsewhere 2 k l is not, and bloch_index has failed the row)
+    arg = _scale(-2j, k_omega * l)
+    finite = np.isfinite(arg.real) & np.isfinite(arg.imag)
+    back = np.full(arg.shape, np.nan, dtype=complex)
+    back[finite] = [cmath.exp(z) for z in arg[finite].tolist()]
+    s = _slab(cells, n_eff, kl, back, exp4=exp4)
     if not wants & FLUX_FAMILIES:
         return s, None
-    nth = np.full(cells.n, np.nan)
-    rows = cells.rows()
-    nth[rows] = _occupations(omega, temperature, rows)
-    flux = _slab_flux(cells, n_eff, s, eps, kl, nth)
+    flux = _slab_flux(cells, n_eff, s, eps, kl, back, nth)
     return s, (flux, flux)
 
 
@@ -533,18 +566,26 @@ def evaluate_grid(spec, xs):
     (SumRuleViolation is raised, not recorded), the effective medium
     (OverflowError too where cmath overflows), the eigenpair, the Mandel
     denominator. spec.check_sum_rule checks every row of the exact chain.
+
+    Each stage runs once per distinct value of what it reads: the stack (chain,
+    S, eigenpair, layer terms with the flux's flux_0 and E, sum rule, effective
+    slab, scattering and eigenvalues cells) per (alpha_l, omega), so one row on
+    a temperature sweep; the thermal occupation per (omega, temperature); the
+    flux flux_0 + N_th E and the noise, variance and mandel cells per grid row.
     """
     xs = np.asarray(xs, dtype=float)
-    alpha_l, omega, temperature = np.broadcast_arrays(*grid_parameters(spec, xs))
+    alpha_l, omega, temperature = grid_parameters(spec, xs)
     wants = frozenset(spec.observables)
-    cells = _Cells(len(xs))
     use_exact = spec.theory in ("exact", "both")
     both = spec.theory == "both"
 
-    eps, indices = layer_arrays(spec, alpha_l, omega)
+    nth = _occupations(omega, temperature) if wants & FLUX_FAMILIES else None
+    alpha_s, omega_s = np.atleast_1d(*np.broadcast_arrays(alpha_l, omega))
+    cells = _Cells(len(alpha_s))
+    eps, indices = layer_arrays(spec, alpha_s, omega_s)
     exact = s_main = flux_main = None
     if use_exact and wants & EXACT_FAMILIES:
-        exact = ExactStack(spec, indices, omega)
+        exact = ExactStack(spec, indices, omega_s)
         cells.fail(np.flatnonzero(exact.singular), "SingularTransfer")
         s_main = exact.s
         if wants & FLUX_FAMILIES or spec.check_sum_rule:
@@ -554,24 +595,28 @@ def evaluate_grid(spec, xs):
             if spec.check_sum_rule:
                 noise.enforce_sum_rule(terms, s_main.matrices()[rows])
             if wants & FLUX_FAMILIES:
-                flux_main = np.full((2, len(xs)), np.nan)
-                flux_main[:, rows] = noise.fluxes(terms, _occupations(omega, temperature, rows))
+                parts = np.full((2, 2, cells.n), np.nan)
+                parts[..., rows] = noise.flux_parts(terms)
+                flux_main = noise.fluxes(parts, nth)
 
     s_eff = flux_eff = None
     if spec.theory != "exact" or "eta" in wants:
-        s_eff, flux_eff = _effective_rows(spec, wants, omega, temperature, eps, indices, cells)
+        s_eff, flux_eff = _effective_rows(spec, wants, omega, nth, eps, indices, cells)
     if not use_exact:
         s_main, flux_main = s_eff, flux_eff
 
-    every = np.arange(len(xs))
     # s_main (and, with both theories, s_eff) exists for every exact family,
-    # flux_main (and flux_eff) for every flux family
+    # flux_main (and flux_eff) for every flux family; the families before the
+    # flux families are the stack's, whose cells then spread over the grid
     for family in OBSERVABLE_ORDER:
+        if family in FLUX_FAMILIES:
+            cells = cells.spread(len(xs))
         if family not in wants or family == "eta":   # eta is filled with the slab
             continue
         if family == "eigenvalues":
             _eigenvalue_cells(cells, exact, s_main)
             continue
+        every = np.arange(cells.n)
         main, degenerate = _family_cells(family, s_main, flux_main, spec, cells.live)
         cells.fail(every[degenerate], "DegenerateDenominator")
         cells.put(family, every, main)

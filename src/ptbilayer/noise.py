@@ -18,8 +18,11 @@ closes to machine precision in full_complex mode. In paper_real_part mode the
 rule holds only to O(n''/n') by construction, so enforce_sum_rule, the
 consistency check, applies to full_complex terms only.
 
-Observable noise fluxes (fluxes) weight each layer's (D K D^dagger)_jj by its
-thermal occupation: N_th for an absorbing layer, -(N_th + 1) for an amplifying one.
+The noise flux into output j is linear in the thermal occupation N_th,
+flux_0 + N_th E (fluxes). With Q the layer's (D K D^dagger)_jj, the
+zero-temperature part flux_0 sums -Q over the amplifying layers, and E sums
++Q over the absorbing layers and -Q over the amplifying ones (flux_parts).
+A stack's flux_0 and E are taken once and serve every temperature.
 """
 
 from __future__ import annotations
@@ -124,15 +127,27 @@ def sum_rule_residual(bilayer: Bilayer, omega: float, mode: str = MODE_FULL) -> 
     return float(sum_rule_residuals(layer_terms(chain), chain.s.matrix()))
 
 
-def fluxes(terms, nth):
-    """(s_left, s_right) of one point's terms [(n, D (2, 2), K (2, 2))] at nth, or of a
-    stack's [(n (N,), D (N, 2, 2), K (N, 2, 2))] at nth (N,), rounded alike; only Im n >= 0 absorbs."""
-    out = 0.0
+def flux_parts(terms):
+    """(flux_0, E), each (2, ...) over the outputs (left, right), of one point's
+    terms [(n, D (2, 2), K (2, 2))] or a stack's [(n (N,), D (N, 2, 2), K (N, 2, 2))],
+    rounded alike; only Im n >= 0 absorbs."""
+    flux0 = e = 0.0
     for n, d, k in terms:
-        weight = np.where(np.imag(n) >= 0, nth, -(nth + 1.0))
         q = (d[..., :, None, :] @ k[..., None, :, :]) @ np.conj(d)[..., :, :, None]
-        out = out + weight[..., None] * q[..., 0, 0].real
-    return out[..., 0], out[..., 1]
+        q = q[..., 0, 0].real.T   # Q of (left, right) on the first axis
+        absorbs = np.imag(n) >= 0
+        signed = q * (2.0 * absorbs - 1.0)   # +Q where the layer absorbs, -Q where it amplifies
+        flux0 = flux0 + signed * (1.0 - absorbs)   # an absorbing layer adds 0 Q
+        e = e + signed
+    return flux0, e
+
+
+def fluxes(parts, nth):
+    """(s_left, s_right) = flux_0 + nth E, as the two rows of an array, from
+    parts = flux_parts(terms); nth is a float, or an array that broadcasts
+    against a stack's rows."""
+    flux0, e = parts
+    return flux0 + nth * e
 
 
 def noise_flux(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
@@ -144,7 +159,7 @@ def noise_flux(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
     """
     if terms is None:
         terms = layer_terms(transfer_chain(bilayer, omega, mode))
-    left, right = fluxes(terms, thermal_occupation(omega, temperature))
+    left, right = fluxes(flux_parts(terms), thermal_occupation(omega, temperature))
     return {"s_left": float(left), "s_right": float(right)}
 
 

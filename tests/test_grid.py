@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptbilayer
@@ -90,26 +90,40 @@ def same(a, b):
     return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
 
 
+@settings(max_examples=400)   # about half the draws are temperature sweeps
 @given(gain=medium(st.floats(-5.0, 5.0)), loss=medium(st.just(1.0)),
        alpha_l=st.floats(0.0, 50.0), thickness=st.floats(5.0, 150.0),
        mode=st.sampled_from([scattering.MODE_FULL, scattering.MODE_PAPER]),
        theory=st.sampled_from(["exact", "both", "effective"]), eta=st.booleans(),
-       temperature=st.sampled_from([0.0, 300.0]),
-       omegas=st.lists(st.floats(100.0, 3000.0), min_size=1, max_size=6))
-def test_kernel_reproduces_scalar_library(gain, loss, alpha_l, thickness, mode,
-                                          theory, eta, temperature, omegas):
-    spec = SweepSpec(preset=None, materials=(gain, loss), variable="omega",
-                     fixed_alpha_l=alpha_l, thickness_nm=thickness, mode=mode,
-                     theory=theory, temperature_k=temperature,
-                     observables=EXACT + ("eta",) * eta)
-    xs = np.array(omegas)
-    cells, status = grid.evaluate_grid(spec, xs)
+       check=st.booleans(), variable=st.sampled_from(["omega", "temperature"]),
+       temperature=st.sampled_from([0.0, 300.0]), omega_trad=st.floats(100.0, 3000.0),
+       omegas=st.lists(st.floats(100.0, 3000.0), min_size=1, max_size=6),
+       temperatures=st.lists(st.floats(0.0, 600.0), min_size=1, max_size=6))
+def test_kernel_reproduces_scalar_library(gain, loss, alpha_l, thickness, mode, theory, eta,
+                                          check, variable, temperature, omega_trad, omegas,
+                                          temperatures):
+    # an omega sweep evaluates one stack per row; a temperature sweep one stack
+    # for all its rows, and the flux per row from that stack's flux_0 and E
+    sweep = variable == "omega"
+    spec = SweepSpec(preset=None, materials=(gain, loss), variable=variable,
+                     fixed_alpha_l=alpha_l, fixed_omega_trad=None if sweep else omega_trad,
+                     thickness_nm=thickness, mode=mode, theory=theory,
+                     temperature_k=temperature, observables=EXACT + ("eta",) * eta,
+                     check_sum_rule=check and mode == scattering.MODE_FULL)
+    xs = np.array(omegas if sweep else temperatures)
     alpha_ls, omega, _ = np.broadcast_arrays(*grid.grid_parameters(spec, xs))
     stack = grid.ExactStack(spec, grid.layer_arrays(spec, alpha_ls, omega)[1], omega)
     ok = np.flatnonzero(~stack.singular)
     residuals = dict(zip(ok.tolist(), noise.sum_rule_residuals(
         stack.layer_terms(ok), stack.s.matrices()[ok]).tolist()))
-    for i, x in enumerate(omegas):
+    violated = (spec.check_sum_rule and theory != "effective"
+                and not all(r <= noise.SUM_RULE_TOL for r in residuals.values()))
+    if violated:
+        with pytest.raises(noise.SumRuleViolation):
+            grid.evaluate_grid(spec, xs)
+        return
+    cells, status = grid.evaluate_grid(spec, xs)
+    for i, x in enumerate(xs.tolist()):
         ref = scalar_row(spec, x)
         assert status[i] == ref["status"]
         if "chain" in ref:
@@ -182,8 +196,9 @@ def test_kernel_reproduces_scalar_library(gain, loss, alpha_l, thickness, mode,
        omegas=st.lists(st.floats(100.0, 3000.0), min_size=1, max_size=6))
 def test_the_flux_of_a_stack_is_the_flux_of_each_row(gain, loss, alpha_l, thickness, mode,
                                                     temperature, omegas):
-    # noise.fluxes contracts a stack's rows as it contracts one point, bit for
-    # bit, so noise_flux and the grid kernel share it; four more rows copy
+    # noise.flux_parts contracts a stack's rows as it contracts one point, and
+    # noise.fluxes weights them alike, bit for bit, so noise_flux and the grid
+    # kernel share them; four more rows copy
     # row 0 with a nan in D, an inf in K, an infinite occupation and a nan index
     spec = SweepSpec(preset=None, materials=(gain, loss), variable="omega",
                      fixed_alpha_l=alpha_l, thickness_nm=thickness, mode=mode)
@@ -201,11 +216,12 @@ def test_the_flux_of_a_stack_is_the_flux_of_each_row(gain, loss, alpha_l, thickn
     nth = [noise.thermal_occupation(w, temperature) for w in omega.tolist()]
     nth = np.array(nth + [nth[0], nth[0], np.inf, nth[0]])
     with np.errstate(all="ignore"):   # the inf rows make nans, as overflowed rows do
-        left, right = noise.fluxes(terms, nth)
+        left, right = noise.fluxes(noise.flux_parts(terms), nth)
         assert left.shape == right.shape == (n_rows + 4,)
         for i in range(n_rows + 4):
             point = [(complex(n[i]), d[i].copy(), k[i].copy()) for n, d, k in terms]
-            assert same([left[i], right[i]], noise.fluxes(point, float(nth[i])))
+            assert same([left[i], right[i]],
+                        noise.fluxes(noise.flux_parts(point), float(nth[i])))
 
 
 # stacks whose effective slab takes the branches the property above never
@@ -311,6 +327,38 @@ def test_checked_grid_builds_the_layer_terms_once(monkeypatch):
     _, status = grid.evaluate_grid(spec, grid_values(spec))
     assert list(status) == ["ok"] * 20
     assert passes.count(math.exp) == 4
+
+
+def test_each_stage_runs_once_per_distinct_value_of_what_it_reads(monkeypatch):
+    # the stack reads (alpha_l, omega) and the thermal occupation (omega, T): a
+    # temperature sweep builds one stack row and takes one eigenpair for its
+    # 500 rows, and an alpha_l sweep at fixed omega and T takes one occupation,
+    # which the exact and the effective flux share
+    stack_rows, eigvals_shapes, occupations = [], [], []
+    stack, eigvals, occupation = grid.ExactStack, np.linalg.eigvals, noise.thermal_occupation
+
+    class CountedStack(stack):
+        def __init__(self, spec, indices, omega):
+            stack_rows.append(len(omega))
+            super().__init__(spec, indices, omega)
+
+    monkeypatch.setattr(grid, "ExactStack", CountedStack)
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: eigvals_shapes.append(a.shape) or eigvals(a))
+    monkeypatch.setattr(noise, "thermal_occupation",
+                        lambda w, t: occupations.append((w, t)) or occupation(w, t))
+    spec = SweepSpec(preset="set1", variable="temperature", start=0.0, stop=600.0, count=500,
+                     fixed_omega_trad=500.0, fixed_alpha_l=24.0, theory="both",
+                     observables=grid.OBSERVABLE_ORDER, check_sum_rule=True)
+    _, status = grid.evaluate_grid(spec, grid_values(spec))
+    assert list(status) == ["ok"] * 500
+    assert (stack_rows, eigvals_shapes, len(occupations)) == ([1], [(1, 2, 2)], 500)
+    del stack_rows[:], eigvals_shapes[:], occupations[:]
+    spec = SweepSpec(preset="set1", start=1.0, stop=200.0, count=50, fixed_omega_trad=1000.0,
+                     temperature_k=300.0, theory="both", observables=grid.OBSERVABLE_ORDER)
+    _, status = grid.evaluate_grid(spec, grid_values(spec))
+    assert list(status) == ["ok"] * 50
+    assert (stack_rows, occupations) == ([50], [(1000.0 * TRAD, 300.0)])
 
 
 def test_an_overflowing_index_ratio_gives_the_scalar_flux():

@@ -219,8 +219,8 @@ class TestNoiseFlux:
     def test_fluxes_round_as_the_per_row_loop(self, gain, loss, alpha_l, thickness,
                                               omega, mode, temperature):
         # the contraction's rounding is part of the tables: fluxes must equal,
-        # bit for bit, this per-layer, per-row loop (the diagonal of the full
-        # product D K D^dagger rounds differently)
+        # bit for bit, flux_0 + N_th E built by this per-layer, per-row loop
+        # (the diagonal of the full product D K D^dagger rounds differently)
         bil = Bilayer(gain=gain, loss=replace(loss, alpha=alpha_l),
                       layer_thickness=thickness * NM)
         w = omega * TRAD
@@ -231,9 +231,13 @@ class TestNoiseFlux:
             assume(False)
         terms = noise.layer_terms(chain)
         nth = noise.thermal_occupation(w, temperature)
-        want = np.zeros(2)
+        flux0, e = np.zeros(2), np.zeros(2)
         for n, d, k in terms:
-            weight = nth if n.imag >= 0 else -(nth + 1.0)
             for row in range(2):
-                want[row] += weight * float(np.real(d[row] @ k @ d[row].conj()))
-        assert np.array(noise.fluxes(terms, nth)).tobytes() == want.tobytes()
+                q = float(np.real(d[row] @ k @ d[row].conj()))
+                flux0[row] += 0.0 if n.imag >= 0 else -q
+                e[row] += q if n.imag >= 0 else -q
+        want = flux0 + nth * e
+        parts = noise.flux_parts(terms)
+        assert np.array(parts).tobytes() == np.array([flux0, e]).tobytes()
+        assert np.array(noise.fluxes(parts, nth)).tobytes() == want.tobytes()
