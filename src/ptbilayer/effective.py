@@ -18,6 +18,14 @@ from .noise import thermal_occupation, unitarity_deficit
 from .scattering import ScatteringAmplitudes
 
 
+# The slab's bounds, stated once for the scalar functions and the grid kernel.
+CELL_PHASE_MAX = math.pi / 2   # BranchAmbiguity above this |2 n_eff k l|
+TIE_TOL = 1e-9          # |Re n_eff| this small (relative) is an evanescent tie
+POLE_MIN = 1e-12        # LasingPole below this |den|
+BALANCE_TOL = 1e-12     # |Im n_eff^2| below this (relative to the larger |Im eps|) is balance
+DIFFERENCE_STEP = 1e-7  # the balance limit's central-difference step (same scale)
+
+
 class BranchAmbiguity(Exception):
     """Cell phase too large for the principal Bloch branch."""
 
@@ -38,15 +46,17 @@ def bloch_index(indices: tuple[complex, complex], omega: float,
         raise BranchAmbiguity(f"cell phase overflows (2 k l = {two_kl})")
     x = ng * k * layer_thickness
     y = nl * k * layer_thickness
-    rhs = cmath.cos(x) * cmath.cos(y) \
-        - 0.5 * (ng / nl + nl / ng) * cmath.sin(x) * cmath.sin(y)
+    cos_xy = cmath.cos(x) * cmath.cos(y)
+    if ng == 0 or nl == 0:   # the ratios below divide by zero; the kernel's phase is nan
+        raise BranchAmbiguity("a layer index vanishes; the cell phase is undefined")
+    rhs = cos_xy - 0.5 * (ng / nl + nl / ng) * cmath.sin(x) * cmath.sin(y)
     n = cmath.acos(rhs) / two_kl
     if n.real < 0:
         n = -n
-    if abs(n.real) < 1e-9 * abs(n) and min(ng.imag, nl.imag) < 0 and n.imag > 0:
+    if abs(n.real) < TIE_TOL * abs(n) and min(ng.imag, nl.imag) < 0 and n.imag > 0:
         # evanescent tie: with gain present take the amplifying branch
         n = -n
-    if not abs(2 * n * k * layer_thickness) <= math.pi / 2:   # nan fails too
+    if not abs(2 * n * k * layer_thickness) <= CELL_PHASE_MAX:   # nan fails too
         raise BranchAmbiguity(
             f"cell phase {abs(2 * n * k * layer_thickness):.3f} exceeds pi/2; "
             "principal branch is not trustworthy")
@@ -65,13 +75,13 @@ def effective_amplitudes(n_eff: complex, omega: float,
         r   = (n^2 - 1)(e^{4 i n k l} - 1) e^{-2 i k l} / den
 
     identical to the left/right symmetric two-port of the exact chain with
-    both layers set to n_eff. Raises LasingPole when |den| < 1e-12 or den is
-    not a number.
+    both layers set to n_eff. Raises LasingPole when |den| < POLE_MIN or den
+    is not a number.
     """
     n = complex(n_eff)
     kl = (omega / C_VACUUM) * layer_thickness
     den = (n + 1) ** 2 - (n - 1) ** 2 * cmath.exp(4j * n * kl)
-    if not abs(den) >= 1e-12:
+    if not abs(den) >= POLE_MIN:
         raise LasingPole(f"pole denominator modulus {abs(den):.3e}")
     t = 4 * n * cmath.exp(2j * (n - 1) * kl) / den
     r = (n * n - 1) * (cmath.exp(4j * n * kl) - 1) * cmath.exp(-2j * kl) / den
@@ -98,9 +108,10 @@ def effective_noise(n_eff: complex, s: ScatteringAmplitudes,
     built it, and eps is (eps_gain, eps_loss) at omega. The flux is the slab's
     unitarity deficit times the occupation S / (2 Im n_eff^2) - 1/2, with the
     pump strength S = (|Im eps_gain| + |Im eps_loss|) (2 N_th + 1) / 2 (equal
-    layer weights). At balance (|Im n_eff^2| below 1e-12 of the larger |Im eps|)
-    deficit and Im n_eff^2 both vanish: the occupation is nan, and the flux's
-    limit takes a central difference of the deficit with respect to Im n_eff^2.
+    layer weights). At balance (|Im n_eff^2| below BALANCE_TOL of the larger
+    |Im eps|) deficit and Im n_eff^2 both vanish: the occupation is nan, and the
+    flux's limit takes a central difference of the deficit with respect to
+    Im n_eff^2, with the step DIFFERENCE_STEP on the same scale.
     """
     eg, el = eps
     nth = thermal_occupation(omega, temperature)
@@ -108,8 +119,8 @@ def effective_noise(n_eff: complex, s: ScatteringAmplitudes,
     im_eff = (n_eff * n_eff).imag
     deficit = unitarity_deficit(s)["right"]
     scale = max(abs(eg.imag), abs(el.imag), 1e-300)
-    if abs(im_eff) < 1e-12 * scale:
-        h = 1e-7 * scale
+    if abs(im_eff) < BALANCE_TOL * scale:
+        h = DIFFERENCE_STEP * scale
         dplus, dminus = (unitarity_deficit(effective_amplitudes(cmath.sqrt(
             n_eff * n_eff + d), omega, layer_thickness))["right"] for d in (1j * h, -1j * h))
         slope = (dplus - dminus) / (2 * h)

@@ -31,7 +31,8 @@ the scalar modules' own, called on arrays. To repeat the scalar rounding:
   element by element (numpy's complex arccos, for one, differs from
   cmath.acos in the last bits), and a row fails where Python raises:
   OverflowError from cmath, from z ** 2 or abs(z), BranchAmbiguity and
-  LasingPole where the scalar tests raise them.
+  LasingPole where the scalar tests raise them, at the bounds that effective
+  names.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import media, noise, observables, scattering
+from . import effective, media, noise, observables, scattering
 from .media import C_VACUUM, NM, TRAD, Bilayer
 
 OBSERVABLE_ORDER = ("scattering", "eigenvalues", "noise", "variance", "mandel", "eta")
@@ -161,8 +162,6 @@ def layer_arrays(spec, alpha_l, omega):
 
 def _index(eps) -> np.ndarray:
     """media.refractive_index over an array."""
-    if np.any(eps == 0):
-        raise ValueError("permittivity must be nonzero")
     n = np.sqrt(eps)
     return np.where(n.real < 0, -n, n)
 
@@ -266,14 +265,12 @@ class ExactStack:
 
 class Amplitudes:
     """(r_left, t, r_right) arrays, and T, R_left and R_right derived from them
-    once, named and rounded as ScatteringAmplitudes' properties (a symmetric
-    slab passes one array as r_left and r_right, and squares it once)."""
+    once, named and rounded as ScatteringAmplitudes' properties."""
 
     def __init__(self, r_left, t, r_right):
         self.r_left, self.t, self.r_right = r_left, t, r_right
-        self.T, self.R_left = (media.libm_square(_abs(a)) for a in (t, r_left))
-        self.R_right = (self.R_left if r_right is r_left
-                        else media.libm_square(_abs(r_right)))
+        self.T, self.R_left, self.R_right = (media.libm_square(_abs(a))
+                                             for a in (t, r_left, r_right))
 
     def matrices(self) -> np.ndarray:
         return _stack(self.r_left, self.t, self.t, self.r_right)
@@ -434,39 +431,37 @@ def _bloch_index(cells: _Cells, indices, k, l) -> np.ndarray:
     modulus, overflow = _py_abs(n)
     cells.fail(np.flatnonzero(overflow & ~limit), "OverflowError")
     lower = np.where(nl.imag < ng.imag, nl.imag, ng.imag)   # min(ng.imag, nl.imag)
-    n = np.where((np.abs(n.real) < 1e-9 * modulus) & (lower < 0) & (n.imag > 0), -n, n)
+    n = np.where((np.abs(n.real) < effective.TIE_TOL * modulus) & (lower < 0) & (n.imag > 0),
+                 -n, n)
     phase, overflow = _py_abs(_scale(_scale(_mul(2 + 0j, n), k), l))
     cells.fail(np.flatnonzero(overflow & ~limit), "OverflowError")
-    cells.fail(np.flatnonzero(~(phase <= math.pi / 2) & ~limit), "BranchAmbiguity")
+    cells.fail(np.flatnonzero(~(phase <= effective.CELL_PHASE_MAX) & ~limit), "BranchAmbiguity")
     mean = _py_div(_mul(ng, ng) + _mul(nl, nl), _cx(2.0, 0.0))
     return np.where(limit, _cmath_each(cmath.sqrt, mean, cells, limit), n)
 
 
-def _round_trip(cells: _Cells, n, kl):
-    """effective.round_trip at the live rows, and its factor e^{4 i n k l}, which
-    the slab reuses; a row fails where it raises."""
+def _round_trip(cells: _Cells, n, kl) -> np.ndarray:
+    """effective.round_trip at the live rows; a row fails where it raises."""
     ratio, overflow = _square(_py_div(n - 1, n + 1))
     cells.fail(np.flatnonzero(overflow), "OverflowError")
-    exp4 = _cmath_each(cmath.exp, _scale(_mul(4j, n), kl), cells)
-    return _mul(ratio, exp4), exp4
+    return _mul(ratio, _cmath_each(cmath.exp, _scale(_mul(4j, n), kl), cells))
 
 
-def _slab(cells: _Cells, n, kl, back, where=True, exp4=None) -> Amplitudes:
+def _slab(cells: _Cells, n, kl, where=True) -> Amplitudes:
     """effective.effective_amplitudes at the live rows of where; a row fails
-    with LasingPole or OverflowError where it raises. back is e^{-2 i k l}, and
-    exp4, when given, e^{4 i n k l} as the round trip took it."""
+    with LasingPole or OverflowError where it raises."""
     plus, overflow_plus = _square(n + 1)
     minus, overflow_minus = _square(n - 1)
     cells.fail(np.flatnonzero(where & (overflow_plus | overflow_minus)), "OverflowError")
-    if exp4 is None:
-        exp4 = _cmath_each(cmath.exp, _scale(_mul(4j, n), kl), cells, where)
-    den = plus - _mul(minus, exp4)
+    round_trip = _cmath_each(cmath.exp, _scale(_mul(4j, n), kl), cells, where)
+    den = plus - _mul(minus, round_trip)
     modulus, overflow = _py_abs(den)
     cells.fail(np.flatnonzero(where & overflow), "OverflowError")
-    cells.fail(np.flatnonzero(where & ~(modulus >= 1e-12)), "LasingPole")
+    cells.fail(np.flatnonzero(where & ~(modulus >= effective.POLE_MIN)), "LasingPole")
     forward = _cmath_each(cmath.exp, _scale(_mul(2j, n - 1), kl), cells, where)
+    back = _cmath_each(cmath.exp, _scale(-2j, kl), cells, where)
     t = _py_div(_mul(_mul(4 + 0j, n), forward), den)
-    r = _py_div(_mul(_mul(_mul(n, n) - 1, exp4 - 1), back), den)
+    r = _py_div(_mul(_mul(_mul(n, n) - 1, round_trip - 1), back), den)
     return Amplitudes(r, t, r)
 
 
@@ -479,7 +474,7 @@ def _deficit(cells: _Cells, s: Amplitudes, where=True) -> np.ndarray:
     return noise.unitarity_deficit(s)["right"]
 
 
-def _slab_flux(cells: _Cells, n, s: Amplitudes, eps, kl, back, nth) -> np.ndarray:
+def _slab_flux(cells: _Cells, n, s: Amplitudes, eps, kl, nth) -> np.ndarray:
     """effective.effective_noise's flux (s_left = s_right) at the live rows of
     the stack, at the thermal occupations nth: the stack gives the slope and
     the deficit, and the pump broadcasts over nth. A row fails where it
@@ -490,10 +485,10 @@ def _slab_flux(cells: _Cells, n, s: Amplitudes, eps, kl, back, nth) -> np.ndarra
     deficit = _deficit(cells, s)
     larger = np.where(el > eg, el, eg)   # max(eg, el, 1e-300), nan as Python orders it
     scale = np.where(1e-300 > larger, 1e-300, larger)
-    balance = np.abs(square.imag) < 1e-12 * scale
-    h = 1e-7 * scale
+    balance = np.abs(square.imag) < effective.BALANCE_TOL * scale
+    h = effective.DIFFERENCE_STEP * scale
     dplus, dminus = (_deficit(cells, _slab(cells, _cmath_each(
-        cmath.sqrt, square + _scale(d, h), cells, balance), kl, back, balance), balance)
+        cmath.sqrt, square + _scale(d, h), cells, balance), kl, balance), balance)
         for d in (1j, -1j))
     slope = (dplus - dminus) / (2 * h)
     return np.where(balance, pump * slope / 2.0 - 0.5 * deficit,
@@ -513,22 +508,20 @@ def _effective_rows(spec, wants, omega, nth, eps, indices, cells: _Cells):
     library's slab, step by step over arrays, each row stopping at its first
     failure.
 
-    omega is a number, or an array with one entry per stack row; nth holds the
-    grid's thermal occupations (_occupations); eps and indices are the stack's
-    (gain, loss) pairs from layer_arrays. Puts the eta family's cells, and
+    omega is the stack's frequency array, as layer_arrays took it, and eps and
+    indices are the stack's (gain, loss) pairs from layer_arrays; nth holds the
+    grid's thermal occupations (_occupations). Puts the eta family's cells, and
     returns the slab's Amplitudes and its (s_left, s_right) flux over the grid,
     or (None, None) when the spec needs no effective slab.
     """
     want_s = spec.theory != "exact" and bool(wants & EXACT_FAMILIES)
     l = spec.thickness_nm * NM
-    k_omega = np.atleast_1d(omega / C_VACUUM)
-    k = np.broadcast_to(k_omega, (cells.n,))
+    k = omega / C_VACUUM
     kl = k * l
     n_eff = _bloch_index(cells, indices, k, l)
     every = np.arange(cells.n)
-    exp4 = None
     if "eta" in wants:
-        eta, exp4 = _round_trip(cells, n_eff, kl)
+        eta = _round_trip(cells, n_eff, kl)
         eta_mod, overflow = _py_abs(eta)
         cells.fail(np.flatnonzero(overflow), "OverflowError")
         # written before the effective slab can fail
@@ -536,16 +529,10 @@ def _effective_rows(spec, wants, omega, nth, eps, indices, cells: _Cells):
                                  "eta_mod": eta_mod, "eta_arg": np.angle(eta)})
     if not want_s:
         return None, None
-    # e^{-2 i k l} reads omega alone: taken once per distinct omega for all three slabs,
-    # where it is finite (elsewhere 2 k l is not, and bloch_index has failed the row)
-    arg = _scale(-2j, k_omega * l)
-    finite = np.isfinite(arg.real) & np.isfinite(arg.imag)
-    back = np.full(arg.shape, np.nan, dtype=complex)
-    back[finite] = [cmath.exp(z) for z in arg[finite].tolist()]
-    s = _slab(cells, n_eff, kl, back, exp4=exp4)
+    s = _slab(cells, n_eff, kl)
     if not wants & FLUX_FAMILIES:
         return s, None
-    flux = _slab_flux(cells, n_eff, s, eps, kl, back, nth)
+    flux = _slab_flux(cells, n_eff, s, eps, kl, nth)
     return s, (flux, flux)
 
 
@@ -601,7 +588,7 @@ def evaluate_grid(spec, xs):
 
     s_eff = flux_eff = None
     if spec.theory != "exact" or "eta" in wants:
-        s_eff, flux_eff = _effective_rows(spec, wants, omega, nth, eps, indices, cells)
+        s_eff, flux_eff = _effective_rows(spec, wants, omega_s, nth, eps, indices, cells)
     if not use_exact:
         s_main, flux_main = s_eff, flux_eff
 

@@ -86,11 +86,10 @@ def refractive_index(eps: complex) -> complex:
     """Principal square root with Re n >= 0.
 
     The branch is fixed by flipping the sign whenever the principal root has
-    a negative real part; eps == 0 is rejected (no propagating branch). The
-    root is numpy's, as the grid kernel's (cmath's differs in the last bit).
+    a negative real part; eps == 0 gives n == 0, at which the transfer chain
+    is singular. The root is numpy's, as the grid kernel's (cmath's differs in
+    the last bit).
     """
-    if eps == 0:
-        raise ValueError("permittivity must be nonzero")
     n = complex(np.sqrt(complex(eps)))
     return -n if n.real < 0 else n
 

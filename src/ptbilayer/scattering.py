@@ -114,8 +114,8 @@ def interface_matrix(n_from: complex, n_to: complex, omega: float, z: float,
     k = omega / C_VACUUM
     nf, nt = complex(n_from), complex(n_to)
     a, b = (complex(nf.real), complex(nt.real)) if mode == MODE_PAPER else (nf, nt)
-    if a == 0 or b == 0:   # a real part vanishes in paper mode: the kernel's row is singular too
-        raise SingularTransfer("paper-mode interface ratio divides by a zero real part")
+    if a == 0 or b == 0:   # a zero index, or paper mode's real part: the kernel's row is singular
+        raise SingularTransfer("interface ratio divides by a zero index")
     ar, br = nf.real, nt.real
     pre = np.sqrt(a / b)
     t11 = pre * (b + a) / (2 * a) * np.exp(1j * (ar - br) * k * z)

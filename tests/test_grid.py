@@ -236,6 +236,13 @@ EFFECTIVE_BRANCHES = {
               {"BranchAmbiguity": 4, "OverflowError": 8}),
     "underflowed-2kl": ({"theory": "both", "fixed_omega_trad": 5e-324, "start": 1.0,
                          "stop": 2.0, "count": 2}, {"ok": 2}),
+    # set1's gain permittivity is exactly 0 at the last alpha_l: a zero index
+    "zero-index": ({"theory": "effective", "fixed_omega_trad": 1e-322, "thickness_nm": 1e290,
+                    "start": 1.0, "stop": 29.85074626865672, "count": 2},
+                   {"LasingPole": 1, "BranchAmbiguity": 1}),
+    "zero-index-both": ({"theory": "both", "fixed_omega_trad": 1e-322, "thickness_nm": 1e290,
+                         "start": 1.0, "stop": 29.85074626865672, "count": 2},
+                        {"LasingPole": 1, "SingularTransfer": 1}),
 }
 
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ptbilayer import grid, media
+from ptbilayer import grid, media, scattering
 from ptbilayer.media import TRAD, Bilayer, LorentzMedium
+from ptbilayer.scattering import SingularTransfer
 
 
 def lorentz(eps_b, alpha, omega0_trad, gamma_trad):
@@ -100,8 +101,8 @@ class TestRefractiveIndex:
         tiny = 5e-324
         parts = [0.0, -0.0, 1.0, -3.7, math.inf, -math.inf, math.nan, 1e308, -1e308,
                  tiny, -tiny, 2.2e-308 / 3]
-        eps = np.array([complex(re, im) for re in parts for im in parts
-                        if re != 0 or im != 0] + [1j, -1j, -3.7j, 2.5j, -1e-300j])
+        eps = np.array([complex(re, im) for re in parts for im in parts]
+                       + [1j, -1j, -3.7j, 2.5j, -1e-300j])
         eps = np.concatenate([eps, rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, 2000)
                               + 1j * rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, 2000)])
         with np.errstate(all="ignore"):
@@ -109,9 +110,14 @@ class TestRefractiveIndex:
             singles = np.array([media.refractive_index(e) for e in eps.tolist()])
         assert batch.view(np.uint64).tolist() == singles.view(np.uint64).tolist()
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            media.refractive_index(0j)
+    def test_zero_is_an_index_at_which_the_chain_is_singular(self):
+        # set1's gain permittivity is exactly 0 at this alpha_l and frequency
+        assert media.refractive_index(0j) == 0
+        bilayer = media.preset("set1", 29.85074626865672, 10e-9)
+        assert scattering.layer_indices(bilayer, 1e-310)[0] == 0
+        for mode in (scattering.MODE_FULL, scattering.MODE_PAPER):
+            with pytest.raises(SingularTransfer):
+                scattering.transfer_chain(bilayer, 1e-310, mode)
 
 
 class TestBalance:

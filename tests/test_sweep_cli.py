@@ -895,6 +895,28 @@ class TestCli:
                                "--bracket", "10:30", "--config", str(path)])
                 assert rc == 3 and capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, rc, statuses, err", [
+        (["sweep", "--range", "1:29.85074626865672:2"], 0, ["ok", "SingularTransfer"], ""),
+        (["locate", "--kind", "atr", "--bracket", "1:29.85074626865672"], 4, [],
+         "evaluation failed at 29.85074626865672: SingularTransfer\n"),
+        (["sweep", "--range", "1:29.85074626865672:2", "--thickness-nm", "1e290",
+          "--theory", "effective"], 4, ["LasingPole", "BranchAmbiguity"],
+         "evaluation failed at every grid point: 1 BranchAmbiguity, 1 LasingPole\n"),
+        (["locate", "--kind", "atr", "--bracket", "29.85074626865672:30", "--thickness-nm",
+          "1e290", "--theory", "effective"], 4, [],
+         "evaluation failed at 29.85074626865672: BranchAmbiguity\n"),
+    ], ids=["sweep", "locate", "sweep-effective", "locate-effective"])
+    def test_a_zero_permittivity_ends_its_row(self, argv, rc, statuses, err, capsys):
+        # set1's gain permittivity is exactly 0 at alpha_l = 29.85... and 1e-310 rad/s:
+        # the chain is singular there, and the effective cell phase is nan in the
+        # grid kernel and in the scalar bloch_index that locate calls
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main([*argv, "--omega-trad", "1e-322"]) == rc
+        out, stderr = capsys.readouterr()
+        assert stderr == err
+        assert [row.split(",")[-1] for row in out.splitlines()[1:]] == statuses
+
     @pytest.mark.parametrize("argv, err", [
         (["sweep", "--range", "0:1:2", "--obs", "eta"],
          "evaluation failed at every grid point: 2 BranchAmbiguity\n"),
