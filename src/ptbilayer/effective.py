@@ -50,9 +50,7 @@ def bloch_index(indices: tuple[complex, complex], omega: float,
     if ng == 0 or nl == 0:   # the ratios below divide by zero; the kernel's phase is nan
         raise BranchAmbiguity("a layer index vanishes; the cell phase is undefined")
     rhs = cos_xy - 0.5 * (ng / nl + nl / ng) * cmath.sin(x) * cmath.sin(y)
-    n = cmath.acos(rhs) / two_kl
-    if n.real < 0:
-        n = -n
+    n = cmath.acos(rhs) / two_kl   # Re acos is in [0, pi], so Re n >= 0
     if abs(n.real) < TIE_TOL * abs(n) and min(ng.imag, nl.imag) < 0 and n.imag > 0:
         # evanescent tie: with gain present take the amplifying branch
         n = -n

@@ -15,8 +15,9 @@ The kernel restates only what its array form would round differently from
 the scalar library (transfer_chain, scattering_from_transfer, eigenvalues'
 closed-form check, layer_terms, and effective's bloch_index, round_trip,
 effective_amplitudes and effective_noise), the public API and the tests'
-reference; each other rule, noise.flux_parts and noise.fluxes among them, is
-the scalar modules' own, called on arrays. To repeat the scalar rounding:
+reference; each other rule is the scalar modules' own, called on arrays:
+the layer index (np.sqrt, as in media.refractive_index), propagation_factors,
+flux_parts and fluxes among them. To repeat the scalar rounding:
 
 - complex products that the scalar path forms on scalars are written out in
   real arithmetic, because numpy's SIMD complex multiply fuses multiply-adds
@@ -142,8 +143,8 @@ def _stack(m00, m01, m10, m11) -> np.ndarray:
 
 
 def layer_arrays(spec, alpha_l, omega):
-    """((eps_gain, eps_loss), (n_gain, n_loss)) arrays; raises ValueError where
-    the scalar path would."""
+    """((eps_gain, eps_loss), (n_gain, n_loss)) arrays, n = np.sqrt(eps) as in
+    media.refractive_index; raises ValueError where the scalar path would."""
     if np.any(omega <= 0):
         raise ValueError("omega must be positive")
     template = bilayer_at(spec, 0.0)
@@ -157,13 +158,7 @@ def layer_arrays(spec, alpha_l, omega):
         raise ValueError("alpha must be finite")
     eps = tuple(media.lorentz_permittivity(m.eps_b, a, m.omega0, m.gamma, omega)
                 for m, a in ((template.gain, gain_alpha), (template.loss, loss_alpha)))
-    return eps, tuple(map(_index, eps))
-
-
-def _index(eps) -> np.ndarray:
-    """media.refractive_index over an array."""
-    n = np.sqrt(eps)
-    return np.where(n.real < 0, -n, n)
+    return eps, tuple(map(np.sqrt, eps))
 
 
 def _interface(n_from, n_to, k, z, paper: bool) -> np.ndarray:
@@ -178,13 +173,6 @@ def _interface(n_from, n_to, k, z, paper: bool) -> np.ndarray:
     return _stack(t11, t12, t21, t22)
 
 
-def _propagation(n, k, thickness) -> np.ndarray:
-    """scattering.propagation_factors over arrays, as an (N, 1, 2) array that
-    scales the columns of a stack of matrices."""
-    u = n.imag * k * thickness
-    return np.stack([np.exp(-u), np.exp(u)], axis=-1)[:, None, :]
-
-
 class ExactStack:
     """Chain and S of every stack row from its layer indices (n_gain, n_loss)
     (scattering.transfer_chain and scattering_from_transfer over arrays)."""
@@ -197,9 +185,10 @@ class ExactStack:
         l, k = self.l, self.k
         vac = np.full(len(omega), 1.0 + 0j)
         t1 = _interface(vac, self.ng, k, -l, self.paper)
-        r2 = _propagation(self.ng, k, l)
+        # the (N, 1, 2) factors scale the columns of each row's matrix
+        r2 = scattering.propagation_factors(self.ng, omega, l).T[:, None, :]
         t2 = _interface(self.ng, self.nl, k, 0.0, self.paper)
-        r3 = _propagation(self.nl, k, l)
+        r3 = scattering.propagation_factors(self.nl, omega, l).T[:, None, :]
         self.from_loss = _interface(self.nl, vac, k, l, self.paper)
         self.from_gain = (self.from_loss * r3) @ t2
         self.total = (self.from_gain * r2) @ t1
@@ -427,7 +416,6 @@ def _bloch_index(cells: _Cells, indices, k, l) -> np.ndarray:
     mix = _mul(0.5 + 0j, _py_div(ng, nl) + _py_div(nl, ng))
     rhs = _mul(cos_x, cos_y) - _mul(_mul(mix, sin_x), sin_y)
     n = _py_div(_cmath_each(cmath.acos, rhs, cells, ~limit), _cx(two_kl, 0.0))
-    n = np.where(n.real < 0, -n, n)
     modulus, overflow = _py_abs(n)
     cells.fail(np.flatnonzero(overflow & ~limit), "OverflowError")
     lower = np.where(nl.imag < ng.imag, nl.imag, ng.imag)   # min(ng.imag, nl.imag)

@@ -83,15 +83,12 @@ def permittivity(medium: LorentzMedium, omega: float) -> complex:
 
 
 def refractive_index(eps: complex) -> complex:
-    """Principal square root with Re n >= 0.
+    """Principal square root, which has Re n >= 0 (C99 csqrt's branch).
 
-    The branch is fixed by flipping the sign whenever the principal root has
-    a negative real part; eps == 0 gives n == 0, at which the transfer chain
-    is singular. The root is numpy's, as the grid kernel's (cmath's differs in
-    the last bit).
+    eps == 0 gives n == 0, at which the transfer chain is singular. The root is
+    numpy's, as the grid kernel's over arrays (cmath's differs in the last bit).
     """
-    n = complex(np.sqrt(complex(eps)))
-    return -n if n.real < 0 else n
+    return complex(np.sqrt(complex(eps)))
 
 
 def libm_square(x):

@@ -125,10 +125,11 @@ def interface_matrix(n_from: complex, n_to: complex, omega: float, z: float,
     return np.array([[t11, t12], [t21, t22]])
 
 
-def propagation_factors(n: complex, omega: float, thickness: float) -> np.ndarray:
+def propagation_factors(n, omega, thickness: float) -> np.ndarray:
     """Decay-only propagation over one layer (mode-independent), the diagonal
-    (e^{-u}, e^{u}) of its matrix: M @ diag(f) is M * f, which rounds alike."""
-    u = complex(n).imag * (omega / C_VACUUM) * thickness
+    (e^{-u}, e^{u}) of its matrix: M @ diag(f) is M * f, which rounds alike.
+    n is one index or an array of them, whose factors stack on a new first axis."""
+    u = np.imag(n) * (omega / C_VACUUM) * thickness
     return np.array([np.exp(-u), np.exp(u)])
 
 

@@ -82,6 +82,10 @@ class SweepSpec:
     reproducible: bool = False
 
     def __post_init__(self):
+        pair = self.materials
+        if pair is not None and not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                                     and all(isinstance(m, LorentzMedium) for m in pair)):
+            raise ConfigError(f"materials must be a (gain, loss) pair of media, got {pair!r}")
         if self.fixed_alpha_l is None:   # the loss material's alpha, or a preset's 2.0
             object.__setattr__(self, "fixed_alpha_l", self.materials[1].alpha
                                if self.preset is None and self.materials else 2.0)
@@ -145,6 +149,9 @@ class SweepSpec:
             raise ConfigError("a preset's alpha_l must be nonnegative")
         if low["temperature"] < 0:
             raise ConfigError("temperature must be nonnegative")
+        if not isinstance(self.input_state, SqueezedCoherentInput):
+            raise ConfigError(f"input_state must be a SqueezedCoherentInput, "
+                              f"got {self.input_state!r}")
         if not math.isfinite(self.input_state.phi_xi - 2.0 * self.phi_lo):
             raise ConfigError("phi_xi - 2 phi_lo is not finite")
 
@@ -290,7 +297,8 @@ def compare_theories(spec: SweepSpec) -> ResultTable:
 
 @dataclass(frozen=True)
 class ThresholdQuery:
-    """A threshold kind and the bracket to search by ITP; checks itself when built.
+    """A threshold kind and the bracket to search by ITP; checks itself when built,
+    and stores the bracket ends and tol as floats.
 
     tol is the relative bracket width at which ITP stops. Below one ulp
     (sys.float_info.epsilon) the bracket could never get that narrow; at 1 or
@@ -305,7 +313,13 @@ class ThresholdQuery:
     def __post_init__(self):
         if self.kind not in THRESHOLD_KINDS:
             raise ConfigError(f"unknown threshold kind {self.kind!r}")
-        lo, hi = self.bracket
+        if not (isinstance(self.bracket, (tuple, list)) and len(self.bracket) == 2):
+            raise ConfigError(f"bracket must be a (lo, hi) pair, got {self.bracket!r}")
+        # a float is read as it is, so that a non-finite one meets the checks below
+        lo, hi, tol = (float(v) if isinstance(v, float) else _number(v, name) for v, name in
+                       zip((*self.bracket, self.tol), ("bracket", "bracket", "tol")))
+        object.__setattr__(self, "bracket", (lo, hi))
+        object.__setattr__(self, "tol", tol)
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ConfigError("bracket must be finite with lo < hi")
         if not sys.float_info.epsilon <= self.tol < 1.0:

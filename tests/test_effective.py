@@ -14,6 +14,8 @@ from ptbilayer.media import TRAD, Bilayer, LorentzMedium
 
 W1 = 1000.0 * TRAD
 W2 = media.set2_operating_frequency()
+# layer indices as media.refractive_index gives them: Re n >= 0
+INDICES = st.builds(complex, st.floats(0.0, 4.0), st.floats(-4.0, 4.0))
 
 
 # the effective medium of a Bilayer, from its layer indices and permittivities at omega
@@ -89,6 +91,22 @@ class TestBlochIndex:
     def test_balanced_point_yields_real_index(self):
         n_eff = bloch_index(media.preset("set1", 50.0), W1)
         assert abs(n_eff.imag) < 1e-12
+
+    @given(ng=INDICES, nl=st.one_of(st.none(), INDICES), log_omega=st.floats(9.0, 17.0),
+           log_l=st.floats(-10.0, -6.0))
+    def test_the_index_is_on_the_principal_sheet_or_an_evanescent_tie(
+            self, ng, nl, log_omega, log_l):
+        # Re acos lies in [0, pi] and 2 k l > 0, so Re n_eff >= 0 with no sign
+        # flip; only the evanescent tie, with gain present, takes the other
+        # sheet. nl None is ng's balanced partner, whose broken phase has ties.
+        indices = (ng, ng.conjugate() if nl is None else nl)
+        try:
+            n = effective.bloch_index(indices, 10.0 ** log_omega, 10.0 ** log_l)
+        except (BranchAmbiguity, OverflowError):
+            return
+        tie = (abs(n.real) < effective.TIE_TOL * abs(n)
+               and min(indices[0].imag, indices[1].imag) < 0 and n.imag < 0)
+        assert n.real >= 0 or tie
 
 
 class TestSlabClosedForms:

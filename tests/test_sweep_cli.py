@@ -78,6 +78,15 @@ class TestGrid:
             spec(mode="paper", check_sum_rule=True)
         with pytest.raises(ConfigError, match="underflows"):
             spec(thickness_nm=5e-324)    # positive, but 0 in metres
+        # library values the CLI never builds: not a (gain, loss) pair of
+        # media, or not an input state
+        gain = media.preset("set1", 2.0).gain
+        with pytest.raises(ConfigError, match="materials"):
+            spec(preset=None, materials=(1, 2))
+        with pytest.raises(ConfigError, match="materials"):
+            spec(preset=None, materials=(gain,))
+        with pytest.raises(ConfigError, match="input_state"):
+            spec(input_state=None)
 
 
 class TestConfig:
@@ -553,6 +562,18 @@ class TestLocate:
             locate_threshold(ThresholdQuery("atr", (40.0, 10.0)), spec())
         with pytest.raises(ConfigError):
             locate_threshold(ThresholdQuery("windmill", (1.0, 2.0)), spec())
+
+    @pytest.mark.parametrize("bracket, tol", [
+        ((1.0, "2"), 1e-10), ((1.0, 2.0, 3.0), 1e-10), (None, 1e-10), ((1.0, 2.0), "x")])
+    def test_a_bracket_or_tol_that_is_not_numbers_is_a_config_error(self, bracket, tol):
+        # values the CLI never builds: a string end, three ends, no bracket, a string tol
+        with pytest.raises(ConfigError):
+            ThresholdQuery("atr", bracket, tol)
+
+    def test_a_query_stores_its_numbers_as_floats(self):
+        query = ThresholdQuery("atr", [5, 50], tol=np.float64(1e-9))
+        assert query == ThresholdQuery("atr", (5.0, 50.0), 1e-9)
+        assert list(map(type, (*query.bracket, query.tol))) == [float] * 3
 
 
 class TestCli:
