@@ -6,10 +6,11 @@ permittivities and indices, the five chain factors as stacked (N, 2, 2)
 arrays, S, the eigenpair, each layer's noise coupling and commutator (built
 once for both the flux and the sum rule check), the flux and the table
 cells. Each is evaluated once per distinct value of the parameters it
-reads, so a temperature sweep builds one stack. A row that fails keeps the
-cells filled before its first failure, and its status names that failure.
-The columns come out in table order, so this module is the one place that
-names them.
+reads, so a temperature sweep builds one stack. A row stops at its first
+failure, one of ROW_ERRORS, and keeps the cells filled before it: the rule
+that fails rows calls _Cells.fail(where, error), where picking them as a
+numpy index does. The columns come out in table order, so this module is the
+one place that names them.
 
 The kernel restates only what its array form would round differently from
 the scalar library (transfer_chain, scattering_from_transfer, eigenvalues'
@@ -56,6 +57,9 @@ VARIABLE_COLUMNS = {"alpha_l": "alpha_l", "omega": "omega_trad", "temperature": 
 # an _effective column, and after those a _rel_dev column.
 COMPARED = {"scattering": ("T", "R_left", "R_right"), "noise": ("s_right", "s_left"),
             "variance": ("variance",), "mandel": ("mandel_q",)}
+# the exceptions that end a table row (its status is the name) and not the run
+ROW_ERRORS = (scattering.SingularTransfer, OverflowError, scattering.InconsistentEigenvalues,
+              effective.BranchAmbiguity, effective.LasingPole, observables.DegenerateDenominator)
 _EXP_MAX = math.log(sys.float_info.max)   # math.exp(x) overflows for x above it
 _abs = scattering._modulus   # np.hypot of the parts, as the scalar rules take moduli
 
@@ -265,34 +269,32 @@ class Amplitudes:
         return _stack(self.r_left, self.t, self.t, self.r_right)
 
 
-def _family_cells(family: str, s: Amplitudes, flux, spec, live: np.ndarray):
-    """(cells, degenerate) of a family in COMPARED for one theory.
-
-    s and flux (s_left, s_right) are that theory's amplitudes and noise flux;
-    degenerate marks the rows where the family fails with
+def _family_cells(family: str, s: Amplitudes, flux, spec, cells: _Cells) -> dict:
+    """The cells of a family in COMPARED for one theory, whose amplitudes and
+    noise flux (s_left, s_right) are s and flux; mandel fails its rows with
     DegenerateDenominator. The cell rules are the scalar library's.
     """
-    degenerate = np.zeros(len(live), dtype=bool)
     inp = spec.input_state
     if family == "scattering":
         pl, pr, pt = np.angle(s.r_left), np.angle(s.r_right), np.angle(s.t)
         # phase_t unwrapped over the rows whose phase_t cell gets filled
-        valid = live & ~np.isnan(pt)
+        valid = cells.live & ~np.isnan(pt)
         unwrapped = np.full_like(pt, np.nan)
         unwrapped[valid] = np.unwrap(pt[valid])
         gen, phase = scattering.conservation_parts(s)
         return {"T": s.T, "R_left": s.R_left, "R_right": s.R_right, "phase_t": pt,
                 "phase_r_left": pl, "phase_r_right": pr, "phase_t_unwrapped": unwrapped,
-                "conservation_generalized": gen, "conservation_phase": phase}, degenerate
+                "conservation_generalized": gen, "conservation_phase": phase}
     if family == "noise":
         deficit = noise.unitarity_deficit(s)
         return {"s_right": flux[1], "s_left": flux[0], "deficit_left": deficit["left"],
-                "deficit_right": deficit["right"]}, degenerate
+                "deficit_right": deficit["right"]}
     if family == "variance":
         cos = _each(math.cos, inp.phi_xi - 2.0 * spec.phi_lo - 2.0 * np.angle(s.t))
-        return {"variance": observables.variance_from(s.T, cos, flux[1], inp)}, degenerate
+        return {"variance": observables.variance_from(s.T, cos, flux[1], inp)}
     num, den = observables.mandel_parts(s.T, flux[1], inp)
-    return {"mandel_q": num / den}, np.abs(den) < observables.DENOMINATOR_MIN
+    cells.fail(np.abs(den) < observables.DENOMINATOR_MIN, observables.DegenerateDenominator)
+    return {"mandel_q": num / den}
 
 
 def _rel_dev(eff, exact):
@@ -329,11 +331,12 @@ class _Cells:
                 col = columns[name] = np.full(self.n, np.nan, dtype=v.dtype)
             col[rows[keep]] = v[keep]
 
-    def fail(self, rows: np.ndarray, name: str) -> None:
-        """Give the live ones among rows the status name; they stop here."""
-        rows = rows[self.live[rows]]
-        self.status[rows] = name
-        self.live[rows] = False
+    def fail(self, where, error: type) -> None:
+        """The live rows among where (a mask or row indices) stop with status error.__name__."""
+        hit = np.zeros_like(self.live)
+        hit[where] = self.live[where]
+        self.status[hit] = error.__name__
+        self.live[hit] = False
 
     def spread(self, n: int) -> "_Cells":
         """These cells over n grid rows: themselves when they have n rows, else
@@ -354,7 +357,7 @@ def _eigenvalue_cells(cells: _Cells, exact, s: Amplitudes) -> None:
     rows = cells.rows()
     lam = np.linalg.eigvals(s.matrices()[rows])
     if exact is not None:
-        cells.fail(rows[exact.inconsistent(rows, lam)], "InconsistentEigenvalues")
+        cells.fail(rows[exact.inconsistent(rows, lam)], scattering.InconsistentEigenvalues)
     a, b = lam[:, 0], lam[:, 1]
     ma, mb = _abs(a), _abs(b)
     tie = np.abs(ma - mb) <= scattering.MODULUS_TIE_TOL * np.maximum(np.maximum(ma, mb), 1e-300)
@@ -370,7 +373,7 @@ def _eigenvalue_cells(cells: _Cells, exact, s: Amplitudes) -> None:
 
 def _cmath_each(fn, z, cells: _Cells, where=True) -> np.ndarray:
     """fn (a cmath function) element by element at the live rows of where,
-    nan elsewhere; a row where fn raises OverflowError fails with that name."""
+    nan elsewhere; a row where fn raises OverflowError fails with it."""
     out = np.full(len(z), np.nan, dtype=complex)
     rows = np.flatnonzero(cells.live & where)
     args = z[rows].tolist()
@@ -381,7 +384,7 @@ def _cmath_each(fn, z, cells: _Cells, where=True) -> np.ndarray:
             try:
                 out[i] = fn(v)
             except OverflowError:
-                cells.fail(np.array([i]), "OverflowError")
+                cells.fail(i, OverflowError)
     return out
 
 
@@ -390,18 +393,20 @@ def _scale(z, x) -> np.ndarray:
     return _mul(z, _cx(x, 0.0))
 
 
-def _square(z):
-    """(z ** 2, where it raises OverflowError): Python takes 1 * (z * z), and
-    raises where a part of it is infinite."""
+def _square(z, cells: _Cells, where=True) -> np.ndarray:
+    """z ** 2 as Python takes it, 1 * (z * z); a row of where fails with
+    OverflowError where a part is infinite, as Python raises there."""
     p = _mul(1 + 0j, _mul(z, z))
-    return p, np.isinf(p.real) | np.isinf(p.imag)
+    cells.fail(where & (np.isinf(p.real) | np.isinf(p.imag)), OverflowError)
+    return p
 
 
-def _py_abs(z):
-    """(abs(z), where it raises OverflowError): Python raises where the parts
-    are finite and the modulus is not."""
+def _py_abs(z, cells: _Cells, where=True) -> np.ndarray:
+    """abs(z); a row of where fails with OverflowError where Python raises,
+    where the parts are finite and the modulus is not."""
     m = _abs(z)
-    return m, np.isinf(m) & np.isfinite(z)
+    cells.fail(where & np.isinf(m) & np.isfinite(z), OverflowError)
+    return m
 
 
 def _bloch_index(cells: _Cells, indices, k, l) -> np.ndarray:
@@ -409,43 +414,37 @@ def _bloch_index(cells: _Cells, indices, k, l) -> np.ndarray:
     ng, nl = indices
     two_kl = 2 * k * l
     limit = two_kl == 0   # k l underflowed: sqrt of the mean permittivity
-    cells.fail(np.flatnonzero(~np.isfinite(two_kl)), "BranchAmbiguity")
+    cells.fail(~np.isfinite(two_kl), effective.BranchAmbiguity)
     x, y = (_scale(_scale(n, k), l) for n in indices)
     cos_x, cos_y, sin_x, sin_y = (_cmath_each(fn, z, cells, ~limit) for fn, z in
                                   ((cmath.cos, x), (cmath.cos, y), (cmath.sin, x), (cmath.sin, y)))
     mix = _mul(0.5 + 0j, _py_div(ng, nl) + _py_div(nl, ng))
     rhs = _mul(cos_x, cos_y) - _mul(_mul(mix, sin_x), sin_y)
     n = _py_div(_cmath_each(cmath.acos, rhs, cells, ~limit), _cx(two_kl, 0.0))
-    modulus, overflow = _py_abs(n)
-    cells.fail(np.flatnonzero(overflow & ~limit), "OverflowError")
+    modulus = _py_abs(n, cells, ~limit)
     lower = np.where(nl.imag < ng.imag, nl.imag, ng.imag)   # min(ng.imag, nl.imag)
     n = np.where((np.abs(n.real) < effective.TIE_TOL * modulus) & (lower < 0) & (n.imag > 0),
                  -n, n)
-    phase, overflow = _py_abs(_scale(_scale(_mul(2 + 0j, n), k), l))
-    cells.fail(np.flatnonzero(overflow & ~limit), "OverflowError")
-    cells.fail(np.flatnonzero(~(phase <= effective.CELL_PHASE_MAX) & ~limit), "BranchAmbiguity")
+    phase = _py_abs(_scale(_scale(_mul(2 + 0j, n), k), l), cells, ~limit)
+    cells.fail(~(phase <= effective.CELL_PHASE_MAX) & ~limit, effective.BranchAmbiguity)
     mean = _py_div(_mul(ng, ng) + _mul(nl, nl), _cx(2.0, 0.0))
     return np.where(limit, _cmath_each(cmath.sqrt, mean, cells, limit), n)
 
 
 def _round_trip(cells: _Cells, n, kl) -> np.ndarray:
     """effective.round_trip at the live rows; a row fails where it raises."""
-    ratio, overflow = _square(_py_div(n - 1, n + 1))
-    cells.fail(np.flatnonzero(overflow), "OverflowError")
+    ratio = _square(_py_div(n - 1, n + 1), cells)
     return _mul(ratio, _cmath_each(cmath.exp, _scale(_mul(4j, n), kl), cells))
 
 
 def _slab(cells: _Cells, n, kl, where=True) -> Amplitudes:
     """effective.effective_amplitudes at the live rows of where; a row fails
     with LasingPole or OverflowError where it raises."""
-    plus, overflow_plus = _square(n + 1)
-    minus, overflow_minus = _square(n - 1)
-    cells.fail(np.flatnonzero(where & (overflow_plus | overflow_minus)), "OverflowError")
+    plus, minus = _square(n + 1, cells, where), _square(n - 1, cells, where)
     round_trip = _cmath_each(cmath.exp, _scale(_mul(4j, n), kl), cells, where)
     den = plus - _mul(minus, round_trip)
-    modulus, overflow = _py_abs(den)
-    cells.fail(np.flatnonzero(where & overflow), "OverflowError")
-    cells.fail(np.flatnonzero(where & ~(modulus >= effective.POLE_MIN)), "LasingPole")
+    modulus = _py_abs(den, cells, where)
+    cells.fail(where & ~(modulus >= effective.POLE_MIN), effective.LasingPole)
     forward = _cmath_each(cmath.exp, _scale(_mul(2j, n - 1), kl), cells, where)
     back = _cmath_each(cmath.exp, _scale(-2j, kl), cells, where)
     t = _py_div(_mul(_mul(4 + 0j, n), forward), den)
@@ -458,7 +457,7 @@ def _deficit(cells: _Cells, s: Amplitudes, where=True) -> np.ndarray:
     where Python's abs(.) ** 2 of t or r raises."""
     overflow = ((np.isinf(s.T) & np.isfinite(s.t))
                 | (np.isinf(s.R_right) & np.isfinite(s.r_right)))
-    cells.fail(np.flatnonzero(where & overflow), "OverflowError")
+    cells.fail(where & overflow, OverflowError)
     return noise.unitarity_deficit(s)["right"]
 
 
@@ -510,8 +509,7 @@ def _effective_rows(spec, wants, omega, nth, eps, indices, cells: _Cells):
     every = np.arange(cells.n)
     if "eta" in wants:
         eta = _round_trip(cells, n_eff, kl)
-        eta_mod, overflow = _py_abs(eta)
-        cells.fail(np.flatnonzero(overflow), "OverflowError")
+        eta_mod = _py_abs(eta, cells)
         # written before the effective slab can fail
         cells.put("eta", every, {"n_eff_re": n_eff.real, "n_eff_im": n_eff.imag,
                                  "eta_mod": eta_mod, "eta_arg": np.angle(eta)})
@@ -535,8 +533,8 @@ def evaluate_grid(spec, xs):
     filled the cell): the grid variable, then each requested family in
     OBSERVABLE_ORDER, and within a family its columns for the main theory
     and, with theory="both", the _effective and _rel_dev columns of what
-    COMPARED names. status is "ok" or the exception name of the row's first
-    failure, met in the order the scalar evaluation meets them: exact
+    COMPARED names. status is "ok" or the name of the row's first failure,
+    one of ROW_ERRORS, met in the order the scalar evaluation meets them: exact
     scattering, the layer commutators (OverflowError), the sum rule
     (SumRuleViolation is raised, not recorded), the effective medium
     (OverflowError too where cmath overflows), the eigenpair, the Mandel
@@ -561,10 +559,10 @@ def evaluate_grid(spec, xs):
     exact = s_main = flux_main = None
     if use_exact and wants & EXACT_FAMILIES:
         exact = ExactStack(spec, indices, omega_s)
-        cells.fail(np.flatnonzero(exact.singular), "SingularTransfer")
+        cells.fail(exact.singular, scattering.SingularTransfer)
         s_main = exact.s
         if wants & FLUX_FAMILIES or spec.check_sum_rule:
-            cells.fail(np.flatnonzero(exact.exp_overflow), "OverflowError")
+            cells.fail(exact.exp_overflow, OverflowError)
             rows = cells.rows()
             terms = exact.layer_terms(rows)
             if spec.check_sum_rule:
@@ -592,12 +590,10 @@ def evaluate_grid(spec, xs):
             _eigenvalue_cells(cells, exact, s_main)
             continue
         every = np.arange(cells.n)
-        main, degenerate = _family_cells(family, s_main, flux_main, spec, cells.live)
-        cells.fail(every[degenerate], "DegenerateDenominator")
+        main = _family_cells(family, s_main, flux_main, spec, cells)
         cells.put(family, every, main)
         if both:
-            eff, degenerate = _family_cells(family, s_eff, flux_eff, spec, cells.live)
-            cells.fail(every[degenerate], "DegenerateDenominator")
+            eff = _family_cells(family, s_eff, flux_eff, spec, cells)
             names = COMPARED[family]
             cells.put(family, every, {f"{c}_effective": eff[c] for c in names})
             cells.put(family, every, {f"{c}_rel_dev": _rel_dev(eff[c], main[c])

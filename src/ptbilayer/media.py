@@ -27,6 +27,16 @@ NM = 1e-9                     # m per nm
 DEFAULT_LAYER_THICKNESS = 10.0 * NM
 
 
+def require(holds, message: str) -> None:
+    """ValueError(message) unless holds(), which fails where it cannot compare or convert."""
+    try:
+        if holds():
+            return
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class LorentzMedium:
     """Single-resonance dispersive medium.
@@ -44,10 +54,10 @@ class LorentzMedium:
 
     def __post_init__(self):
         for name in ("eps_b", "omega0", "gamma"):
-            if not (getattr(self, name) > 0 and math.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be positive and finite")
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+            value = getattr(self, name)
+            require(lambda: value > 0 and math.isfinite(value),
+                    f"{name} must be positive and finite")
+        require(lambda: math.isfinite(self.alpha), "alpha must be finite")
 
 
 @dataclass(frozen=True)
@@ -59,8 +69,8 @@ class Bilayer:
     layer_thickness: float = DEFAULT_LAYER_THICKNESS   # m, per layer
 
     def __post_init__(self):
-        if not (self.layer_thickness > 0 and math.isfinite(self.layer_thickness)):
-            raise ValueError("layer_thickness must be positive and finite")
+        l = self.layer_thickness
+        require(lambda: l > 0 and math.isfinite(l), "layer_thickness must be positive and finite")
 
 
 def lorentz_permittivity(eps_b, alpha, omega0, gamma, omega):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .media import require
 from .scattering import ScatteringAmplitudes
 
 DENOMINATOR_MIN = 1e-30   # a smaller |mean photocount| raises DegenerateDenominator
@@ -35,18 +36,14 @@ class SqueezedCoherentInput:
     phi_rho: float = (5.0 - math.pi) / 2.0
 
     def __post_init__(self):
-        if self.xi < 0:
-            raise ValueError("xi must be nonnegative")
-        if self.coherent_weight < 0:
-            raise ValueError("coherent_weight must be nonnegative")
-        try:   # the observables read sinh(2 xi), sinh^2 xi and cos(2 phi_rho - phi_xi)
-            sinhs = (math.sinh(2.0 * self.xi), math.sinh(self.xi) ** 2)
-        except OverflowError:
-            sinhs = (math.inf,)
-        if not all(map(math.isfinite, sinhs)):
-            raise ValueError(f"sinh(2 xi) or sinh(xi)^2 is not finite at xi={self.xi!r}")
-        if not math.isfinite(2.0 * self.phi_rho - self.phi_xi):
-            raise ValueError("2 phi_rho - phi_xi is not finite")
+        require(lambda: not self.xi < 0, "xi must be nonnegative")
+        require(lambda: not self.coherent_weight < 0, "coherent_weight must be nonnegative")
+        # the observables read sinh(2 xi), sinh^2 xi and cos(2 phi_rho - phi_xi)
+        require(lambda: math.isfinite(math.sinh(2.0 * self.xi))
+                and math.isfinite(math.sinh(self.xi) ** 2),
+                f"sinh(2 xi) or sinh(xi)^2 is not finite at xi={self.xi!r}")
+        require(lambda: math.isfinite(2.0 * self.phi_rho - self.phi_xi),
+                "2 phi_rho - phi_xi is not finite")
 
 
 def homodyne_variance(s, flux_right: float, inp: SqueezedCoherentInput = None,

@@ -24,20 +24,15 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__, effective, grid, media, noise, observables, scattering
-from .effective import BranchAmbiguity, LasingPole
 from .grid import OBSERVABLE_ORDER, VARIABLE_COLUMNS
 from .media import NM, TRAD, LorentzMedium
 from .noise import SumRuleViolation
-from .observables import DegenerateDenominator, SqueezedCoherentInput
-from .scattering import InconsistentEigenvalues, SingularTransfer
+from .observables import SqueezedCoherentInput
 
 VARIABLES = tuple(VARIABLE_COLUMNS)
 THEORIES = ("exact", "effective", "both")
 THRESHOLD_KINDS = ("atr", "accidental_degeneracy", "exceptional_point",
                    "eta_unity", "squeeze_crossing", "mandel_crossing")
-
-_ROW_ERRORS = (LasingPole, BranchAmbiguity, SingularTransfer, OverflowError,
-               DegenerateDenominator, InconsistentEigenvalues)
 
 
 class ConfigError(Exception):
@@ -86,6 +81,7 @@ class SweepSpec:
         if pair is not None and not (isinstance(pair, (tuple, list)) and len(pair) == 2
                                      and all(isinstance(m, LorentzMedium) for m in pair)):
             raise ConfigError(f"materials must be a (gain, loss) pair of media, got {pair!r}")
+        object.__setattr__(self, "materials", pair if pair is None else tuple(pair))
         if self.fixed_alpha_l is None:   # the loss material's alpha, or a preset's 2.0
             object.__setattr__(self, "fixed_alpha_l", self.materials[1].alpha
                                if self.preset is None and self.materials else 2.0)
@@ -380,7 +376,7 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
     def f(x: float) -> float:
         try:
             return evaluate(x)
-        except _ROW_ERRORS as exc:
+        except grid.ROW_ERRORS as exc:
             raise EvaluationFailed(
                 f"evaluation failed at {x}: {type(exc).__name__}") from exc
 

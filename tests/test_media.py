@@ -1,5 +1,6 @@
 """Material models, index branch, and the balance solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from ptbilayer import media, scattering
 from ptbilayer.media import TRAD, Bilayer, LorentzMedium
+from ptbilayer.observables import SqueezedCoherentInput
 from ptbilayer.scattering import SingularTransfer
 
 
@@ -288,3 +290,22 @@ class TestValidation:
     def test_bilayer_rejects_bad_thickness(self):
         with pytest.raises(ValueError):
             Bilayer(gain=SET1_GAIN, loss=SET1_LOSS, layer_thickness=0.0)
+
+    @pytest.mark.parametrize("valid, field, bad", [
+        (SET1_LOSS, "eps_b", -1.0), (SET1_LOSS, "alpha", math.inf),
+        (SET1_LOSS, "omega0", -5.0), (SET1_LOSS, "gamma", 0.0),
+        (Bilayer(SET1_GAIN, SET1_LOSS), "layer_thickness", 0.0),
+        (SqueezedCoherentInput(), "xi", -1.0), (SqueezedCoherentInput(), "phi_xi", math.inf),
+        (SqueezedCoherentInput(), "coherent_weight", -1.0),
+        (SqueezedCoherentInput(), "phi_rho", math.nan),
+    ], ids=["eps_b", "alpha", "omega0", "gamma", "layer_thickness", "xi", "phi_xi",
+            "coherent_weight", "phi_rho"])
+    @pytest.mark.parametrize("value", ["2", None, 2j], ids=["str", "None", "complex"])
+    def test_a_field_that_is_not_a_number_is_a_bad_value(self, valid, field, bad, value):
+        # it raises the ValueError of the field's other bad values, with their
+        # message, where comparing it raised TypeError
+        with pytest.raises(ValueError) as want:
+            dataclasses.replace(valid, **{field: bad})
+        with pytest.raises(ValueError) as got:
+            dataclasses.replace(valid, **{field: value})
+        assert str(got.value) == str(want.value)

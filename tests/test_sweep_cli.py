@@ -16,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ptbilayer
-from ptbilayer import effective, media, noise, scattering, sweep_cli
+from ptbilayer import effective, grid, media, noise, scattering, sweep_cli
 from ptbilayer.sweep_cli import (
     ConfigError,
     NoSignChange,
@@ -87,6 +87,15 @@ class TestGrid:
             spec(preset=None, materials=(gain,))
         with pytest.raises(ConfigError, match="input_state"):
             spec(input_state=None)
+
+    def test_materials_given_as_a_list_are_stored_as_a_tuple(self):
+        # so a spec built from either hashes, as a frozen dataclass should
+        bil = media.preset("set1", 2.0)
+        pair = (bil.gain, bil.loss)
+        from_list, from_tuple = (spec(preset=None, materials=m) for m in (list(pair), pair))
+        assert from_list.materials == pair
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
 
 
 class TestConfig:
@@ -163,7 +172,7 @@ class TestConfig:
 # equal floats but print differently), in columns of distinct cells and in
 # columns that repeat a few values, as the JSON writer formats each repeated
 # value once
-NAMES = ["ok", *(e.__name__ for e in sweep_cli._ROW_ERRORS),
+NAMES = ["ok", *(e.__name__ for e in grid.ROW_ERRORS),
          "exact", "broken", "exceptional", "inconsistent"]
 EXTREMES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
             2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -847,6 +856,18 @@ class TestCli:
                            "--mode", "paper"])
         assert rc == 4
         assert capsys.readouterr().err == "evaluation failed at 1000.0: SingularTransfer\n"
+
+    @pytest.mark.parametrize("error", grid.ROW_ERRORS, ids=lambda error: error.__name__)
+    def test_each_row_error_in_locate_exits_4(self, error, monkeypatch, capsys):
+        # whichever failure ends a table row ends a locate evaluation with exit
+        # 4 and its name, and no traceback
+        def fails(chain):
+            raise error("raised by the test")
+
+        monkeypatch.setattr(scattering, "scattering_from_transfer", fails)
+        rc = cli_main(["locate", "--kind", "atr", "--bracket", "5:50"])
+        assert (rc, *capsys.readouterr()) == (
+            4, "", f"evaluation failed at 5.0: {error.__name__}\n")
 
     @pytest.mark.parametrize("preset", ["set1", "set2"])
     def test_overflowing_pt_solve_exits_4_without_warnings(self, preset, capsys):
