@@ -2,15 +2,17 @@
 
 evaluate_grid computes every table cell of a SweepSpec over a whole grid of
 (alpha_l, omega, temperature) in one pass of array operations: the layer
-permittivities and indices, the five chain factors as stacked (N, 2, 2)
-arrays, S, the eigenpair, each layer's noise coupling and commutator (built
-once for both the flux and the sum rule check), the flux and the table
-cells. Each is evaluated once per distinct value of the parameters it
-reads, so a temperature sweep builds one stack. A row stops at its first
-failure, one of ROW_ERRORS, and keeps the cells filled before it: the rule
-that fails rows calls _Cells.fail(where, error), where picking them as a
-numpy index does. The columns come out in table order, so this module is the
-one place that names them.
+permittivities and indices; for the exact theory the five chain factors as
+stacked (N, 2, 2) arrays, S, the eigenpair, each layer's noise coupling and
+commutator (built once for both the flux and the sum rule check) and the
+flux; for the effective theory and eta, beside it, the Bloch index, the
+round trip, the slab and its central-difference flux; then the table cells.
+Each is evaluated once per distinct value of the parameters it reads, so a
+temperature sweep builds one stack. A row stops at its first failure, one
+of ROW_ERRORS, and keeps the cells filled before it: the rule that fails
+rows calls _Cells.fail(where, error), where picking them as a numpy index
+does. The columns come out in table order, so this module is the one place
+that names them.
 
 The kernel restates only what its array form would round differently from
 the scalar library (transfer_chain, scattering_from_transfer, eigenvalues'
@@ -182,7 +184,7 @@ class ExactStack:
     (scattering.transfer_chain and scattering_from_transfer over arrays)."""
 
     def __init__(self, spec, indices, omega):
-        self.paper = scattering.canonical_mode(spec.mode) == scattering.MODE_PAPER
+        self.paper = spec.mode == scattering.MODE_PAPER
         self.ng, self.nl = indices
         self.k = omega / C_VACUUM
         self.l = spec.thickness_nm * NM
@@ -490,38 +492,6 @@ def _occupations(omega, temperature) -> np.ndarray:
                      zip(omega.ravel().tolist(), temperature.ravel().tolist())])
 
 
-def _effective_rows(spec, wants, omega, nth, eps, indices, cells: _Cells):
-    """Effective-medium cells over the live rows of the stack: the scalar
-    library's slab, step by step over arrays, each row stopping at its first
-    failure.
-
-    omega is the stack's frequency array, as layer_arrays took it, and eps and
-    indices are the stack's (gain, loss) pairs from layer_arrays; nth holds the
-    grid's thermal occupations (_occupations). Puts the eta family's cells, and
-    returns the slab's Amplitudes and its (s_left, s_right) flux over the grid,
-    or (None, None) when the spec needs no effective slab.
-    """
-    want_s = spec.theory != "exact" and bool(wants & EXACT_FAMILIES)
-    l = spec.thickness_nm * NM
-    k = omega / C_VACUUM
-    kl = k * l
-    n_eff = _bloch_index(cells, indices, k, l)
-    every = np.arange(cells.n)
-    if "eta" in wants:
-        eta = _round_trip(cells, n_eff, kl)
-        eta_mod = _py_abs(eta, cells)
-        # written before the effective slab can fail
-        cells.put("eta", every, {"n_eff_re": n_eff.real, "n_eff_im": n_eff.imag,
-                                 "eta_mod": eta_mod, "eta_arg": np.angle(eta)})
-    if not want_s:
-        return None, None
-    s = _slab(cells, n_eff, kl)
-    if not wants & FLUX_FAMILIES:
-        return s, None
-    flux = _slab_flux(cells, n_eff, s, eps, kl, nth)
-    return s, (flux, flux)
-
-
 # Rows that overflow or divide by zero carry inf and nan into their cells and
 # statuses, as the scalar path's rows do; numpy need not warn about them.
 @np.errstate(all="ignore")
@@ -549,54 +519,69 @@ def evaluate_grid(spec, xs):
     xs = np.asarray(xs, dtype=float)
     alpha_l, omega, temperature = grid_parameters(spec, xs)
     wants = frozenset(spec.observables)
-    use_exact = spec.theory in ("exact", "both")
-    both = spec.theory == "both"
+    flux_wanted = bool(wants & FLUX_FAMILIES)
+    # the theories whose S (and flux) the families read, the main one first
+    theories = [t for t in ("exact", "effective")
+                if spec.theory in (t, "both") and wants & EXACT_FAMILIES]
 
-    nth = _occupations(omega, temperature) if wants & FLUX_FAMILIES else None
+    nth = _occupations(omega, temperature) if flux_wanted else None
     alpha_s, omega_s = np.atleast_1d(*np.broadcast_arrays(alpha_l, omega))
     cells = _Cells(len(alpha_s))
     eps, indices = layer_arrays(spec, alpha_s, omega_s)
-    exact = s_main = flux_main = None
-    if use_exact and wants & EXACT_FAMILIES:
+    s, flux = {}, {}   # by theory
+    exact = None
+    if "exact" in theories:
         exact = ExactStack(spec, indices, omega_s)
         cells.fail(exact.singular, scattering.SingularTransfer)
-        s_main = exact.s
-        if wants & FLUX_FAMILIES or spec.check_sum_rule:
+        s["exact"] = exact.s
+        if flux_wanted or spec.check_sum_rule:
             cells.fail(exact.exp_overflow, OverflowError)
             rows = cells.rows()
             terms = exact.layer_terms(rows)
             if spec.check_sum_rule:
-                noise.enforce_sum_rule(terms, s_main.matrices()[rows])
-            if wants & FLUX_FAMILIES:
+                noise.enforce_sum_rule(terms, exact.s.matrices()[rows])
+            if flux_wanted:
                 parts = np.full((2, 2, cells.n), np.nan)
                 parts[..., rows] = noise.flux_parts(terms)
-                flux_main = noise.fluxes(parts, nth)
+                flux["exact"] = noise.fluxes(parts, nth)
 
-    s_eff = flux_eff = None
-    if spec.theory != "exact" or "eta" in wants:
-        s_eff, flux_eff = _effective_rows(spec, wants, omega_s, nth, eps, indices, cells)
-    if not use_exact:
-        s_main, flux_main = s_eff, flux_eff
+    # the effective slab over the live rows of the stack, step by step as the
+    # scalar library takes it
+    if "effective" in theories or "eta" in wants:
+        k = omega_s / C_VACUUM
+        l = spec.thickness_nm * NM
+        kl = k * l
+        n_eff = _bloch_index(cells, indices, k, l)
+        if "eta" in wants:
+            eta = _round_trip(cells, n_eff, kl)
+            # written before the effective slab can fail
+            cells.put("eta", np.arange(cells.n), {
+                "n_eff_re": n_eff.real, "n_eff_im": n_eff.imag,
+                "eta_mod": _py_abs(eta, cells), "eta_arg": np.angle(eta)})
+        if "effective" in theories:
+            s["effective"] = _slab(cells, n_eff, kl)
+            if flux_wanted:   # s_left = s_right
+                flux["effective"] = (_slab_flux(cells, n_eff, s["effective"], eps, kl, nth),) * 2
 
-    # s_main (and, with both theories, s_eff) exists for every exact family,
-    # flux_main (and flux_eff) for every flux family; the families before the
-    # flux families are the stack's, whose cells then spread over the grid
+    # the families before the flux families are the stack's, whose cells then
+    # spread over the grid
     for family in OBSERVABLE_ORDER:
         if family in FLUX_FAMILIES:
             cells = cells.spread(len(xs))
         if family not in wants or family == "eta":   # eta is filled with the slab
             continue
+        main, *compared = theories
         if family == "eigenvalues":
-            _eigenvalue_cells(cells, exact, s_main)
+            _eigenvalue_cells(cells, exact, s[main])
             continue
         every = np.arange(cells.n)
-        main = _family_cells(family, s_main, flux_main, spec, cells)
-        cells.put(family, every, main)
-        if both:
-            eff = _family_cells(family, s_eff, flux_eff, spec, cells)
+        cols = _family_cells(family, s[main], flux.get(main), spec, cells)
+        cells.put(family, every, cols)
+        for theory in compared:   # the effective theory beside the exact
+            eff = _family_cells(family, s[theory], flux.get(theory), spec, cells)
             names = COMPARED[family]
             cells.put(family, every, {f"{c}_effective": eff[c] for c in names})
-            cells.put(family, every, {f"{c}_rel_dev": _rel_dev(eff[c], main[c])
+            cells.put(family, every, {f"{c}_rel_dev": _rel_dev(eff[c], cols[c])
                                       for c in names})
 
     columns = {VARIABLE_COLUMNS[spec.variable]: xs}

@@ -69,6 +69,8 @@ class Bilayer:
     layer_thickness: float = DEFAULT_LAYER_THICKNESS   # m, per layer
 
     def __post_init__(self):
+        if not (isinstance(self.gain, LorentzMedium) and isinstance(self.loss, LorentzMedium)):
+            raise ValueError("gain and loss must be LorentzMedium instances")
         l = self.layer_thickness
         require(lambda: l > 0 and math.isfinite(l), "layer_thickness must be positive and finite")
 

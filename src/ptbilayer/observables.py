@@ -38,6 +38,10 @@ class SqueezedCoherentInput:
     def __post_init__(self):
         require(lambda: not self.xi < 0, "xi must be nonnegative")
         require(lambda: not self.coherent_weight < 0, "coherent_weight must be nonnegative")
+        try:   # the observables compute with it as a float
+            float(self.coherent_weight)
+        except OverflowError:
+            raise ValueError("coherent_weight is beyond the float range") from None
         # the observables read sinh(2 xi), sinh^2 xi and cos(2 phi_rho - phi_xi)
         require(lambda: math.isfinite(math.sinh(2.0 * self.xi))
                 and math.isfinite(math.sinh(self.xi) ** 2),

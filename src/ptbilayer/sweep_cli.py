@@ -54,7 +54,8 @@ class SweepSpec:
     """Everything needed to evaluate a sweep deterministically.
 
     A spec checks itself when it is built: numbers are stored as floats (count
-    as an int), and a spec that cannot be evaluated raises ConfigError.
+    as an int), the mode as MODE_FULL or MODE_PAPER, and a spec that cannot be
+    evaluated raises ConfigError.
     """
 
     preset: str | None = "set1"
@@ -125,11 +126,11 @@ class SweepSpec:
         object.__setattr__(self, "observables",
                            tuple(o for o in OBSERVABLE_ORDER if o in self.observables))
         try:
-            mode = scattering.canonical_mode(self.mode)
+            object.__setattr__(self, "mode", scattering.canonical_mode(self.mode))
         except (TypeError, ValueError):
             raise ConfigError(f"unknown mode {self.mode!r}; expected "
                               f"{scattering.MODE_FULL} or {scattering.MODE_PAPER}") from None
-        if self.check_sum_rule and mode != scattering.MODE_FULL:
+        if self.check_sum_rule and self.mode != scattering.MODE_FULL:
             raise ConfigError("sum rule check requires full-complex mode")
         if not self.thickness_nm > 0:
             raise ConfigError("thickness must be positive")
@@ -274,7 +275,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
                   for name, value in grid.fixed_values(spec).items()},
         "thickness_nm": spec.thickness_nm,
         "theory": spec.theory,
-        "mode": scattering.canonical_mode(spec.mode),
+        "mode": spec.mode,
         "observables": list(spec.observables),
         "input_state": {key: getattr(spec.input_state if "." in target else spec,
                                      target.rpartition(".")[2])

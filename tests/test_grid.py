@@ -402,6 +402,33 @@ def test_each_stage_runs_once_per_distinct_value_of_what_it_reads(monkeypatch):
     assert (stack_rows, occupations) == ([50], [(1000.0 * TRAD, 300.0)])
 
 
+@pytest.mark.parametrize("theory", ["exact", "effective", "both"])
+@pytest.mark.parametrize("families, eta", [
+    ((), True), (("scattering", "eigenvalues"), False), (("scattering", "eigenvalues"), True),
+    (("variance",), False), (("variance",), True),
+], ids=["eta", "stack", "stack_eta", "flux", "flux_eta"])
+def test_each_theory_runs_only_its_own_stages(monkeypatch, theory, eta, families):
+    # the exact stage builds the stack for the exact families of an exact
+    # theory; the effective one takes the Bloch index for its families or
+    # eta, the round trip only for eta, and the slab (and the two slabs of
+    # the flux's central difference) only for its families
+    calls = collections.Counter()
+    for name in ("ExactStack", "_bloch_index", "_round_trip", "_slab", "_slab_flux"):
+        fn = getattr(grid, name)
+        monkeypatch.setattr(grid, name, lambda *a, fn=fn, name=name:
+                            calls.update([name]) or fn(*a))
+    spec = SweepSpec(preset="set1", start=1.0, stop=200.0, count=5, fixed_omega_trad=1000.0,
+                     theory=theory, observables=families + ("eta",) * eta)
+    _, status = grid.evaluate_grid(spec, grid_values(spec))
+    assert list(status) == ["ok"] * 5
+    exact = bool(families) and theory != "effective"
+    slab = bool(families) and theory != "exact"
+    flux = "variance" in families
+    assert calls == collections.Counter(
+        ExactStack=exact, _bloch_index=slab or eta, _round_trip=eta,
+        _slab=slab * (1 + 2 * flux), _slab_flux=slab and flux)
+
+
 def test_an_overflowing_index_ratio_gives_the_scalar_flux():
     # at this frequency the set1 gain index is -1.16i plus a subnormal real
     # part, so n''/n' overflows: kernel and scalar library both take the

@@ -291,6 +291,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             Bilayer(gain=SET1_GAIN, loss=SET1_LOSS, layer_thickness=0.0)
 
+    @pytest.mark.parametrize("gain, loss", [("x", None), (SET1_GAIN, None), (None, SET1_LOSS),
+                                            (SET1_GAIN, (2.0, 1.0, 1000.0, 67.0))],
+                             ids=["neither", "no_loss", "no_gain", "loss_tuple"])
+    def test_bilayer_rejects_a_layer_that_is_not_a_medium(self, gain, loss):
+        # not later, as an AttributeError where the chain first reads the layer
+        with pytest.raises(ValueError, match="LorentzMedium"):
+            Bilayer(gain=gain, loss=loss)
+
+    def test_coherent_weight_beyond_the_float_range_is_a_bad_value(self):
+        # the observables compute with the weight as a float; an infinite one
+        # is a float and is kept
+        with pytest.raises(ValueError, match="beyond the float range"):
+            SqueezedCoherentInput(coherent_weight=10 ** 400)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            SqueezedCoherentInput(coherent_weight=-10 ** 400)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            SqueezedCoherentInput(coherent_weight="25")
+        assert SqueezedCoherentInput(coherent_weight=math.inf).coherent_weight == math.inf
+
     @pytest.mark.parametrize("valid, field, bad", [
         (SET1_LOSS, "eps_b", -1.0), (SET1_LOSS, "alpha", math.inf),
         (SET1_LOSS, "omega0", -5.0), (SET1_LOSS, "gamma", 0.0),

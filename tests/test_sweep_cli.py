@@ -97,6 +97,18 @@ class TestGrid:
         assert from_list == from_tuple
         assert hash(from_list) == hash(from_tuple)
 
+    @pytest.mark.parametrize("alias", sorted(scattering._MODE_ALIASES))
+    def test_every_mode_alias_is_stored_as_its_canonical_name(self, alias):
+        # the kernel and the metadata read spec.mode as it is stored
+        canonical = scattering.canonical_mode(alias)
+        assert canonical in (scattering.MODE_FULL, scattering.MODE_PAPER)
+        given, named = spec(mode=alias, count=3), spec(mode=canonical, count=3)
+        assert given.mode == canonical
+        assert given == named
+        table = run_sweep(given)
+        assert table.metadata["mode"] == canonical
+        assert table.to_json_text() == run_sweep(named).to_json_text()
+
 
 class TestConfig:
     def test_empty_config_is_the_default_spec(self):
