@@ -37,7 +37,7 @@ class SqueezedCoherentInput:
 
     def __post_init__(self):
         require(lambda: not self.xi < 0, "xi must be nonnegative")
-        require(lambda: not self.coherent_weight < 0, "coherent_weight must be nonnegative")
+        require(lambda: self.coherent_weight >= 0, "coherent_weight must be nonnegative")
         try:   # the observables compute with it as a float
             float(self.coherent_weight)
         except OverflowError:

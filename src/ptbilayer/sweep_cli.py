@@ -31,8 +31,11 @@ from .observables import SqueezedCoherentInput
 
 VARIABLES = tuple(VARIABLE_COLUMNS)
 THEORIES = ("exact", "effective", "both")
-THRESHOLD_KINDS = ("atr", "accidental_degeneracy", "exceptional_point",
-                   "eta_unity", "squeeze_crossing", "mandel_crossing")
+# the table family whose row each threshold kind evaluates, in --kind order
+THRESHOLD_FAMILIES = {"atr": "scattering", "accidental_degeneracy": "scattering",
+                      "exceptional_point": "eigenvalues", "eta_unity": "eta",
+                      "squeeze_crossing": "variance", "mandel_crossing": "mandel"}
+THRESHOLD_KINDS = tuple(THRESHOLD_FAMILIES)
 
 
 class ConfigError(Exception):
@@ -331,52 +334,48 @@ class ThresholdQuery:
 def _threshold_scalar(spec: SweepSpec, kind: str):
     """Scalar function of the swept variable whose zero is the threshold.
 
-    It evaluates only the theory the scalar reads (the exact one unless the
-    spec's theory is "effective"; eta_unity reads the effective slab), as a
-    table row of the kind's family would and in the same order, and raises
-    EvaluationFailed naming the first failure. With spec.check_sum_rule each
-    evaluation of the exact chain checks its sum rule, as a table row does.
+    An evaluation runs the stages of a one-row table of the kind's family
+    (THRESHOLD_FAMILIES) for its main theory, exact unless the spec's is
+    "effective", in the same order, and raises EvaluationFailed naming the
+    first failure (README "CLI").
     """
-    exact = spec.theory != "effective"
-    noisy = kind in ("squeeze_crossing", "mandel_crossing")
-
-    def evaluate(x: float) -> float:
-        alpha_l, omega, theta = grid.grid_parameters(spec, float(x))
-        bil = grid.bilayer_at(spec, alpha_l)
-        l = bil.layer_thickness
-        if kind == "eta_unity" or not exact:
-            eps = (media.permittivity(bil.gain, omega), media.permittivity(bil.loss, omega))
-            n_eff = effective.bloch_index(tuple(map(media.refractive_index, eps)), omega, l)
-        if kind == "eta_unity":
-            return abs(effective.round_trip(n_eff, omega, l)) - 1.0
-        if exact:
-            chain = scattering.transfer_chain(bil, omega, spec.mode)
-            s = scattering.scattering_from_transfer(chain)
-            if noisy or spec.check_sum_rule:
-                terms = noise.layer_terms(chain)
-            if spec.check_sum_rule:
-                noise.enforce_sum_rule(terms, s.matrix())
-            if noisy:
-                flux = noise.noise_flux(bil, omega, spec.mode, theta, terms=terms)
-        else:
-            s = effective.effective_amplitudes(n_eff, omega, l)
-            if noisy:
-                flux = effective.effective_noise(n_eff, s, eps, omega, l, theta)
-        if kind == "atr":
-            return s.T - 1.0
-        if kind == "accidental_degeneracy":
-            return s.R_right - s.R_left
-        if kind == "exceptional_point":
-            lam = scattering.eigenvalues(chain) if exact else np.linalg.eigvals(s.matrix())
-            return max(abs(abs(lam[0]) - 1), abs(abs(lam[1]) - 1)) - scattering.PHASE_TOL
-        if kind == "squeeze_crossing":
-            return observables.homodyne_variance(
-                s, flux["s_right"], spec.input_state, spec.phi_lo) - 1.0
-        return observables.mandel_q(s, flux["s_right"], spec.input_state)
+    family = THRESHOLD_FAMILIES[kind]
+    exact = spec.theory != "effective" and family in grid.EXACT_FAMILIES
+    flux_wanted = family in grid.FLUX_FAMILIES
 
     def f(x: float) -> float:
         try:
-            return evaluate(x)
+            alpha_l, omega, theta = grid.grid_parameters(spec, float(x))
+            bil = grid.bilayer_at(spec, alpha_l)
+            if exact:
+                chain = scattering.transfer_chain(bil, omega, spec.mode)
+                s = scattering.scattering_from_transfer(chain)
+                if flux_wanted or spec.check_sum_rule:
+                    terms = noise.layer_terms(chain)
+                if spec.check_sum_rule:
+                    noise.enforce_sum_rule(terms, s.matrix())
+                if flux_wanted:
+                    flux = noise.noise_flux(bil, omega, spec.mode, theta, terms=terms)
+            else:
+                l = bil.layer_thickness
+                eps = (media.permittivity(bil.gain, omega), media.permittivity(bil.loss, omega))
+                n_eff = effective.bloch_index(tuple(map(media.refractive_index, eps)), omega, l)
+                if kind == "eta_unity":
+                    return abs(effective.round_trip(n_eff, omega, l)) - 1.0
+                s = effective.effective_amplitudes(n_eff, omega, l)
+                if flux_wanted:
+                    flux = effective.effective_noise(n_eff, s, eps, omega, l, theta)
+            if kind == "atr":
+                return s.T - 1.0
+            if kind == "accidental_degeneracy":
+                return s.R_right - s.R_left
+            if kind == "exceptional_point":
+                lam = scattering.eigenvalues(chain) if exact else np.linalg.eigvals(s.matrix())
+                return max(abs(abs(lam[0]) - 1), abs(abs(lam[1]) - 1)) - scattering.PHASE_TOL
+            if kind == "squeeze_crossing":
+                return observables.homodyne_variance(
+                    s, flux["s_right"], spec.input_state, spec.phi_lo) - 1.0
+            return observables.mandel_q(s, flux["s_right"], spec.input_state)
         except grid.ROW_ERRORS as exc:
             raise EvaluationFailed(
                 f"evaluation failed at {x}: {type(exc).__name__}") from exc

@@ -402,6 +402,27 @@ def test_each_stage_runs_once_per_distinct_value_of_what_it_reads(monkeypatch):
     assert (stack_rows, occupations) == ([50], [(1000.0 * TRAD, 300.0)])
 
 
+_SET1 = media.preset("set1", 2.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: media.pt_balanced_gain(_SET1.loss, _SET1.gain, 0.0), "omega must be positive"),
+    (lambda: media.pt_delta_epsilon(_SET1.loss, _SET1.gain, -1.0), "omega must be positive"),
+    (lambda: media.preset_default_omega("set9"),
+     "unknown preset 'set9'; expected one of ('set1', 'set2')"),
+    (lambda: grid.evaluate_grid(SweepSpec(variable="omega", start=1.0, stop=2.0, count=2),
+                                np.array([0.0])), "omega must be positive"),
+    (lambda: grid.evaluate_grid(SweepSpec(preset=None, materials=(_SET1.gain, _SET1.loss),
+                                          start=1.0, stop=2.0, count=2),
+                                np.array([math.inf])), "alpha must be finite"),
+], ids=["balanced-gain", "delta-epsilon", "default-omega", "grid-omega", "grid-alpha"])
+def test_each_library_input_error_raises_its_value_error(call, message):
+    # a library caller meets these where the CLI refuses the input first
+    with pytest.raises(ValueError) as err:
+        call()
+    assert (err.type, str(err.value)) == (ValueError, message)
+
+
 @pytest.mark.parametrize("theory", ["exact", "effective", "both"])
 @pytest.mark.parametrize("families, eta", [
     ((), True), (("scattering", "eigenvalues"), False), (("scattering", "eigenvalues"), True),

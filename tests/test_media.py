@@ -301,11 +301,13 @@ class TestValidation:
 
     def test_coherent_weight_beyond_the_float_range_is_a_bad_value(self):
         # the observables compute with the weight as a float; an infinite one
-        # is a float and is kept
+        # is a float and is kept, and a nan is no nonnegative weight
         with pytest.raises(ValueError, match="beyond the float range"):
             SqueezedCoherentInput(coherent_weight=10 ** 400)
         with pytest.raises(ValueError, match="must be nonnegative"):
             SqueezedCoherentInput(coherent_weight=-10 ** 400)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            SqueezedCoherentInput(coherent_weight=math.nan)
         with pytest.raises(ValueError, match="must be nonnegative"):
             SqueezedCoherentInput(coherent_weight="25")
         assert SqueezedCoherentInput(coherent_weight=math.inf).coherent_weight == math.inf

@@ -437,6 +437,38 @@ class TestLocate:
         assert math.isfinite(sweep_cli._threshold_scalar(spec(check_sum_rule=check), kind)(x))
         assert [calls[name] for name in names] == [flux, 2 * (flux or check), check]
 
+    @pytest.mark.parametrize("check", [False, True], ids=["plain", "check"])
+    @pytest.mark.parametrize("theory", sweep_cli.THEORIES)
+    @pytest.mark.parametrize("kind", sweep_cli.THRESHOLD_KINDS)
+    def test_an_evaluation_runs_the_stages_of_its_family_table(self, kind, theory, check):
+        # one evaluation builds the chain, the Bloch index, the layer terms and
+        # the flux exactly where a one-row table of the kind's family builds
+        # them for its main theory, the exact one under "both"
+        def stages(patches, run):
+            calls = collections.Counter()
+            with pytest.MonkeyPatch.context() as m:
+                for owner, name, stage in patches:
+                    fn = getattr(owner, name)
+                    m.setattr(owner, name, lambda *a, fn=fn, stage=stage, **k:
+                              calls.update([stage]) or fn(*a, **k))
+                return calls, run()
+
+        s = spec(theory=theory, check_sum_rule=check)
+        main = dataclasses.replace(s, theory="exact" if theory == "both" else theory,
+                                   observables=(sweep_cli.THRESHOLD_FAMILIES[kind],))
+        table, (_, status) = stages(
+            [(grid, "ExactStack", "chain"), (grid, "_bloch_index", "slab"),
+             (grid.ExactStack, "layer_terms", "terms"), (noise, "fluxes", "flux"),
+             (grid, "_slab_flux", "flux")],
+            lambda: grid.evaluate_grid(main, np.array([24.0])))
+        scalar, value = stages(
+            [(scattering, "transfer_chain", "chain"), (effective, "bloch_index", "slab"),
+             (noise, "layer_terms", "terms"), (noise, "noise_flux", "flux"),
+             (effective, "effective_noise", "flux")],
+            lambda: sweep_cli._threshold_scalar(s, kind)(24.0))
+        assert list(status) == ["ok"] and math.isfinite(value)
+        assert scalar == table
+
     def test_round_trip_unity(self):
         x = locate_threshold(ThresholdQuery("eta_unity", (100.0, 200.0)),
                              spec(observables=("eta",)))
@@ -736,6 +768,36 @@ class TestCli:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("config, argv, err", [
+        ({"observables": 5}, [], "observables must be a list of family names"),
+        ({"preset": None}, [], "either a preset or explicit materials is required"),
+        ({"preset": "set9"}, [], "unknown preset 'set9'"),
+        ({"theory": "x"}, [], "theory must be one of ('exact', 'effective', 'both')"),
+        ({"sweep": {"spacing": "x"}}, [], "spacing must be 'linear' or 'log'"),
+        ({"observables": []}, [], "at least one observable is required"),
+        ({"mode": "x"}, [], "unknown mode 'x'; expected full_complex or paper_real_part"),
+        ({"materials": 5}, [], "materials must be an object with gain and loss"),
+        (None, ["--temperature-k", "-1"], "temperature must be nonnegative"),
+        (None, ["--range", "1:2"], "--range expects START:STOP:COUNT, got '1:2'"),
+        (None, ["--range", "a:b:c"],
+         "bad --range 'a:b:c': could not convert string to float: 'a'"),
+        (None, ["--config", "{tmp}/absent.json"],
+         "cannot read config: [Errno 2] No such file or directory: '{tmp}/absent.json'"),
+        ("not json", [], "config is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ], ids=["observables-type", "no-preset", "unknown-preset", "theory", "spacing",
+            "no-observables", "mode", "materials-type", "temperature", "range-fields",
+            "range-numbers", "config-missing", "config-not-json"])
+    def test_each_input_error_prints_one_config_error_line(self, config, argv, err, tmp_path,
+                                                           capsys):
+        # config is the config file's JSON, or its text, or None for no file
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(config if isinstance(config, str) else json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert cli_main(["sweep", *argv]) == 2
+        assert capsys.readouterr() == ("", f"config error: {err.format(tmp=tmp_path)}\n")
 
     def test_a_grid_numpy_cannot_allocate_is_a_config_error(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):

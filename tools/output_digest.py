@@ -13,7 +13,13 @@ Each run is one in-process call of ``ptbilayer.sweep_cli.cli_main(argv)``:
 - each README ``locate`` query again with ``--check`` and with
   ``--theory effective``;
 - every README ``ptbilayer`` command, as ``tests/test_readme.py`` extracts
-  them, with each ``--out`` written to a temporary directory.
+  them, with each ``--out`` written to a temporary directory;
+- ``locate --help``, which lists the ``--kind`` choices, and one run per
+  documented error exit (``ERROR_RUNS``): exit 2 from a refused value and
+  from an argparse usage error, exit 3 from a locate bracket and from
+  pt-solve's balance scan, exit 4 from an effective sweep and locate whose
+  cell phase overflows. Help and usage text are wrapped at 80 columns
+  whatever the terminal.
 
 Each output line is the SHA-256 of the run's exit code, standard output,
 standard error and ``--out`` file, then its argv. Two checkouts that print the
@@ -25,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import shlex
 import sys
 import tempfile
@@ -36,6 +43,20 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks"), str(ROOT / "tests")
 from ptbilayer.sweep_cli import cli_main   # noqa: E402
 from test_readme import COMMANDS           # noqa: E402
 from workloads import WORKLOADS, Locate    # noqa: E402
+
+
+# a cell phase 2kl that overflows fails the effective slab
+_OVERFLOWING_PHASE = ["--omega-trad", "1e6", "--thickness-nm", "1e308", "--theory", "effective"]
+# one run per documented error exit, each with its exit code
+ERROR_RUNS = [
+    ["sweep", "--preset", "set1", "--temperature-k", "-1"],                        # 2
+    ["sweep", "--no-such-flag"],                                                   # 2
+    ["locate", "--preset", "set2", "--kind", "atr", "--bracket", "1:1000"],        # 3
+    ["pt-solve", "--preset", "set2", "--alpha-l", "0.2"],                         # 3
+    ["sweep", "--preset", "set1", "--range", "0:1:2", *_OVERFLOWING_PHASE],        # 4
+    ["locate", "--preset", "set1", "--kind", "atr", "--bracket", "0:1",
+     *_OVERFLOWING_PHASE],                                                         # 4
+]
 
 
 def runs() -> list[list[str]]:
@@ -50,7 +71,8 @@ def runs() -> list[list[str]]:
                 out.append(spec.argv())
                 if not (spec.paper_mode or spec.check):
                     out.append(spec.argv() + ["--check"])
-    return out + [shlex.split(command)[1:] for command in COMMANDS]
+    return (out + [shlex.split(command)[1:] for command in COMMANDS]
+            + [["locate", "--help"]] + ERROR_RUNS)
 
 
 def digest(argv: list[str], scratch: Path) -> str:
@@ -63,7 +85,7 @@ def digest(argv: list[str], scratch: Path) -> str:
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = cli_main(run_argv)
-        except SystemExit as exc:   # argparse refused the argv
+        except SystemExit as exc:   # argparse printed help or refused the argv
             code = exc.code
     h = hashlib.sha256()
     for part in (str(code), stdout.getvalue(), stderr.getvalue()):
@@ -74,6 +96,7 @@ def digest(argv: list[str], scratch: Path) -> str:
 
 
 def main() -> None:
+    os.environ["COLUMNS"] = "80"   # argparse wraps help and usage at the terminal width
     with tempfile.TemporaryDirectory() as scratch:
         for argv in runs():
             print(digest(argv, Path(scratch)), shlex.join(argv), flush=True)
