@@ -149,22 +149,41 @@ def _stack(m00, m01, m10, m11) -> np.ndarray:
 
 
 def layer_arrays(spec, alpha_l, omega):
-    """((eps_gain, eps_loss), (n_gain, n_loss)) arrays, n = np.sqrt(eps) as in
-    media.refractive_index; raises ValueError where the scalar path would."""
-    if np.any(omega <= 0):
+    """layer_values over arrays of grid values, on the spec's stack built once."""
+    return layer_values(spec, bilayer_at(spec, 0.0), alpha_l, omega)
+
+
+def layer_values(spec, template: Bilayer, alpha_l, omega):
+    """((eps_gain, eps_loss), (n_gain, n_loss)) at alpha_l and omega, numbers
+    or arrays, n = np.sqrt(eps) as in media.refractive_index. The media are
+    template's, bilayer_at(spec, 0.0), with the amplitudes at alpha_l; raises
+    ValueError where the scalar path would."""
+    if _anywhere(omega <= 0):
         raise ValueError("omega must be positive")
-    template = bilayer_at(spec, 0.0)
     if spec.preset is not None:
-        if np.any(alpha_l < 0):
+        if _anywhere(alpha_l < 0):
             raise ValueError("alpha_l must be nonnegative")
         gain_alpha, loss_alpha = media.preset_amplitudes(spec.preset, alpha_l)
     else:
         gain_alpha, loss_alpha = template.gain.alpha, alpha_l
-    if not np.all(np.isfinite(loss_alpha)):
+    if not _everywhere(abs(loss_alpha) < math.inf):   # a nan fails the test too
         raise ValueError("alpha must be finite")
-    eps = tuple(media.lorentz_permittivity(m.eps_b, a, m.omega0, m.gamma, omega)
-                for m, a in ((template.gain, gain_alpha), (template.loss, loss_alpha)))
-    return eps, tuple(map(np.sqrt, eps))
+    gain, loss = template.gain, template.loss
+    eps = (media.lorentz_permittivity(gain.eps_b, gain_alpha, gain.omega0, gain.gamma, omega),
+           media.lorentz_permittivity(loss.eps_b, loss_alpha, loss.omega0, loss.gamma, omega))
+    return eps, (np.sqrt(eps[0]), np.sqrt(eps[1]))
+
+
+# np.any and np.all take microseconds over one number, which each locate
+# evaluation would pay
+def _anywhere(test) -> bool:
+    """test, a bool or a bool array, holds somewhere."""
+    return test.any() if isinstance(test, np.ndarray) else test
+
+
+def _everywhere(test) -> bool:
+    """test, a bool or a bool array, holds everywhere."""
+    return test.all() if isinstance(test, np.ndarray) else test
 
 
 def _interface(n_from, n_to, k, z, paper: bool) -> np.ndarray:

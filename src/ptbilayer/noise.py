@@ -155,7 +155,8 @@ def noise_flux(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
     """Noise photon flux into each output, {"s_left", "s_right"}.
 
     terms, when given, is layer_terms(transfer_chain(bilayer, omega, mode))
-    built by the caller, who may check its sum rule (enforce_sum_rule) first.
+    built by the caller, who may check its sum rule (enforce_sum_rule) first;
+    the bilayer is then not read.
     """
     if terms is None:
         terms = layer_terms(transfer_chain(bilayer, omega, mode))

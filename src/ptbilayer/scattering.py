@@ -140,11 +140,15 @@ def layer_indices(bilayer: Bilayer, omega: float) -> tuple[complex, complex]:
     return ng, nl
 
 
-def transfer_chain(bilayer: Bilayer, omega: float,
-                   mode: str = MODE_FULL) -> TransferChain:
-    """Assemble the five-factor chain and its internal partial products."""
+def transfer_chain(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
+                   indices: tuple[complex, complex] = None) -> TransferChain:
+    """Assemble the five-factor chain and its internal partial products.
+
+    indices, when given, is layer_indices(bilayer, omega) as the caller took
+    it; the chain then reads only the bilayer's layer thickness.
+    """
     mode = canonical_mode(mode)
-    ng, nl = layer_indices(bilayer, omega)
+    ng, nl = layer_indices(bilayer, omega) if indices is None else indices
     l = bilayer.layer_thickness
     one = 1.0 + 0j
     t1 = interface_matrix(one, ng, omega, -l, mode)

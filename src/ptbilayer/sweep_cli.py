@@ -338,28 +338,36 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
     (THRESHOLD_FAMILIES) for its main theory, exact unless the spec's is
     "effective", in the same order, and raises EvaluationFailed naming the
     first failure (README "CLI").
+
+    The query's stack is built and checked once, as the template
+    grid.bilayer_at(spec, 0.0). An evaluation takes only the layer
+    permittivities and indices at x, through grid.layer_values (the amplitude
+    rule and checks that grid.layer_arrays shares), as the Python complex
+    numbers media.permittivity and refractive_index give; the chain is built
+    from those indices and the effective slab reads both.
     """
     family = THRESHOLD_FAMILIES[kind]
     exact = spec.theory != "effective" and family in grid.EXACT_FAMILIES
     flux_wanted = family in grid.FLUX_FAMILIES
+    template = grid.bilayer_at(spec, 0.0)
+    l = template.layer_thickness
 
     def f(x: float) -> float:
         try:
             alpha_l, omega, theta = grid.grid_parameters(spec, float(x))
-            bil = grid.bilayer_at(spec, alpha_l)
+            (eps_g, eps_l), (n_g, n_l) = grid.layer_values(spec, template, alpha_l, omega)
+            eps, indices = (complex(eps_g), complex(eps_l)), (complex(n_g), complex(n_l))
             if exact:
-                chain = scattering.transfer_chain(bil, omega, spec.mode)
+                chain = scattering.transfer_chain(template, omega, spec.mode, indices)
                 s = scattering.scattering_from_transfer(chain)
                 if flux_wanted or spec.check_sum_rule:
                     terms = noise.layer_terms(chain)
                 if spec.check_sum_rule:
                     noise.enforce_sum_rule(terms, s.matrix())
-                if flux_wanted:
-                    flux = noise.noise_flux(bil, omega, spec.mode, theta, terms=terms)
+                if flux_wanted:   # the flux reads the terms, not the template's amplitudes
+                    flux = noise.noise_flux(template, omega, spec.mode, theta, terms=terms)
             else:
-                l = bil.layer_thickness
-                eps = (media.permittivity(bil.gain, omega), media.permittivity(bil.loss, omega))
-                n_eff = effective.bloch_index(tuple(map(media.refractive_index, eps)), omega, l)
+                n_eff = effective.bloch_index(indices, omega, l)
                 if kind == "eta_unity":
                     return abs(effective.round_trip(n_eff, omega, l)) - 1.0
                 s = effective.effective_amplitudes(n_eff, omega, l)

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ptbilayer
-from ptbilayer import effective, grid, media, noise, observables, scattering
+from ptbilayer import effective, grid, media, noise, observables, scattering, sweep_cli
 from ptbilayer.media import TRAD, LorentzMedium
 from ptbilayer.observables import SqueezedCoherentInput
 from ptbilayer.scattering import InconsistentEigenvalues
@@ -356,6 +356,52 @@ def test_layer_terms_are_derived_once_per_grid(monkeypatch):
     _, status = grid.evaluate_grid(spec, grid_values(spec))
     assert list(status) == ["ok"] * 50
     assert calls == {"lorentz_permittivity": 2, "bilayer_at": 1}
+
+
+def bits(values):
+    """Each complex number's type and the bits of its parts (-0.0 and nan included)."""
+    return [(type(z), z.real.hex(), z.imag.hex()) for z in values]
+
+
+@given(materials=st.one_of(st.sampled_from(["set1", "set2"]),
+                           st.tuples(medium(st.floats(-50.0, 50.0)), medium(st.just(1.0)))),
+       alpha_l=st.floats(0.0, 1000.0), omega_trad=st.floats(100.0, 3000.0),
+       mode=st.sampled_from([scattering.MODE_FULL, scattering.MODE_PAPER]))
+def test_a_locate_evaluation_reads_the_layer_values_of_the_stack_at_x(materials, alpha_l,
+                                                                       omega_trad, mode):
+    # a locate evaluation takes its permittivities and indices off the query's
+    # template; they are the Python complex numbers that the stack built at x
+    # gives, bit for bit, and so is the chain built from them
+    preset = materials if isinstance(materials, str) else None
+    spec = SweepSpec(preset=preset, materials=None if preset else materials,
+                     fixed_omega_trad=omega_trad, mode=mode, theory="effective")
+    seen = {}
+    with pytest.MonkeyPatch.context() as m, np.errstate(all="ignore"):
+        for name, arg in (("bloch_index", 0), ("effective_noise", 2)):
+            fn = getattr(effective, name)
+            m.setattr(effective, name, lambda *a, fn=fn, name=name, arg=arg, **k:
+                      seen.update({name: a[arg]}) or fn(*a, **k))
+        try:
+            sweep_cli._threshold_scalar(spec, "squeeze_crossing")(alpha_l)
+        except sweep_cli.EvaluationFailed:
+            pass
+    assume("effective_noise" in seen)   # the slab failed before its flux
+    bil = grid.bilayer_at(spec, alpha_l)
+    omega = grid.grid_parameters(spec, alpha_l)[1]
+    eps = (media.permittivity(bil.gain, omega), media.permittivity(bil.loss, omega))
+    indices = scattering.layer_indices(bil, omega)
+    assert bits(seen["effective_noise"]) == bits(eps)
+    assert bits(seen["bloch_index"]) == bits(indices)
+    assert {type(z) for z in (*seen["effective_noise"], *seen["bloch_index"])} == {complex}
+
+    def total(*args):
+        try:
+            return scattering.transfer_chain(*args).total.tobytes()
+        except scattering.SingularTransfer:
+            return "SingularTransfer"
+    with np.errstate(all="ignore"):
+        assert (total(grid.bilayer_at(spec, 0.0), omega, mode, seen["bloch_index"])
+                == total(bil, omega, mode))
 
 
 def test_checked_grid_builds_the_layer_terms_once(monkeypatch):

@@ -469,6 +469,39 @@ class TestLocate:
         assert list(status) == ["ok"] and math.isfinite(value)
         assert scalar == table
 
+    @pytest.mark.parametrize("theory", ["exact", "effective"])
+    @pytest.mark.parametrize("fields, x, message", [
+        pytest.param({}, -1.0, "alpha_l must be nonnegative", id="set1-negative"),
+        *(pytest.param(fields, x, "alpha must be finite", id=f"{name}-{x}")
+          for name, fields in (
+              ("set1", {}), ("set2", {"preset": "set2"}),
+              ("materials", {"preset": None, "materials": (
+                  media.LorentzMedium(2.0, -5.0, 1000.0 * media.TRAD, 67.0 * media.TRAD),
+                  media.LorentzMedium(2.5, 5.0, 1100.0 * media.TRAD, 80.0 * media.TRAD))}))
+          for x in (math.inf, math.nan)),
+        *(pytest.param({"variable": "omega", "start": 650.0, "stop": 810.0,
+                        "fixed_alpha_l": 24.0}, x, "omega must be positive", id=f"omega-{x}")
+          for x in (0.0, -1.0))])
+    def test_an_evaluation_refuses_what_its_stack_refuses(self, fields, x, message, theory):
+        # values outside any bracket the CLI accepts, from a library caller: an
+        # evaluation raises the ValueError that building its stack at x raises
+        f = sweep_cli._threshold_scalar(spec(theory=theory, **fields), "atr")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            f(x)
+
+    def test_a_query_builds_and_checks_its_stack_once(self, monkeypatch, capsys):
+        # each of the seven README queries checks one stack, two media and a
+        # bilayer, however many evaluations it takes
+        calls = collections.Counter()
+        for cls in (media.LorentzMedium, media.Bilayer):
+            check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, check=check,
+                                name=cls.__name__: calls.update([name]) or check(self))
+        for query in workloads.LOCATE_THRESHOLDS:
+            assert cli_main(query.argv(*query.bracket)) == 0
+        capsys.readouterr()
+        assert calls == {"LorentzMedium": 14, "Bilayer": 7}
+
     def test_round_trip_unity(self):
         x = locate_threshold(ThresholdQuery("eta_unity", (100.0, 200.0)),
                              spec(observables=("eta",)))

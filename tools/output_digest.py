@@ -19,11 +19,16 @@ Each run is one in-process call of ``ptbilayer.sweep_cli.cli_main(argv)``:
   from an argparse usage error, exit 3 from a locate bracket and from
   pt-solve's balance scan, exit 4 from an effective sweep and locate whose
   cell phase overflows. Help and usage text are wrapped at 80 columns
-  whatever the terminal.
+  whatever the terminal;
+- ``MATERIALS_RUNS``: a ``locate`` over the loss amplitude and one over the
+  frequency on custom materials (``MATERIALS``, a ``--config`` file written
+  to the temporary directory), each exact and with ``--theory effective``.
 
 Each output line is the SHA-256 of the run's exit code, standard output,
 standard error and ``--out`` file, then its argv. Two checkouts that print the
-same lines gave the same bytes on every run; ``diff`` the two files.
+same lines gave the same bytes on every run; ``diff`` the two files. A
+run's ``--config`` and ``--out`` files are named in its argv as they are named
+in the temporary directory, so the lines do not depend on where that is.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shlex
 import sys
@@ -58,6 +64,16 @@ ERROR_RUNS = [
      *_OVERFLOWING_PHASE],                                                         # 4
 ]
 
+# a gain and a loss medium unlike either preset's, so that no preset's rule applies
+MATERIALS = {"materials": {
+    "gain": {"eps_b": 2.0, "alpha": -24.0, "omega0_trad": 1000.0, "gamma_trad": 67.0},
+    "loss": {"eps_b": 2.5, "alpha": 20.0, "omega0_trad": 1100.0, "gamma_trad": 80.0}}}
+MATERIALS_RUNS = [
+    ["locate", "--config", "materials.json", *query, *theory]
+    for query in (["--kind", "atr", "--bracket", "1:100"],
+                  ["--var", "omega", "--kind", "squeeze_crossing", "--bracket", "300:1500"])
+    for theory in ([], ["--theory", "effective"])]
+
 
 def runs() -> list[list[str]]:
     """The argv of every run, in a fixed order."""
@@ -72,15 +88,18 @@ def runs() -> list[list[str]]:
                 if not (spec.paper_mode or spec.check):
                     out.append(spec.argv() + ["--check"])
     return (out + [shlex.split(command)[1:] for command in COMMANDS]
-            + [["locate", "--help"]] + ERROR_RUNS)
+            + [["locate", "--help"]] + ERROR_RUNS + MATERIALS_RUNS)
 
 
 def digest(argv: list[str], scratch: Path) -> str:
     """SHA-256 of the exit code, stdout, stderr and --out file of one run."""
     run_argv, out_file = list(argv), None
+    for flag in ("--config", "--out"):   # files in the scratch directory
+        if flag in run_argv:
+            i = run_argv.index(flag) + 1
+            run_argv[i] = str(scratch / Path(run_argv[i]).name)
     if "--out" in run_argv:
-        i = run_argv.index("--out") + 1
-        out_file = run_argv[i] = str(scratch / Path(run_argv[i]).name)
+        out_file = run_argv[run_argv.index("--out") + 1]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
@@ -98,6 +117,7 @@ def digest(argv: list[str], scratch: Path) -> str:
 def main() -> None:
     os.environ["COLUMNS"] = "80"   # argparse wraps help and usage at the terminal width
     with tempfile.TemporaryDirectory() as scratch:
+        (Path(scratch) / "materials.json").write_text(json.dumps(MATERIALS))
         for argv in runs():
             print(digest(argv, Path(scratch)), shlex.join(argv), flush=True)
 
