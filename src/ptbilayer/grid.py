@@ -16,16 +16,19 @@ that names them.
 
 The kernel restates only what its array form would round differently from
 the scalar library (transfer_chain, scattering_from_transfer, eigenvalues'
-closed-form check, layer_terms, and effective's bloch_index, round_trip,
-effective_amplitudes and effective_noise), the public API and the tests'
+closed-form check and layer_terms), the public API and the tests'
 reference; each other rule is the scalar modules' own, called on arrays:
 the layer index (np.sqrt, as in media.refractive_index), propagation_factors,
-flux_parts and fluxes among them. To repeat the scalar rounding:
+flux_parts and fluxes among them. The effective slab is not restated: its
+formulas are effective's (bloch, eta, slab and slab_flux), evaluated in the
+array context Rows, whose values (_Z) follow the rounding rules below. To
+repeat the scalar rounding:
 
 - complex products that the scalar path forms on scalars are written out in
   real arithmetic, because numpy's SIMD complex multiply fuses multiply-adds
   and scalar multiplication does not; Python multiplies a complex by a float
-  x as by x + 0j, and takes z ** 2 as 1 * (z * z);
+  x as by x + 0j, and takes z ** 2 as 1 * (z * z) (the tests check the
+  first rule, which Python 3.14's C99 mixed arithmetic may change);
 - Python complex divisions use Python's algorithm, which divides by the
   denominator where numpy multiplies by its reciprocal;
 - moduli are np.hypot, squares go through the C library's pow, and the
@@ -33,10 +36,7 @@ flux_parts and fluxes among them. To repeat the scalar rounding:
   element by element;
 - the effective slab's cmath functions are the scalar path's own, taken
   element by element (numpy's complex arccos, for one, differs from
-  cmath.acos in the last bits), and a row fails where Python raises:
-  OverflowError from cmath, from z ** 2 or abs(z), BranchAmbiguity and
-  LasingPole where the scalar tests raise them, at the bounds that effective
-  names.
+  cmath.acos in the last bits), and a row fails where the scalar one raises.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import effective, media, noise, observables, scattering
-from .media import C_VACUUM, NM, TRAD, Bilayer
+from .media import C_VACUUM, K_BOLTZMANN, NM, TRAD, Bilayer
 
 OBSERVABLE_ORDER = ("scattering", "eigenvalues", "noise", "variance", "mandel", "eta")
 EXACT_FAMILIES = frozenset(OBSERVABLE_ORDER) - {"eta"}
@@ -82,10 +82,11 @@ def fixed_values(spec) -> dict:
     return values
 
 
-def grid_parameters(spec, x):
+def grid_parameters(spec, x, fixed: dict | None = None):
     """(alpha_l, omega_rad_s, temperature_k) at grid value x: a float, or an
-    array of grid values (the fixed parameters stay floats)."""
-    values = fixed_values(spec) | {spec.variable: x}
+    array of grid values (the fixed parameters stay floats). fixed is
+    fixed_values(spec), when the caller has read it once for many x."""
+    values = (fixed_values(spec) if fixed is None else fixed) | {spec.variable: x}
     return values["alpha_l"], values["omega"] * TRAD, values["temperature"]
 
 
@@ -409,106 +410,112 @@ def _cmath_each(fn, z, cells: _Cells, where=True) -> np.ndarray:
     return out
 
 
-def _scale(z, x) -> np.ndarray:
-    """z * x for a float x, as Python multiplies a complex by x + 0j."""
-    return _mul(z, _cx(x, 0.0))
+class _Z:
+    """A complex array of Rows, whose operators are Python's complex arithmetic
+    as the kernel repeats it (* is _mul, / is _py_div, abs is _abs, z ** 2 is
+    1 * (z * z), a real operand is x + 0j). A row fails with OverflowError
+    where Python raises it: where z is finite and abs(z) is not, and where a
+    part of z ** 2 is infinite."""
+
+    __array_ufunc__ = None   # an ndarray operand leaves the operator to _Z
+
+    def __init__(self, a: np.ndarray, on: Rows):
+        self.a, self.on = a, on
+
+    real = property(lambda self: self.a.real)
+    imag = property(lambda self: self.a.imag)
+
+    def __add__(self, other) -> _Z:   # numpy adds part by part, as Python does
+        return _Z(self.a + (other.a if isinstance(other, _Z) else other), self.on)
+
+    def __sub__(self, other) -> _Z:
+        return _Z(self.a - (other.a if isinstance(other, _Z) else other), self.on)
+
+    def __neg__(self) -> _Z:
+        return _Z(-self.a, self.on)
+
+    def __mul__(self, other) -> _Z:   # a real operand's imag is 0.0, as x + 0j's is
+        return _Z(_mul(self.a, other.a if isinstance(other, _Z) else other), self.on)
+
+    __rmul__ = __mul__   # _mul rounds a * b and b * a alike
+
+    def __truediv__(self, other) -> _Z:   # _py_div divides by both parts of an array
+        return _Z(_py_div(self.a, other.a if isinstance(other, _Z) else np.asarray(other)),
+                  self.on)
+
+    def __pow__(self, exponent: int) -> _Z:
+        assert exponent == 2
+        p = _mul(1 + 0j, _mul(self.a, self.a))
+        self.on.require(~np.isinf(p.real) & ~np.isinf(p.imag), OverflowError)
+        return _Z(p, self.on)
+
+    def __abs__(self) -> np.ndarray:
+        m = _abs(self.a)
+        self.on.require(~(np.isinf(m) & np.isfinite(self.a)), OverflowError)
+        return m
+
+    def __ne__(self, other) -> np.ndarray:
+        return self.a != other
 
 
-def _square(z, cells: _Cells, where=True) -> np.ndarray:
-    """z ** 2 as Python takes it, 1 * (z * z); a row of where fails with
-    OverflowError where a part is infinite, as Python raises there."""
-    p = _mul(1 + 0j, _mul(z, z))
-    cells.fail(where & (np.isinf(p.real) | np.isinf(p.imag)), OverflowError)
-    return p
+def _cmath_of(fn):
+    """Rows' fn: _cmath_each(fn) at the rows of the mask."""
+    return lambda on, z: _Z(_cmath_each(fn, z.a, on.cells, on.mask), on)
 
 
-def _py_abs(z, cells: _Cells, where=True) -> np.ndarray:
-    """abs(z); a row of where fails with OverflowError where Python raises,
-    where the parts are finite and the modulus is not."""
-    m = _abs(z)
-    cells.fail(where & np.isinf(m) & np.isfinite(z), OverflowError)
-    return m
+class Rows:
+    """effective's evaluation context (see effective.SCALAR) over the live rows
+    of cells: values are _Z, a row fails where SCALAR raises (the messages are
+    SCALAR's alone), and where() runs each side on the rows that mask holds."""
 
+    exp, cos, sin, acos, sqrt = map(_cmath_of, (cmath.exp, cmath.cos, cmath.sin, cmath.acos,
+                                                cmath.sqrt))
 
-def _bloch_index(cells: _Cells, indices, k, l) -> np.ndarray:
-    """effective.bloch_index at the live rows; a row fails where it raises."""
-    ng, nl = indices
-    two_kl = 2 * k * l
-    limit = two_kl == 0   # k l underflowed: sqrt of the mean permittivity
-    cells.fail(~np.isfinite(two_kl), effective.BranchAmbiguity)
-    x, y = (_scale(_scale(n, k), l) for n in indices)
-    cos_x, cos_y, sin_x, sin_y = (_cmath_each(fn, z, cells, ~limit) for fn, z in
-                                  ((cmath.cos, x), (cmath.cos, y), (cmath.sin, x), (cmath.sin, y)))
-    mix = _mul(0.5 + 0j, _py_div(ng, nl) + _py_div(nl, ng))
-    rhs = _mul(cos_x, cos_y) - _mul(_mul(mix, sin_x), sin_y)
-    n = _py_div(_cmath_each(cmath.acos, rhs, cells, ~limit), _cx(two_kl, 0.0))
-    modulus = _py_abs(n, cells, ~limit)
-    lower = np.where(nl.imag < ng.imag, nl.imag, ng.imag)   # min(ng.imag, nl.imag)
-    n = np.where((np.abs(n.real) < effective.TIE_TOL * modulus) & (lower < 0) & (n.imag > 0),
-                 -n, n)
-    phase = _py_abs(_scale(_scale(_mul(2 + 0j, n), k), l), cells, ~limit)
-    cells.fail(~(phase <= effective.CELL_PHASE_MAX) & ~limit, effective.BranchAmbiguity)
-    mean = _py_div(_mul(ng, ng) + _mul(nl, nl), _cx(2.0, 0.0))
-    return np.where(limit, _cmath_each(cmath.sqrt, mean, cells, limit), n)
+    def __init__(self, cells: _Cells):
+        self.cells, self.mask = cells, True
 
+    def value(self, x) -> _Z:
+        return _Z(_cx(x, 0.0), self)
 
-def _round_trip(cells: _Cells, n, kl) -> np.ndarray:
-    """effective.round_trip at the live rows; a row fails where it raises."""
-    ratio = _square(_py_div(n - 1, n + 1), cells)
-    return _mul(ratio, _cmath_each(cmath.exp, _scale(_mul(4j, n), kl), cells))
+    @staticmethod
+    def max(first, *rest):
+        for x in rest:   # as Python's max: x replaces the maximum so far where it is larger
+            first = np.where(x > first, x, first)
+        return first
 
+    def where(self, cond, then, otherwise):
+        outer = self.mask
+        self.mask = outer & cond
+        a = then()
+        self.mask = outer & ~cond
+        b = otherwise()
+        self.mask = outer
+        return _Z(np.where(cond, a.a, b.a), self) if isinstance(a, _Z) else np.where(cond, a, b)
 
-def _slab(cells: _Cells, n, kl, where=True) -> Amplitudes:
-    """effective.effective_amplitudes at the live rows of where; a row fails
-    with LasingPole or OverflowError where it raises."""
-    plus, minus = _square(n + 1, cells, where), _square(n - 1, cells, where)
-    round_trip = _cmath_each(cmath.exp, _scale(_mul(4j, n), kl), cells, where)
-    den = plus - _mul(minus, round_trip)
-    modulus = _py_abs(den, cells, where)
-    cells.fail(where & ~(modulus >= effective.POLE_MIN), effective.LasingPole)
-    forward = _cmath_each(cmath.exp, _scale(_mul(2j, n - 1), kl), cells, where)
-    back = _cmath_each(cmath.exp, _scale(-2j, kl), cells, where)
-    t = _py_div(_mul(_mul(4 + 0j, n), forward), den)
-    r = _py_div(_mul(_mul(_mul(n, n) - 1, round_trip - 1), back), den)
-    return Amplitudes(r, t, r)
+    def require(self, ok, error: type, *message) -> None:
+        self.cells.fail(self.mask & ~ok, error)
 
+    @staticmethod
+    def amplitudes(r: _Z, t: _Z) -> Amplitudes:
+        return Amplitudes(r.a, t.a, r.a)
 
-def _deficit(cells: _Cells, s: Amplitudes, where=True) -> np.ndarray:
-    """noise.unitarity_deficit(s)["right"]; a row fails with OverflowError
-    where Python's abs(.) ** 2 of t or r raises."""
-    overflow = ((np.isinf(s.T) & np.isfinite(s.t))
-                | (np.isinf(s.R_right) & np.isfinite(s.r_right)))
-    cells.fail(where & overflow, OverflowError)
-    return noise.unitarity_deficit(s)["right"]
-
-
-def _slab_flux(cells: _Cells, n, s: Amplitudes, eps, kl, nth) -> np.ndarray:
-    """effective.effective_noise's flux (s_left = s_right) at the live rows of
-    the stack, at the thermal occupations nth: the stack gives the slope and
-    the deficit, and the pump broadcasts over nth. A row fails where it
-    raises, in either slab of the central difference."""
-    eg, el = (np.abs(e.imag) for e in eps)
-    pump = 0.5 * (eg + el) * (2.0 * nth + 1.0)
-    square = _mul(n, n)
-    deficit = _deficit(cells, s)
-    larger = np.where(el > eg, el, eg)   # max(eg, el, 1e-300), nan as Python orders it
-    scale = np.where(1e-300 > larger, 1e-300, larger)
-    balance = np.abs(square.imag) < effective.BALANCE_TOL * scale
-    h = effective.DIFFERENCE_STEP * scale
-    dplus, dminus = (_deficit(cells, _slab(cells, _cmath_each(
-        cmath.sqrt, square + _scale(d, h), cells, balance), kl, balance), balance)
-        for d in (1j, -1j))
-    slope = (dplus - dminus) / (2 * h)
-    return np.where(balance, pump * slope / 2.0 - 0.5 * deficit,
-                    deficit * (pump / (2.0 * square.imag) - 0.5))
+    def deficit(self, s: Amplitudes) -> np.ndarray:
+        # a row fails where Python's abs(.) ** 2 of t or r overflows
+        self.require(~((np.isinf(s.T) & np.isfinite(s.t))
+                       | (np.isinf(s.R_right) & np.isfinite(s.r_right))), OverflowError)
+        return noise.unitarity_deficit(s)["right"]
 
 
 def _occupations(omega, temperature) -> np.ndarray:
     """noise.thermal_occupation element by element over the broadcast of omega
-    and temperature, a number or an array each."""
-    omega, temperature = np.broadcast_arrays(omega, temperature)
-    return np.array([noise.thermal_occupation(w, t) for w, t in
-                     zip(omega.ravel().tolist(), temperature.ravel().tolist())])
+    and temperature, a number or an array each. Where k_B T is 0 (and omega
+    and T are valid) it is 0, as thermal_occupation states, without a call."""
+    omega, temperature = (a.ravel() for a in np.broadcast_arrays(omega, temperature))
+    nth = np.zeros(omega.shape)
+    warm = ~((omega > 0) & (temperature >= 0) & (K_BOLTZMANN * temperature == 0))
+    nth[warm] = [noise.thermal_occupation(w, t) for w, t in
+                 zip(omega[warm].tolist(), temperature[warm].tolist())]
+    return nth
 
 
 # Rows that overflow or divide by zero carry inf and nan into their cells and
@@ -564,23 +571,24 @@ def evaluate_grid(spec, xs):
                 parts[..., rows] = noise.flux_parts(terms)
                 flux["exact"] = noise.fluxes(parts, nth)
 
-    # the effective slab over the live rows of the stack, step by step as the
-    # scalar library takes it
+    # the effective slab over the live rows of the stack, by effective's formulas
     if "effective" in theories or "eta" in wants:
+        on = Rows(cells)
         k = omega_s / C_VACUUM
         l = spec.thickness_nm * NM
         kl = k * l
-        n_eff = _bloch_index(cells, indices, k, l)
+        n_eff = effective.bloch(on, _Z(indices[0], on), _Z(indices[1], on), k, l)
         if "eta" in wants:
-            eta = _round_trip(cells, n_eff, kl)
+            eta = effective.eta(on, n_eff, kl)
             # written before the effective slab can fail
             cells.put("eta", np.arange(cells.n), {
                 "n_eff_re": n_eff.real, "n_eff_im": n_eff.imag,
-                "eta_mod": _py_abs(eta, cells), "eta_arg": np.angle(eta)})
+                "eta_mod": abs(eta), "eta_arg": np.angle(eta.a)})
         if "effective" in theories:
-            s["effective"] = _slab(cells, n_eff, kl)
+            s["effective"] = effective.slab(on, n_eff, kl)
             if flux_wanted:   # s_left = s_right
-                flux["effective"] = (_slab_flux(cells, n_eff, s["effective"], eps, kl, nth),) * 2
+                flux["effective"] = (effective.slab_flux(
+                    on, n_eff, s["effective"], eps, kl, nth)[0],) * 2
 
     # the families before the flux families are the stack's, whose cells then
     # spread over the grid

@@ -339,22 +339,24 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
     "effective", in the same order, and raises EvaluationFailed naming the
     first failure (README "CLI").
 
-    The query's stack is built and checked once, as the template
-    grid.bilayer_at(spec, 0.0). An evaluation takes only the layer
-    permittivities and indices at x, through grid.layer_values (the amplitude
-    rule and checks that grid.layer_arrays shares), as the Python complex
-    numbers media.permittivity and refractive_index give; the chain is built
-    from those indices and the effective slab reads both.
+    The query's stack and fixed values are read once, as the template
+    grid.bilayer_at(spec, 0.0) and grid.fixed_values(spec). An evaluation
+    takes only the layer permittivities and indices at x, through
+    grid.layer_values (the amplitude rule and checks that grid.layer_arrays
+    shares), as the Python complex numbers media.permittivity and
+    refractive_index give; the chain is built from those indices and the
+    effective slab reads both.
     """
     family = THRESHOLD_FAMILIES[kind]
     exact = spec.theory != "effective" and family in grid.EXACT_FAMILIES
     flux_wanted = family in grid.FLUX_FAMILIES
     template = grid.bilayer_at(spec, 0.0)
+    fixed = grid.fixed_values(spec)
     l = template.layer_thickness
 
     def f(x: float) -> float:
         try:
-            alpha_l, omega, theta = grid.grid_parameters(spec, float(x))
+            alpha_l, omega, theta = grid.grid_parameters(spec, float(x), fixed)
             (eps_g, eps_l), (n_g, n_l) = grid.layer_values(spec, template, alpha_l, omega)
             eps, indices = (complex(eps_g), complex(eps_l)), (complex(n_g), complex(n_l))
             if exact:

@@ -1,9 +1,12 @@
 """Batched grid kernel against the scalar library it reproduces."""
 
+import cmath
 import collections
 import json
 import math
+import operator
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -269,6 +272,119 @@ def test_kernel_takes_every_effective_branch_as_the_scalar_library(stack, status
             assert same(cells[col][i], value), col
 
 
+def lasing_pole(kl, turns):
+    """An index n at which ((n - 1)/(n + 1))^2 e^{4 i n kl} = 1, with 2 Re(n) kl
+    near turns * pi / 2, by fixed-point iteration."""
+    n = complex(math.pi * turns / (2 * kl))
+    for _ in range(200):
+        n = (1j * math.pi * turns + cmath.log((n + 1) / (n - 1))) / (2j * kl)
+    return n
+
+
+@st.composite
+def slab_rows(draw):
+    """A row of layer indices (ng, nl) and k l for the Bloch index, and a slab
+    index n, its k l, permittivities (eps_gain, eps_loss) and N_th for the rest.
+    Each index has |.| from 1e-8 to 1e3 and each k l is from 1e-12 to 1e2; nl
+    may be ng's balanced partner and ng may vanish, the Bloch k l may be 0 or
+    inf, and n may be real (the flux's balance) or a lasing pole."""
+    def index():
+        return cmath.rect(10.0 ** draw(st.floats(-8.0, 3.0)), draw(st.floats(-math.pi, math.pi)))
+
+    def kl():
+        return 10.0 ** draw(st.floats(-12.0, 2.0))
+
+    ng = index() if draw(st.integers(0, 9)) else 0j
+    nl = ng.conjugate() if draw(st.booleans()) else index()
+    kl_cell = draw(st.one_of(st.builds(kl), st.sampled_from([0.0, math.inf])))
+    kind = draw(st.sampled_from(["drawn", "real", "pole"]))
+    if kind == "pole":
+        kl_slab = draw(st.floats(0.2, 1.0))
+        n = lasing_pole(kl_slab, draw(st.sampled_from([1, 2])))
+    else:
+        kl_slab, n = kl(), index()
+        if kind == "real":
+            n = complex(abs(n), 0.0)
+    eps = (complex(draw(st.floats(1.0, 5.0)), -(10.0 ** draw(st.floats(-3.0, 2.0)))),
+           complex(draw(st.floats(1.0, 5.0)), 10.0 ** draw(st.floats(-3.0, 2.0))))
+    return ng, nl, kl_cell, n, kl_slab, eps, draw(st.sampled_from([0.0, 0.3, 1e3]))
+
+
+def scalar_slab(ng, nl, kl_cell, n, kl, eps, nth, l):
+    """Each formula on effective.SCALAR, in the kernel's order: the Bloch
+    index of the cell; the round trip, the slab and its flux at n. Each
+    chain's values until it raises, and its status."""
+    on, cell, out = effective.SCALAR, {}, {}
+    try:
+        cell["n_eff"] = effective.bloch(on, ng, nl, kl_cell / l, l)
+        cell["status"] = "ok"
+    except grid.ROW_ERRORS as exc:
+        cell["status"] = type(exc).__name__
+    try:
+        out["eta"] = effective.eta(on, n, kl)
+        s = out["s"] = effective.slab(on, n, kl)
+        out["flux"] = effective.slab_flux(on, n, s, eps, kl, nth)[0]
+        out["status"] = "ok"
+    except grid.ROW_ERRORS as exc:
+        out["status"] = type(exc).__name__
+    return cell, out
+
+
+@settings(max_examples=300)
+@given(rows=st.lists(slab_rows(), min_size=1, max_size=8), l=st.floats(1e-9, 1e-6))
+def test_the_array_context_evaluates_each_slab_formula_as_the_scalar_context(rows, l):
+    # effective's formulas on grid.Rows hold to the same formulas on
+    # effective.SCALAR bit for bit, statuses included, where no media draw
+    # reaches: OverflowError, LasingPole and BranchAmbiguity rows among them
+    ng, nl, kl_cell, n, kl, eps, nth = (np.array(c) for c in zip(*rows))
+    eps = (eps[:, 0], eps[:, 1])
+    with np.errstate(all="ignore"):   # as in evaluate_grid: failed rows carry inf and nan
+        cells = grid._Cells(len(rows))
+        on = grid.Rows(cells)
+        n_eff = effective.bloch(on, grid._Z(ng, on), grid._Z(nl, on), kl_cell / l, l)
+        slab_cells = grid._Cells(len(rows))
+        on = grid.Rows(slab_cells)
+        z = grid._Z(n, on)
+        eta = effective.eta(on, z, kl)
+        s = effective.slab(on, z, kl)
+        flux = effective.slab_flux(on, z, s, eps, kl, nth)[0]
+    for i, row in enumerate(rows):
+        cell, ref = scalar_slab(*row, l)
+        assert (cells.status[i], slab_cells.status[i]) == (cell["status"], ref["status"])
+        if "n_eff" in cell:
+            assert same(n_eff.a[i], cell["n_eff"])
+        if "eta" in ref:
+            assert same(eta.a[i], ref["eta"])
+        if "s" in ref:
+            assert same([s.t[i], s.r_left[i], s.r_right[i]], [ref["s"].t, ref["s"].r_left,
+                                                              ref["s"].r_right])
+        if "flux" in ref:   # the flux read T and R, so they did not raise
+            assert same([flux[i], s.T[i], s.R_right[i]], [ref["flux"], ref["s"].T,
+                                                          ref["s"].R_right])
+
+
+@pytest.mark.parametrize("op, z, x", [
+    (operator.mul, complex(math.inf, 1.0), 2.0),   # 0 * inf is nan in the product with x + 0j
+    (operator.mul, complex(1.0, -0.0), 2.0),   # -0.0 + 0.0 is +0.0
+    (operator.mul, complex(-0.0, 3.0), -0.0),
+    (operator.mul, complex(1.5, -2.5), 4),
+    (operator.truediv, complex(math.inf, 1.0), 2.0),
+    (operator.truediv, complex(1.0, -0.0), 2.0),
+    (operator.truediv, complex(1.5, -2.5), 2),
+    (operator.add, complex(1.0, -0.0), 2.0),
+    (operator.sub, complex(1.0, -0.0), 1),
+], ids=["mul-inf", "mul-signed-zero", "mul-zero", "mul-int", "div-inf", "div-signed-zero",
+        "div-int", "add-signed-zero", "sub-int"])
+def test_python_takes_a_real_operand_of_complex_arithmetic_as_x_plus_0j(op, z, x):
+    # grid.Rows repeats this rule of the interpreter on arrays; C99 mixed
+    # real/complex arithmetic (Python 3.14, gh-69639) may change it at an
+    # infinite part and at a signed zero, which is unverified on 3.14
+    got, rule = op(z, x), op(z, complex(x, 0.0))
+    assert struct.pack("<dd", got.real, got.imag) == struct.pack("<dd", rule.real, rule.imag), (
+        f"Python no longer takes z {op.__name__} x for a real x as z {op.__name__} (x + 0j): "
+        f"{got!r} against {rule!r}; grid.Rows must follow the new rule")
+
+
 def test_an_inconsistent_eigenpair_ends_its_row(monkeypatch):
     # no stack drawn above misses the closed form, so the solver is made to
     # miss it by 1e-6 relative on every other row; S is the same matrix in
@@ -419,8 +535,9 @@ def test_checked_grid_builds_the_layer_terms_once(monkeypatch):
 def test_each_stage_runs_once_per_distinct_value_of_what_it_reads(monkeypatch):
     # the stack reads (alpha_l, omega) and the thermal occupation (omega, T): a
     # temperature sweep builds one stack row and takes one eigenpair for its
-    # 500 rows, and an alpha_l sweep at fixed omega and T takes one occupation,
-    # which the exact and the effective flux share
+    # 500 rows, and an occupation for each but its T = 0 row, whose occupation
+    # is 0 without a call; an alpha_l sweep at fixed omega and T takes one
+    # occupation, which the exact and the effective flux share
     stack_rows, eigvals_shapes, occupations = [], [], []
     stack, eigvals, occupation = grid.ExactStack, np.linalg.eigvals, noise.thermal_occupation
 
@@ -439,7 +556,7 @@ def test_each_stage_runs_once_per_distinct_value_of_what_it_reads(monkeypatch):
                      observables=grid.OBSERVABLE_ORDER, check_sum_rule=True)
     _, status = grid.evaluate_grid(spec, grid_values(spec))
     assert list(status) == ["ok"] * 500
-    assert (stack_rows, eigvals_shapes, len(occupations)) == ([1], [(1, 2, 2)], 500)
+    assert (stack_rows, eigvals_shapes, len(occupations)) == ([1], [(1, 2, 2)], 499)
     del stack_rows[:], eigvals_shapes[:], occupations[:]
     spec = SweepSpec(preset="set1", start=1.0, stop=200.0, count=50, fixed_omega_trad=1000.0,
                      temperature_k=300.0, theory="both", observables=grid.OBSERVABLE_ORDER)
@@ -461,7 +578,15 @@ _SET1 = media.preset("set1", 2.0)
     (lambda: grid.evaluate_grid(SweepSpec(preset=None, materials=(_SET1.gain, _SET1.loss),
                                           start=1.0, stop=2.0, count=2),
                                 np.array([math.inf])), "alpha must be finite"),
-], ids=["balanced-gain", "delta-epsilon", "default-omega", "grid-omega", "grid-alpha"])
+    # the thermal occupation refuses these even where k_B T is 0
+    (lambda: grid.evaluate_grid(SweepSpec(variable="omega", start=1.0, stop=2.0, count=2,
+                                          observables=("noise",)),
+                                np.array([1.0, 0.0])), "omega must be positive"),
+    (lambda: grid.evaluate_grid(SweepSpec(variable="temperature", start=0.0, stop=1.0, count=2,
+                                          fixed_omega_trad=1000.0, observables=("noise",)),
+                                np.array([0.0, -1e-320])), "temperature must be nonnegative"),
+], ids=["balanced-gain", "delta-epsilon", "default-omega", "grid-omega", "grid-alpha",
+        "grid-occupation-omega", "grid-occupation-temperature"])
 def test_each_library_input_error_raises_its_value_error(call, message):
     # a library caller meets these where the CLI refuses the input first
     with pytest.raises(ValueError) as err:
@@ -480,9 +605,10 @@ def test_each_theory_runs_only_its_own_stages(monkeypatch, theory, eta, families
     # eta, the round trip only for eta, and the slab (and the two slabs of
     # the flux's central difference) only for its families
     calls = collections.Counter()
-    for name in ("ExactStack", "_bloch_index", "_round_trip", "_slab", "_slab_flux"):
-        fn = getattr(grid, name)
-        monkeypatch.setattr(grid, name, lambda *a, fn=fn, name=name:
+    for owner, name in ((grid, "ExactStack"), (effective, "bloch"), (effective, "eta"),
+                        (effective, "slab"), (effective, "slab_flux")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, fn=fn, name=name:
                             calls.update([name]) or fn(*a))
     spec = SweepSpec(preset="set1", start=1.0, stop=200.0, count=5, fixed_omega_trad=1000.0,
                      theory=theory, observables=families + ("eta",) * eta)
@@ -492,8 +618,8 @@ def test_each_theory_runs_only_its_own_stages(monkeypatch, theory, eta, families
     slab = bool(families) and theory != "exact"
     flux = "variance" in families
     assert calls == collections.Counter(
-        ExactStack=exact, _bloch_index=slab or eta, _round_trip=eta,
-        _slab=slab * (1 + 2 * flux), _slab_flux=slab and flux)
+        ExactStack=exact, bloch=slab or eta, eta=eta,
+        slab=slab * (1 + 2 * flux), slab_flux=slab and flux)
 
 
 def test_an_overflowing_index_ratio_gives_the_scalar_flux():

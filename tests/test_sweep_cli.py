@@ -457,9 +457,9 @@ class TestLocate:
         main = dataclasses.replace(s, theory="exact" if theory == "both" else theory,
                                    observables=(sweep_cli.THRESHOLD_FAMILIES[kind],))
         table, (_, status) = stages(
-            [(grid, "ExactStack", "chain"), (grid, "_bloch_index", "slab"),
+            [(grid, "ExactStack", "chain"), (effective, "bloch", "slab"),
              (grid.ExactStack, "layer_terms", "terms"), (noise, "fluxes", "flux"),
-             (grid, "_slab_flux", "flux")],
+             (effective, "slab_flux", "flux")],
             lambda: grid.evaluate_grid(main, np.array([24.0])))
         scalar, value = stages(
             [(scattering, "transfer_chain", "chain"), (effective, "bloch_index", "slab"),
