@@ -14,15 +14,16 @@ rows calls _Cells.fail(where, error), where picking them as a numpy index
 does. The columns come out in table order, so this module is the one place
 that names them.
 
-The kernel restates only what its array form would round differently from
-the scalar library (transfer_chain, scattering_from_transfer, eigenvalues'
-closed-form check and layer_terms), the public API and the tests'
-reference; each other rule is the scalar modules' own, called on arrays:
+The kernel restates only the chain and S (transfer_chain and
+scattering_from_transfer), which shared would cost each locate evaluation
+about 10%. Each other rule is the scalar modules' own, called on arrays:
 the layer index (np.sqrt, as in media.refractive_index), propagation_factors,
-flux_parts and fluxes among them. The effective slab is not restated: its
-formulas are effective's (bloch, eta, slab and slab_flux), evaluated in the
-array context Rows, whose values (_Z) follow the rounding rules below. To
-repeat the scalar rounding:
+D and K (noise.layer_terms of the rows' chain), misses_closed_form, T and R
+(ScatteringAmplitudes), flux_parts and fluxes among them, and effective's
+slab formulas (bloch, eta, slab and slab_flux) in the array context Rows,
+whose values (_Z) follow the rounding rules below, as do scattering's
+helpers (_cx, _mul, _cis, _each, _stack) and _py_div. To repeat the scalar
+rounding:
 
 - complex products that the scalar path forms on scalars are written out in
   real arithmetic, because numpy's SIMD complex multiply fuses multiply-adds
@@ -50,6 +51,7 @@ import numpy as np
 
 from . import effective, media, noise, observables, scattering
 from .media import C_VACUUM, K_BOLTZMANN, NM, TRAD, Bilayer
+from .scattering import ScatteringAmplitudes, _cis, _cx, _each, _mul, _stack
 
 OBSERVABLE_ORDER = ("scattering", "eigenvalues", "noise", "variance", "mandel", "eta")
 EXACT_FAMILIES = frozenset(OBSERVABLE_ORDER) - {"eta"}
@@ -100,21 +102,7 @@ def bilayer_at(spec, alpha_l: float) -> Bilayer:
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic with the scalar path's rounding
-
-
-def _cx(re, im) -> np.ndarray:
-    """re + i im, part by part; one of re and im may be a scalar."""
-    re, im = np.asarray(re), np.asarray(im)
-    z = np.empty(re.shape if re.ndim >= im.ndim else im.shape, dtype=complex)
-    z.real = re
-    z.imag = im
-    return z
-
-
-def _mul(a, b) -> np.ndarray:
-    """a * b as scalar complex multiplication rounds it (no fused multiply-add)."""
-    return _cx(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+# elementwise arithmetic with the scalar path's rounding (the rest is scattering's)
 
 
 def _py_div(a, b) -> np.ndarray:
@@ -128,21 +116,6 @@ def _py_div(a, b) -> np.ndarray:
         im = np.where(by_real, (ai - ar * ratio) / (br + bi * ratio),
                       (ai * ratio - ar) / (br * ratio + bi))
     return _cx(re, im)
-
-
-def _cis(theta) -> np.ndarray:
-    return np.exp(_cx(0.0, theta))
-
-
-def _each(fn, x) -> np.ndarray:
-    """fn (a math-module function) applied element by element."""
-    return np.array([fn(v) for v in np.asarray(x).tolist()], dtype=float)
-
-
-def _stack(m00, m01, m10, m11) -> np.ndarray:
-    m = np.empty((len(m00), 2, 2), dtype=complex)
-    m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1] = m00, m01, m10, m11
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +177,18 @@ class ExactStack:
     (scattering.transfer_chain and scattering_from_transfer over arrays)."""
 
     def __init__(self, spec, indices, omega):
-        self.paper = spec.mode == scattering.MODE_PAPER
+        self.mode, self.omega = spec.mode, omega
+        paper = spec.mode == scattering.MODE_PAPER
         self.ng, self.nl = indices
-        self.k = omega / C_VACUUM
-        self.l = spec.thickness_nm * NM
-        l, k = self.l, self.k
+        self.l = l = spec.thickness_nm * NM
+        k = omega / C_VACUUM
         vac = np.full(len(omega), 1.0 + 0j)
-        t1 = _interface(vac, self.ng, k, -l, self.paper)
+        t1 = _interface(vac, self.ng, k, -l, paper)
         # the (N, 1, 2) factors scale the columns of each row's matrix
         r2 = scattering.propagation_factors(self.ng, omega, l).T[:, None, :]
-        t2 = _interface(self.ng, self.nl, k, 0.0, self.paper)
+        t2 = _interface(self.ng, self.nl, k, 0.0, paper)
         r3 = scattering.propagation_factors(self.nl, omega, l).T[:, None, :]
-        self.from_loss = _interface(self.nl, vac, k, l, self.paper)
+        self.from_loss = _interface(self.nl, vac, k, l, paper)
         self.from_gain = (self.from_loss * r3) @ t2
         self.total = (self.from_gain * r2) @ t1
 
@@ -227,71 +200,24 @@ class ExactStack:
         self.singular = ~((_abs(a22) >= scattering.A22_MIN)
                           & (_abs(t - t_alt)
                              <= scattering.TRANSMISSION_TOL * np.maximum(_abs(t), 1e-300)))
-        self.s = Amplitudes(-A[:, 1, 0] / a22, t, A[:, 0, 1] / a22)
+        self.s = ScatteringAmplitudes(-A[:, 1, 0] / a22, t, A[:, 0, 1] / a22)
         # rows where noise.layer_commutator's math.exp(+-2u) overflows
         n_imag = np.maximum(np.abs(self.ng.imag), np.abs(self.nl.imag))
         self.exp_overflow = 2 * (n_imag * k * l) > _EXP_MAX
 
-    def inconsistent(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Where lam, S's eigenvalues at rows, misses scattering.eigenvalues' closed form."""
-        A = self.total[rows]
-        b = A[:, 0, 1] - A[:, 1, 0]
-        root = np.sqrt(_mul(b, b) + _mul(4 * A[:, 0, 0], A[:, 1, 1]))
-        two_a22 = 2 * A[:, 1, 1]
-        c1, c2 = (b + root) / two_a22, (b - root) / two_a22
-        l1, l2 = lam[:, 0], lam[:, 1]
-        scale = np.maximum(np.maximum(_abs(l1), _abs(l2)), 1e-300)
-        mismatch = np.maximum(np.minimum(_abs(l1 - c1), _abs(l1 - c2)),
-                              np.minimum(_abs(l2 - c1), _abs(l2 - c2)))
-        return mismatch > scattering.EIGENVALUE_TOL * scale
-
     def layer_terms(self, rows: np.ndarray):
-        """[(n, D, K)] at rows for the gain layer, then the loss layer, as
-        noise.layer_terms builds them (_coupling and layer_commutator)."""
-        A = self.total[rows]
-        a12, a22 = A[:, 0, 1], A[:, 1, 1]
-        inv = 1.0 / a22
-        k, l = self.k[rows], self.l
-        terms = []
-        for n, B, sign in ((self.ng[rows], self.from_gain[rows], 1.0),
-                           (self.nl[rows], self.from_loss[rows], -1.0)):
-            d = inv[:, None, None] * _stack(-B[:, 1, 0], -B[:, 1, 1],
-                                            _mul(B[:, 0, 0], a22) - _mul(a12, B[:, 1, 0]),
-                                            _mul(B[:, 0, 1], a22) - _mul(a12, B[:, 1, 1]))
-            nr, ni = n.real, n.imag
-            u, v = ni * k * l, nr * k * l
-            phase = _cis(sign * v)
-            ratio = ni / nr   # the evanescent limit where it overflows, as in the scalar
-            x = np.where((nr == 0.0) | np.isinf(ratio), -2.0 * ni * k * l,
-                         -2.0 * ratio * np.sin(v))
-            q = _mul(_cx(x, 0.0), phase)
-            scale = 1.0 if self.paper else nr / _abs(n)
-            same = 1.0 - _each(math.exp, -2 * u)
-            counter = _each(math.exp, 2 * u) - 1.0
-            kmat = _stack(_cx(scale * same, 0.0), _cx(scale * q.real, scale * q.imag),
-                          _cx(scale * q.real, scale * -q.imag), _cx(scale * counter, 0.0))
-            terms.append((n, d, kmat))
-        return terms
+        """noise.layer_terms of the chain at rows: [(n, D, K)] for the gain
+        layer, then the loss layer, each an array over rows."""
+        return noise.layer_terms(scattering.TransferChain(
+            self.total[rows], self.from_gain[rows], self.from_loss[rows],
+            (self.ng[rows], self.nl[rows]), self.omega[rows], self.l, self.mode))
 
 
 # ---------------------------------------------------------------------------
 # scattering amplitudes and observables, for either theory
 
 
-class Amplitudes:
-    """(r_left, t, r_right) arrays, and T, R_left and R_right derived from them
-    once, named and rounded as ScatteringAmplitudes' properties."""
-
-    def __init__(self, r_left, t, r_right):
-        self.r_left, self.t, self.r_right = r_left, t, r_right
-        self.T, self.R_left, self.R_right = (media.libm_square(_abs(a))
-                                             for a in (t, r_left, r_right))
-
-    def matrices(self) -> np.ndarray:
-        return _stack(self.r_left, self.t, self.t, self.r_right)
-
-
-def _family_cells(family: str, s: Amplitudes, flux, spec, cells: _Cells) -> dict:
+def _family_cells(family: str, s: ScatteringAmplitudes, flux, spec, cells: _Cells) -> dict:
     """The cells of a family in COMPARED for one theory, whose amplitudes and
     noise flux (s_left, s_right) are s and flux; mandel fails its rows with
     DegenerateDenominator. The cell rules are the scalar library's.
@@ -372,14 +298,15 @@ class _Cells:
         return out
 
 
-def _eigenvalue_cells(cells: _Cells, exact, s: Amplitudes) -> None:
+def _eigenvalue_cells(cells: _Cells, exact, s: ScatteringAmplitudes) -> None:
     """The eigenvalues family: S's eigenvalues, checked against the exact stack's
     closed form when there is one, and for either theory ordered as
     scattering.eigenvalues orders them (ties in modulus by ascending argument)."""
     rows = cells.rows()
-    lam = np.linalg.eigvals(s.matrices()[rows])
+    lam = np.linalg.eigvals(s.matrix()[rows])
     if exact is not None:
-        cells.fail(rows[exact.inconsistent(rows, lam)], scattering.InconsistentEigenvalues)
+        cells.fail(rows[scattering.misses_closed_form(exact.total[rows], lam)],
+                   scattering.InconsistentEigenvalues)
     a, b = lam[:, 0], lam[:, 1]
     ma, mb = _abs(a), _abs(b)
     tie = np.abs(ma - mb) <= scattering.MODULUS_TIE_TOL * np.maximum(np.maximum(ma, mb), 1e-300)
@@ -496,10 +423,10 @@ class Rows:
         self.cells.fail(self.mask & ~ok, error)
 
     @staticmethod
-    def amplitudes(r: _Z, t: _Z) -> Amplitudes:
-        return Amplitudes(r.a, t.a, r.a)
+    def amplitudes(r: _Z, t: _Z) -> ScatteringAmplitudes:
+        return ScatteringAmplitudes(r.a, t.a, r.a)
 
-    def deficit(self, s: Amplitudes) -> np.ndarray:
+    def deficit(self, s: ScatteringAmplitudes) -> np.ndarray:
         # a row fails where Python's abs(.) ** 2 of t or r overflows
         self.require(~((np.isinf(s.T) & np.isfinite(s.t))
                        | (np.isinf(s.R_right) & np.isfinite(s.r_right))), OverflowError)
@@ -565,7 +492,7 @@ def evaluate_grid(spec, xs):
             rows = cells.rows()
             terms = exact.layer_terms(rows)
             if spec.check_sum_rule:
-                noise.enforce_sum_rule(terms, exact.s.matrices()[rows])
+                noise.enforce_sum_rule(terms, exact.s.matrix()[rows])
             if flux_wanted:
                 parts = np.full((2, 2, cells.n), np.nan)
                 parts[..., rows] = noise.flux_parts(terms)

@@ -22,7 +22,8 @@ The noise flux into output j is linear in the thermal occupation N_th,
 flux_0 + N_th E (fluxes). With Q the layer's (D K D^dagger)_jj, the
 zero-temperature part flux_0 sums -Q over the amplifying layers, and E sums
 +Q over the absorbing layers and -Q over the amplifying ones (flux_parts).
-A stack's flux_0 and E are taken once and serve every temperature.
+A stack's flux_0 and E are taken once and serve every temperature. D and K
+are elementwise, on one point's numbers or the grid kernel's stack rows.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ import math
 
 import numpy as np
 
+from . import scattering
 from .media import C_VACUUM, HBAR, K_BOLTZMANN, Bilayer
-from .scattering import MODE_FULL, TransferChain, canonical_mode, transfer_chain
+from .scattering import (MODE_FULL, TransferChain, _cis, _entries, _modulus, _mul, _stack,
+                         _where, canonical_mode, transfer_chain)
 
 
 SUM_RULE_TOL = 1e-10   # largest sum-rule residual a check accepts
@@ -59,9 +62,9 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def layer_commutator(n: complex, omega: float, thickness: float,
-                     layer: int = 2, mode: str = MODE_FULL) -> np.ndarray:
-    """Full 2x2 commutator matrix of one layer (Hermitian).
+def layer_commutator(n, omega, thickness: float, layer: int = 2,
+                     mode: str = MODE_FULL) -> np.ndarray:
+    """Full 2x2 commutator matrix of one layer (Hermitian); (N, 2, 2) over arrays n and omega.
 
     The co-propagating entries are 1 - e^{-2u} (equal to 2 e^{-u} sinh u) and
     e^{2u} - 1; the counter-propagating coupling is q. The layer index is 2
@@ -71,33 +74,34 @@ def layer_commutator(n: complex, omega: float, thickness: float,
     mode = canonical_mode(mode)
     if layer not in (2, 3):
         raise ValueError("layer must be 2 (first slab) or 3 (second slab)")
-    n = complex(n)
     k = omega / C_VACUUM
-    u = n.imag * k * thickness
-    v = n.real * k * thickness
-    phase = np.exp(1j * v) if layer == 2 else np.exp(-1j * v)
-    if n.real == 0.0 or math.isinf(n.imag / n.real):
-        # evanescent limit of (n''/n') sin(n' k l): n'' k l, also where n''/n' overflows
-        q = complex(-2.0 * n.imag * k * thickness * phase)
-    else:
-        q = complex(-2.0 * (n.imag / n.real) * np.sin(v) * phase)
-    scale = n.real / abs(n) if mode == MODE_FULL else 1.0
-    return scale * np.array([[1.0 - math.exp(-2 * u), q],
-                             [np.conj(q), math.exp(2 * u) - 1.0]])
+    nr, ni = n.real, n.imag
+    u, v = ni * k * thickness, nr * k * thickness
+    # the evanescent limit of (n''/n') sin(v), n'' k l, where n' = 0 or n''/n'
+    # overflows; the ratio is not taken there, so that a number divides by no zero
+    limit = (nr == 0.0) | (abs(ni / (nr + (nr == 0.0))) == math.inf)
+    x = _where(limit, -2.0 * ni * k * thickness, -2.0 * (ni / (nr + limit)) * np.sin(v))
+    q = _mul(x, _cis(v if layer == 2 else -v))
+    scale = nr / _modulus(n) if mode == MODE_FULL else 1.0
+    same = 1.0 - scattering._each(math.exp, -2 * u)
+    counter = scattering._each(math.exp, 2 * u) - 1.0
+    return _stack(scale * same, _mul(scale, q), _mul(scale, q.conjugate()), scale * counter)
 
 
-def _coupling(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    a12, a22 = A[0, 1], A[1, 1]
-    b11, b12, b21, b22 = B[0, 0], B[0, 1], B[1, 0], B[1, 1]
-    return (1.0 / a22) * np.array(
-        [[-b21, -b22],
-         [b11 * a22 - a12 * b21, b12 * a22 - a12 * b22]])
+def layer_coupling(total: np.ndarray, partial: np.ndarray) -> np.ndarray:
+    """D of the layer whose partial product into the outputs is partial, in the
+    chain whose total is total: (2, 2) matrices, or (N, 2, 2) rows of them."""
+    _, a12, _, a22 = _entries(total)
+    b11, b12, b21, b22 = _entries(partial)
+    return (1.0 / a22)[..., None, None] * _stack(
+        -b21, -b22, _mul(b11, a22) - _mul(a12, b21), _mul(b12, a22) - _mul(a12, b22))
 
 
 def layer_terms(chain: TransferChain) -> list:
-    """[(n, D, K)] of the gain layer, then of the loss layer, read off chain."""
+    """[(n, D, K)] of the gain layer, then of the loss layer, read off chain:
+    numbers, or arrays over rows for a chain whose fields hold a stack's rows."""
     l = chain.layer_thickness
-    return [(n, _coupling(chain.total, partial),
+    return [(n, layer_coupling(chain.total, partial),
              layer_commutator(n, chain.omega, l, layer, chain.mode))
             for n, layer, partial in zip(chain.indices, (2, 3),
                                          (chain.from_gain, chain.from_loss))]

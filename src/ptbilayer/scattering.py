@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .media import C_VACUUM, Bilayer, permittivity, refractive_index
+from .media import C_VACUUM, Bilayer, libm_square, permittivity, refractive_index
 
 MODE_FULL = "full_complex"
 MODE_PAPER = "paper_real_part"
@@ -61,26 +61,19 @@ def canonical_mode(mode: str) -> str:
 
 @dataclass(frozen=True)
 class ScatteringAmplitudes:
-    """Reflection/transmission amplitudes of a reciprocal two-port."""
+    """Reflection/transmission amplitudes of a reciprocal two-port: numbers, or arrays over rows."""
 
     r_left: complex
     t: complex
     r_right: complex
 
-    @property
-    def T(self) -> float:
-        return abs(self.t) ** 2
-
-    @property
-    def R_left(self) -> float:
-        return abs(self.r_left) ** 2
-
-    @property
-    def R_right(self) -> float:
-        return abs(self.r_right) ** 2
+    T = cached_property(lambda self: _power(self.t))
+    R_left = cached_property(lambda self: _power(self.r_left))
+    R_right = cached_property(lambda self: _power(self.r_right))
 
     def matrix(self) -> np.ndarray:
-        return np.array([[self.r_left, self.t], [self.t, self.r_right]])
+        """S, (2, 2) for numbers or (N, 2, 2) for arrays."""
+        return _stack(self.r_left, self.t, self.t, self.r_right)
 
 
 @dataclass(frozen=True)
@@ -194,13 +187,7 @@ def eigenvalues(transfer) -> tuple[complex, complex]:
     s = scattering_from_transfer(transfer)
     A = transfer.total if isinstance(transfer, TransferChain) else np.asarray(transfer)
     lam = np.linalg.eigvals(s.matrix())
-
-    b = A[0, 1] - A[1, 0]
-    root = np.sqrt(b * b + 4 * A[0, 0] * A[1, 1])
-    closed = ((b + root) / (2 * A[1, 1]), (b - root) / (2 * A[1, 1]))
-    scale = max(abs(lam[0]), abs(lam[1]), 1e-300)
-    mismatch = max(min(abs(l - c) for c in closed) for l in lam)
-    if mismatch > EIGENVALUE_TOL * scale:
+    if misses_closed_form(A, lam):
         raise InconsistentEigenvalues(
             "numerical and closed-form eigenvalues disagree")
 
@@ -214,8 +201,89 @@ def eigenvalues(transfer) -> tuple[complex, complex]:
     return complex(l1), complex(l2)
 
 
+def misses_closed_form(A, lam):
+    """Whether S's eigenpair lam misses eigenvalues' closed form in A by more than
+    EIGENVALUE_TOL: one (2, 2) A and pair (2,), or elementwise over (N, 2, 2) and (N, 2)."""
+    a11, a12, a21, a22 = _entries(A)
+    l1, l2 = lam.T
+    b = a12 - a21
+    root = np.sqrt(_mul(b, b) + _mul(4 * a11, a22))
+    c1, c2 = (b + root) / (2 * a22), (b - root) / (2 * a22)
+    scale = _max(_max(_modulus(l1), _modulus(l2)), 1e-300)
+    mismatch = _max(_min(_modulus(l1 - c1), _modulus(l1 - c2)),
+                    _min(_modulus(l2 - c1), _modulus(l2 - c2)))
+    return mismatch > EIGENVALUE_TOL * scale
+
+
+# elementwise helpers: a number's own arithmetic, or an array's that rounds alike
+
 def _modulus(z):
-    return np.hypot(z.real, z.imag)
+    """|z|: abs(z) on a number, np.hypot of the parts (the C library's, as abs's) on arrays."""
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
+def _power(a):
+    """|a|^2: abs(a) ** 2 on a number, as its type rounds it, libm_square on arrays."""
+    return libm_square(_modulus(a)) if isinstance(a, np.ndarray) else abs(a) ** 2
+
+
+def _cx(re, im):
+    """re + i im, part by part: complex(re, im) on two numbers, else an array
+    (one of re and im may be a number)."""
+    if not (isinstance(re, np.ndarray) or isinstance(im, np.ndarray)):
+        return complex(re, im)
+    re, im = np.asarray(re), np.asarray(im)
+    z = np.empty(re.shape if re.ndim >= im.ndim else im.shape, dtype=complex)
+    z.real = re
+    z.imag = im
+    return z
+
+
+def _mul(a, b):
+    """a * b as scalar complex multiplication rounds it: arrays in real arithmetic,
+    because numpy's SIMD complex multiply fuses multiply-adds and scalars do not."""
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return a * b
+    return _cx(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _where(cond, a, b):
+    """np.where(cond, a, b) over arrays; a if cond else b on a number."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _max(a, b):   # Python's max(a, b), elementwise: b where b > a, else a
+    return _where(b > a, b, a)
+
+
+def _min(a, b):   # Python's min(a, b), elementwise: b where b < a, else a
+    return _where(b < a, b, a)
+
+
+def _cis(theta):   # 1j * theta is exact, fused or not
+    return np.exp(1j * theta)
+
+
+def _each(fn, x):
+    """fn (a math-module function) of a number, or element by element over an array."""
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    return np.array([fn(v) for v in x.tolist()], dtype=float)
+
+
+def _entries(m):
+    """(m00, m01, m10, m11): numbers of one (2, 2) matrix, or arrays over (N, 2, 2) rows."""
+    t = m.T
+    return t[0, 0], t[1, 0], t[0, 1], t[1, 1]
+
+
+def _stack(m00, m01, m10, m11) -> np.ndarray:
+    """The (2, 2) matrix of four numbers, or the (N, 2, 2) rows of four arrays."""
+    if not isinstance(m00, np.ndarray):
+        return np.array([[m00, m01], [m10, m11]])
+    m = np.empty((len(m00), 2, 2), dtype=complex)
+    m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1] = m00, m01, m10, m11
+    return m
 
 
 # inf and nan eigenvalues get a class like any other; numpy need not warn about them

@@ -116,7 +116,7 @@ def test_kernel_reproduces_scalar_library(gain, loss, alpha_l, thickness, mode, 
     stack = grid.ExactStack(spec, grid.layer_arrays(spec, alpha_ls, omega)[1], omega)
     ok = np.flatnonzero(~stack.singular)
     residuals = dict(zip(ok.tolist(), noise.sum_rule_residuals(
-        stack.layer_terms(ok), stack.s.matrices()[ok]).tolist()))
+        stack.layer_terms(ok), stack.s.matrix()[ok]).tolist()))
     violated = (spec.check_sum_rule and theory != "effective"
                 and not all(r <= noise.SUM_RULE_TOL for r in residuals.values()))
     if violated:
@@ -138,7 +138,7 @@ def test_kernel_reproduces_scalar_library(gain, loss, alpha_l, thickness, mode, 
             continue
         s = ref["s"]
         if "chain" in ref:
-            assert same(stack.s.matrices()[i], s.matrix())
+            assert same(stack.s.matrix()[i], s.matrix())
             want = ref["residual"]
             assert abs(residuals[i] - want) <= 1e-14 * max(abs(want), 1e-300)
         if eta and "n_eff" in ref:
@@ -363,6 +363,77 @@ def test_the_array_context_evaluates_each_slab_formula_as_the_scalar_context(row
                                                           ref["s"].R_right])
 
 
+def test_a_finite_value_whose_modulus_overflows_ends_its_row():
+    # both parts of this slab's round trip are finite, but its modulus is not:
+    # Python's abs raises OverflowError there, and the array context fails the row
+    n, kl = 1000 - 1j, 177.4600135
+    eta = effective.eta(effective.SCALAR, n, kl)
+    assert math.isfinite(eta.real) and math.isfinite(eta.imag)
+    with pytest.raises(OverflowError):
+        abs(eta)
+    cells = grid._Cells(2)
+    on = grid.Rows(cells)
+    with np.errstate(all="ignore"):   # as in evaluate_grid: the failed row carries inf
+        rows = effective.eta(on, grid._Z(np.array([n, 1.5 + 0j]), on), np.array([kl, 0.1]))
+        modulus = abs(rows)
+    assert same(rows.a[0], eta)
+    assert list(cells.status) == ["OverflowError", "ok"]
+    assert same(modulus[1], abs(effective.eta(effective.SCALAR, 1.5 + 0j, 0.1)))
+
+
+def parts(values):
+    """The bits of both parts of each entry, signed zeros included."""
+    return bits(np.asarray(values, dtype=complex).ravel().tolist())
+
+
+@st.composite
+def shared_rule_rows(draw):
+    """A row for each rule that the scalar library and the kernel share: a
+    nonzero layer index (|n| from 1e-8 to 1e2, its real part as drawn, exactly
+    0, or so small that n''/n' overflows) and a frequency for K; a transfer matrix A
+    with det A = 1 and a partial product B for D; S's eigenpair, off the
+    closed form by 1e-6 on some rows, for the closed-form check."""
+    n = cmath.rect(10.0 ** draw(st.floats(-8.0, 2.0)), draw(st.floats(-math.pi, math.pi)))
+    n = complex(draw(st.sampled_from([n.real, 0.0, 5e-324])), n.imag)
+    assume(n != 0)   # a zero index makes the chain singular before K is taken
+    entry = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3)
+    a11, a12, a21 = draw(entry), draw(entry), draw(entry)
+    a22 = (1 + a12 * a21) / a11
+    assume(a22 != 0)
+    A = np.array([[a11, a12], [a21, a22]])
+    B = np.array([[draw(entry), draw(entry)], [draw(entry), draw(entry)]])
+    lam = np.linalg.eigvals(scattering.ScatteringAmplitudes(
+        -A[1, 0] / A[1, 1], 1 / A[1, 1], A[0, 1] / A[1, 1]).matrix())
+    lam[0] *= draw(st.sampled_from([1.0, 1.0 + 1e-6]))
+    return n, draw(st.floats(100.0, 3000.0)) * TRAD, A, B, lam
+
+
+@settings(max_examples=300)
+@given(rows=st.lists(shared_rule_rows(), min_size=1, max_size=6), l=st.floats(1e-9, 1e-7),
+       layer=st.sampled_from([2, 3]),
+       mode=st.sampled_from([scattering.MODE_FULL, scattering.MODE_PAPER]))
+def test_each_shared_rule_rounds_a_row_of_arrays_as_its_numbers(rows, l, layer, mode):
+    # D, K, the closed-form check and T and R are each written once: the
+    # scalar library calls them on numbers and the kernel on a stack's rows,
+    # and each row of the array form is the number form bit for bit
+    n, omega, A, B, lam = (np.array(c) for c in zip(*rows))
+    amplitudes = (-A[:, 1, 0] / A[:, 1, 1], 1 / A[:, 1, 1], A[:, 0, 1] / A[:, 1, 1])
+    # n''/n' and 2 n''/n' overflow where n' is tiny, which numpy warns about
+    with np.errstate(all="ignore"):
+        K = noise.layer_commutator(n, omega, l, layer, mode)
+        D = noise.layer_coupling(A, B)
+        missed = scattering.misses_closed_form(A, lam)
+        s = scattering.ScatteringAmplitudes(*amplitudes)
+        for i in range(len(rows)):
+            assert parts(K[i]) == parts(noise.layer_commutator(complex(n[i]), float(omega[i]),
+                                                               l, layer, mode))
+            assert parts(D[i]) == parts(noise.layer_coupling(A[i], B[i]))
+            assert missed[i] == scattering.misses_closed_form(A[i], lam[i])
+            point = scattering.ScatteringAmplitudes(*(a[i] for a in amplitudes))
+            assert parts([s.T[i], s.R_left[i], s.R_right[i]]) == parts(
+                [point.T, point.R_left, point.R_right])
+
+
 @pytest.mark.parametrize("op, z, x", [
     (operator.mul, complex(math.inf, 1.0), 2.0),   # 0 * inf is nan in the product with x + 0j
     (operator.mul, complex(1.0, -0.0), 2.0),   # -0.0 + 0.0 is +0.0
@@ -523,8 +594,8 @@ def test_a_locate_evaluation_reads_the_layer_values_of_the_stack_at_x(materials,
 def test_checked_grid_builds_the_layer_terms_once(monkeypatch):
     # each layer's commutator takes math.exp over the rows twice (e^{-2u} and
     # e^{2u}); the flux and the sum-rule check share one list of terms
-    passes, each = [], grid._each
-    monkeypatch.setattr(grid, "_each", lambda fn, x: passes.append(fn) or each(fn, x))
+    passes, each = [], scattering._each
+    monkeypatch.setattr(scattering, "_each", lambda fn, x: passes.append(fn) or each(fn, x))
     spec = SweepSpec(preset="set1", start=1.0, stop=200.0, count=20, fixed_omega_trad=1000.0,
                      observables=("noise",), check_sum_rule=True)
     _, status = grid.evaluate_grid(spec, grid_values(spec))

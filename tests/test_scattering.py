@@ -257,8 +257,8 @@ class TestElementwiseRules:
             (0.1 + 0j, complex(math.nextafter(t_tie, 2)), 0.1j),
             (self.NAN, self.NAN, self.NAN), (0.5 + 0j, self.NAN, 0.5 + 0j),
         ])
-        s = grid.Amplitudes(*(np.array([getattr(r, name) for r in rows])
-                              for name in ("r_left", "t", "r_right")))
+        s = ScatteringAmplitudes(*(np.array([getattr(r, name) for r in rows])
+                                   for name in ("r_left", "t", "r_right")))
         gen, phase = scattering.conservation_parts(s)
         assert np.isnan(phase).sum() >= 5
         for i, row in enumerate(rows):
