@@ -7,26 +7,21 @@ noise flux built from an equal-weight mix of the two layers' dissipation.
 The description is a long-wavelength theory: it holds while the cell is
 optically thin and degrades as the stack approaches its lasing threshold.
 
-Each slab formula (bloch, eta, slab, slab_flux) is written once and takes
-an evaluation context `on`: SCALAR, on Python numbers and their arithmetic,
-or grid.Rows on the kernel's arrays. on.exp, cos, sin, acos and sqrt are
-cmath's; on.max is max; on.value(x) is a real x as a complex operand;
-on.where(cond, then, otherwise) takes then() where cond holds, else
-otherwise(); on.require(ok, error, message, *args) stops where ok does not
-hold (nor does a nan comparison), and SCALAR raises there; on.amplitudes(r,
-t) is the slab's (r, t, r) and on.deficit(s) its unitarity deficit. The
-public functions are the formulas on SCALAR.
+Each slab formula is written once, on Python numbers, and raises where the
+slab fails: bloch (the Bloch index), eta (the round trip), slab (the
+amplitudes (r, t)) and slab_flux (the flux's parts that do not read N_th,
+which slab_flux_of combines with N_th, elementwise). The public functions
+call them for one point, and the grid kernel for each row of its stack.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from types import SimpleNamespace
 
 from .media import C_VACUUM
-from .noise import thermal_occupation, unitarity_deficit
-from .scattering import ScatteringAmplitudes
+from .noise import thermal_occupation
+from .scattering import ScatteringAmplitudes, _where
 
 
 # The slab's bounds, stated once for the scalar functions and the grid kernel.
@@ -45,88 +40,83 @@ class LasingPole(Exception):
     """Effective slab is at (or numerically on top of) a lasing pole."""
 
 
-def _require(ok, error: type, message: str, *args) -> None:
-    if not ok:
-        raise error(message.format(*args))
-
-
-SCALAR = SimpleNamespace(
-    exp=cmath.exp, cos=cmath.cos, sin=cmath.sin, acos=cmath.acos, sqrt=cmath.sqrt, max=max,
-    value=lambda x: x, where=lambda cond, then, otherwise: then() if cond else otherwise(),
-    require=_require, amplitudes=lambda r, t: ScatteringAmplitudes(r_left=r, t=t, r_right=r),
-    deficit=lambda s: unitarity_deficit(s)["right"])
-
-
-def bloch(on, ng, nl, k, l):
+def bloch(ng, nl, k, l):
     """bloch_index of the layer indices ng and nl at the wavenumber k and layer thickness l."""
     two_kl = 2 * k * l
-
-    def cell():
-        on.require(abs(two_kl) < math.inf, BranchAmbiguity,   # k l overflowed
-                   "cell phase overflows (2 k l = {})", two_kl)
-        x, y = ng * k * l, nl * k * l
-        cos_xy = on.cos(x) * on.cos(y)
-        on.require((ng != 0) & (nl != 0), BranchAmbiguity,   # the ratios below divide by zero
-                   "a layer index vanishes; the cell phase is undefined")
-        rhs = cos_xy - 0.5 * (ng / nl + nl / ng) * on.sin(x) * on.sin(y)
-        n = on.acos(rhs) / two_kl   # Re acos is in [0, pi], so Re n >= 0
-        # evanescent tie: with gain present take the amplifying branch
-        tie = (abs(n.real) < TIE_TOL * abs(n)) & ((ng.imag < 0) | (nl.imag < 0)) & (n.imag > 0)
-        n = on.where(tie, lambda: -n, lambda: n)
-        phase = abs(2 * n * k * l)
-        on.require(phase <= CELL_PHASE_MAX, BranchAmbiguity,
-                   "cell phase {:.3f} exceeds pi/2; principal branch is not trustworthy", phase)
-        return n
-
-    # k l underflowed: the long-wavelength limit, sqrt of the mean permittivity
-    return on.where(two_kl == 0, lambda: on.sqrt((ng * ng + nl * nl) / 2), cell)
+    if two_kl == 0:   # k l underflowed: the long-wavelength limit, sqrt of the mean permittivity
+        return cmath.sqrt((ng * ng + nl * nl) / 2)
+    if not abs(two_kl) < math.inf:   # k l overflowed
+        raise BranchAmbiguity(f"cell phase overflows (2 k l = {two_kl})")
+    x, y = ng * k * l, nl * k * l
+    cos_xy = cmath.cos(x) * cmath.cos(y)
+    if ng == 0 or nl == 0:   # the ratios below divide by zero
+        raise BranchAmbiguity("a layer index vanishes; the cell phase is undefined")
+    rhs = cos_xy - 0.5 * (ng / nl + nl / ng) * cmath.sin(x) * cmath.sin(y)
+    n = cmath.acos(rhs) / two_kl   # Re acos is in [0, pi], so Re n >= 0
+    # evanescent tie: with gain present take the amplifying branch
+    if abs(n.real) < TIE_TOL * abs(n) and (ng.imag < 0 or nl.imag < 0) and n.imag > 0:
+        n = -n
+    phase = abs(2 * n * k * l)
+    if not phase <= CELL_PHASE_MAX:
+        raise BranchAmbiguity(
+            f"cell phase {phase:.3f} exceeds pi/2; principal branch is not trustworthy")
+    return n
 
 
-def eta(on, n, kl):
+def eta(n, kl):
     """round_trip of the slab of index n at k l = kl."""
-    return ((n - 1) / (n + 1)) ** 2 * on.exp(4j * n * kl)
+    return ((n - 1) / (n + 1)) ** 2 * cmath.exp(4j * n * kl)
 
 
-def slab(on, n, kl):
-    """effective_amplitudes of the slab of index n at k l = kl."""
+def slab(n, kl):
+    """effective_amplitudes' (r, t) of the slab of index n at k l = kl."""
     plus, minus = (n + 1) ** 2, (n - 1) ** 2
-    round_trip = on.exp(4j * n * kl)
+    round_trip = cmath.exp(4j * n * kl)
     den = plus - minus * round_trip
     modulus = abs(den)
-    on.require(modulus >= POLE_MIN, LasingPole, "pole denominator modulus {:.3e}", modulus)
-    t = 4 * n * on.exp(2j * (n - 1) * kl) / den
-    r = (n * n - 1) * (round_trip - 1) * on.exp(-2j * on.value(kl)) / den
-    return on.amplitudes(r, t)
+    if not modulus >= POLE_MIN:
+        raise LasingPole(f"pole denominator modulus {modulus:.3e}")
+    t = 4 * n * cmath.exp(2j * (n - 1) * kl) / den
+    r = (n * n - 1) * (round_trip - 1) * cmath.exp(-2j * kl) / den
+    return r, t
 
 
-def slab_flux(on, n, s, eps, kl, nth):
-    """effective_noise's (flux, occupation) of the slab of index n and
-    amplitudes s at k l = kl, the permittivities eps and the thermal
-    occupation nth; the central difference's two slabs are taken only at
-    balance."""
+def _deficit(r, t):
+    """noise.unitarity_deficit of the symmetric slab (r, t), 1 - T - R."""
+    return 1.0 - abs(t) ** 2 - abs(r) ** 2
+
+
+def slab_flux(n, r, t, eps, kl):
+    """The parts of effective_noise's flux that do not read N_th, of the slab
+    of index n and amplitudes (r, t) at k l = kl and the permittivities eps:
+    (balance, the mean |Im eps|, the deficit, 2 Im n^2, slope). At balance
+    2 Im n^2 is nan and slope is the central difference of the deficit,
+    whose two slabs are taken only there; elsewhere slope is nan."""
     eg, el = abs(eps[0].imag), abs(eps[1].imag)
-    pump = 0.5 * (eg + el) * (2.0 * nth + 1.0)
-    square = n * n
-    deficit = on.deficit(s)
-    scale = on.max(eg, el, 1e-300)
-    balance = abs(square.imag) < BALANCE_TOL * scale
+    mean, square, deficit = 0.5 * (eg + el), n * n, _deficit(r, t)
+    scale = max(eg, el, 1e-300)
+    if not abs(square.imag) < BALANCE_TOL * scale:
+        return False, mean, deficit, 2.0 * square.imag, math.nan
+    h = DIFFERENCE_STEP * scale
+    dplus, dminus = (_deficit(*slab(cmath.sqrt(square + d * h), kl)) for d in (1j, -1j))
+    return True, mean, deficit, math.nan, (dplus - dminus) / (2 * h)
 
-    def difference():
-        h = DIFFERENCE_STEP * scale
-        dplus, dminus = (on.deficit(slab(on, on.sqrt(square + d * on.value(h)), kl))
-                         for d in (1j, -1j))
-        slope = (dplus - dminus) / (2 * h)
-        return pump * slope / 2.0 - 0.5 * deficit
 
-    occupation = on.where(balance, lambda: math.nan, lambda: pump / (2.0 * square.imag) - 0.5)
-    return on.where(balance, difference, lambda: deficit * occupation), occupation
+def slab_flux_of(parts, nth):
+    """effective_noise's (flux, occupation) from parts = slab_flux(...) and the
+    thermal occupation nth: numbers, or arrays that broadcast against each
+    other (a stack's rows against a grid's)."""
+    balance, mean, deficit, twice_im, slope = parts
+    pump = mean * (2.0 * nth + 1.0)
+    occupation = _where(balance, math.nan, pump / twice_im - 0.5)
+    return _where(balance, pump * slope / 2.0 - 0.5 * deficit, deficit * occupation), occupation
 
 
 def bloch_index(indices: tuple[complex, complex], omega: float,
                 layer_thickness: float) -> complex:
     """Effective index at omega of the cell whose layer indices are (n_gain, n_loss)."""
     ng, nl = indices
-    return bloch(SCALAR, ng, nl, omega / C_VACUUM, layer_thickness)
+    return bloch(ng, nl, omega / C_VACUUM, layer_thickness)
 
 
 def effective_amplitudes(n_eff: complex, omega: float,
@@ -144,7 +134,8 @@ def effective_amplitudes(n_eff: complex, omega: float,
     both layers set to n_eff. Raises LasingPole when |den| < POLE_MIN or den
     is not a number.
     """
-    return slab(SCALAR, complex(n_eff), (omega / C_VACUUM) * layer_thickness)
+    r, t = slab(complex(n_eff), (omega / C_VACUUM) * layer_thickness)
+    return ScatteringAmplitudes(r_left=r, t=t, r_right=r)
 
 
 def round_trip(n_eff: complex, omega: float, layer_thickness: float) -> complex:
@@ -153,7 +144,7 @@ def round_trip(n_eff: complex, omega: float, layer_thickness: float) -> complex:
     |eta| >= 1 with vanishing phase marks a lasing pole; |eta| < 1 is the
     linear regime. Note den = (n+1)^2 (1 - eta).
     """
-    return eta(SCALAR, complex(n_eff), (omega / C_VACUUM) * layer_thickness)
+    return eta(complex(n_eff), (omega / C_VACUUM) * layer_thickness)
 
 
 def effective_noise(n_eff: complex, s: ScatteringAmplitudes,
@@ -170,8 +161,8 @@ def effective_noise(n_eff: complex, s: ScatteringAmplitudes,
     flux's limit takes a central difference of the deficit with respect to
     Im n_eff^2, with the step DIFFERENCE_STEP on the same scale.
     """
-    flux, occupation = slab_flux(SCALAR, n_eff, s, eps, (omega / C_VACUUM) * layer_thickness,
-                                 thermal_occupation(omega, temperature))
+    parts = slab_flux(n_eff, s.r_right, s.t, eps, (omega / C_VACUUM) * layer_thickness)
+    flux, occupation = slab_flux_of(parts, thermal_occupation(omega, temperature))
     # symmetric slab: both outputs see the same deficit, hence the same flux
     return {"s_left": float(flux), "s_right": float(flux),
             "occupation": float(occupation)}

@@ -5,8 +5,9 @@ evaluate_grid computes every table cell of a SweepSpec over a whole grid of
 permittivities and indices; for the exact theory the five chain factors as
 stacked (N, 2, 2) arrays, S, the eigenpair, each layer's noise coupling and
 commutator (built once for both the flux and the sum rule check) and the
-flux; for the effective theory and eta, beside it, the Bloch index, the
-round trip, the slab and its central-difference flux; then the table cells.
+flux; for the effective theory and eta, beside it and row by row, the Bloch
+index, the round trip, the slab and its central-difference flux; then the
+table cells.
 Each is evaluated once per distinct value of the parameters it reads, so a
 temperature sweep builds one stack. A row stops at its first failure, one
 of ROW_ERRORS, and keeps the cells filled before it: the rule that fails
@@ -16,33 +17,30 @@ that names them.
 
 The kernel restates only the chain and S (transfer_chain and
 scattering_from_transfer), which shared would cost each locate evaluation
-about 10%. Each other rule is the scalar modules' own, called on arrays:
-the layer index (np.sqrt, as in media.refractive_index), propagation_factors,
-D and K (noise.layer_terms of the rows' chain), misses_closed_form, T and R
-(ScatteringAmplitudes), flux_parts and fluxes among them, and effective's
-slab formulas (bloch, eta, slab and slab_flux) in the array context Rows,
-whose values (_Z) follow the rounding rules below, as do scattering's
-helpers (_cx, _mul, _cis, _each, _stack) and _py_div. To repeat the scalar
-rounding:
+15-19%. Each other rule is the scalar modules' own: the layer index
+(np.sqrt, as in media.refractive_index), propagation_factors, D and K
+(noise.layer_terms of the rows' chain), misses_closed_form, T and R
+(ScatteringAmplitudes), flux_parts and fluxes are called on arrays, and
+effective's slab formulas (bloch, eta, slab and slab_flux, each written once
+on Python numbers) on each live stack row's numbers, which slab_flux_of then
+combines with the grid's thermal occupations. The array rules follow the
+scalar rounding with scattering's helpers (_cx, _mul, _cis, _each, _stack)
+and _py_div:
 
 - complex products that the scalar path forms on scalars are written out in
   real arithmetic, because numpy's SIMD complex multiply fuses multiply-adds
   and scalar multiplication does not; Python multiplies a complex by a float
-  x as by x + 0j, and takes z ** 2 as 1 * (z * z) (the tests check the
-  first rule, which Python 3.14's C99 mixed arithmetic may change);
+  x as by x + 0j (the tests check this rule, which Python 3.14's C99 mixed
+  arithmetic may change);
 - Python complex divisions use Python's algorithm, which divides by the
   denominator where numpy multiplies by its reciprocal;
 - moduli are np.hypot, squares go through the C library's pow, and the
   math-module exponentials, cosines and thermal occupations are taken
-  element by element;
-- the effective slab's cmath functions are the scalar path's own, taken
-  element by element (numpy's complex arccos, for one, differs from
-  cmath.acos in the last bits), and a row fails where the scalar one raises.
+  element by element.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import replace
@@ -320,117 +318,42 @@ def _eigenvalue_cells(cells: _Cells, exact, s: ScatteringAmplitudes) -> None:
         "phase_class": scattering.phase_classes(l1, l2)})
 
 
-def _cmath_each(fn, z, cells: _Cells, where=True) -> np.ndarray:
-    """fn (a cmath function) element by element at the live rows of where,
-    nan elsewhere; a row where fn raises OverflowError fails with it."""
-    out = np.full(len(z), np.nan, dtype=complex)
-    rows = np.flatnonzero(cells.live & where)
-    args = z[rows].tolist()
-    try:
-        out[rows] = [fn(v) for v in args]
-    except OverflowError:
-        for i, v in zip(rows.tolist(), args):
-            try:
-                out[i] = fn(v)
-            except OverflowError:
-                cells.fail(i, OverflowError)
-    return out
-
-
-class _Z:
-    """A complex array of Rows, whose operators are Python's complex arithmetic
-    as the kernel repeats it (* is _mul, / is _py_div, abs is _abs, z ** 2 is
-    1 * (z * z), a real operand is x + 0j). A row fails with OverflowError
-    where Python raises it: where z is finite and abs(z) is not, and where a
-    part of z ** 2 is infinite."""
-
-    __array_ufunc__ = None   # an ndarray operand leaves the operator to _Z
-
-    def __init__(self, a: np.ndarray, on: Rows):
-        self.a, self.on = a, on
-
-    real = property(lambda self: self.a.real)
-    imag = property(lambda self: self.a.imag)
-
-    def __add__(self, other) -> _Z:   # numpy adds part by part, as Python does
-        return _Z(self.a + (other.a if isinstance(other, _Z) else other), self.on)
-
-    def __sub__(self, other) -> _Z:
-        return _Z(self.a - (other.a if isinstance(other, _Z) else other), self.on)
-
-    def __neg__(self) -> _Z:
-        return _Z(-self.a, self.on)
-
-    def __mul__(self, other) -> _Z:   # a real operand's imag is 0.0, as x + 0j's is
-        return _Z(_mul(self.a, other.a if isinstance(other, _Z) else other), self.on)
-
-    __rmul__ = __mul__   # _mul rounds a * b and b * a alike
-
-    def __truediv__(self, other) -> _Z:   # _py_div divides by both parts of an array
-        return _Z(_py_div(self.a, other.a if isinstance(other, _Z) else np.asarray(other)),
-                  self.on)
-
-    def __pow__(self, exponent: int) -> _Z:
-        assert exponent == 2
-        p = _mul(1 + 0j, _mul(self.a, self.a))
-        self.on.require(~np.isinf(p.real) & ~np.isinf(p.imag), OverflowError)
-        return _Z(p, self.on)
-
-    def __abs__(self) -> np.ndarray:
-        m = _abs(self.a)
-        self.on.require(~(np.isinf(m) & np.isfinite(self.a)), OverflowError)
-        return m
-
-    def __ne__(self, other) -> np.ndarray:
-        return self.a != other
-
-
-def _cmath_of(fn):
-    """Rows' fn: _cmath_each(fn) at the rows of the mask."""
-    return lambda on, z: _Z(_cmath_each(fn, z.a, on.cells, on.mask), on)
-
-
-class Rows:
-    """effective's evaluation context (see effective.SCALAR) over the live rows
-    of cells: values are _Z, a row fails where SCALAR raises (the messages are
-    SCALAR's alone), and where() runs each side on the rows that mask holds."""
-
-    exp, cos, sin, acos, sqrt = map(_cmath_of, (cmath.exp, cmath.cos, cmath.sin, cmath.acos,
-                                                cmath.sqrt))
-
-    def __init__(self, cells: _Cells):
-        self.cells, self.mask = cells, True
-
-    def value(self, x) -> _Z:
-        return _Z(_cx(x, 0.0), self)
-
-    @staticmethod
-    def max(first, *rest):
-        for x in rest:   # as Python's max: x replaces the maximum so far where it is larger
-            first = np.where(x > first, x, first)
-        return first
-
-    def where(self, cond, then, otherwise):
-        outer = self.mask
-        self.mask = outer & cond
-        a = then()
-        self.mask = outer & ~cond
-        b = otherwise()
-        self.mask = outer
-        return _Z(np.where(cond, a.a, b.a), self) if isinstance(a, _Z) else np.where(cond, a, b)
-
-    def require(self, ok, error: type, *message) -> None:
-        self.cells.fail(self.mask & ~ok, error)
-
-    @staticmethod
-    def amplitudes(r: _Z, t: _Z) -> ScatteringAmplitudes:
-        return ScatteringAmplitudes(r.a, t.a, r.a)
-
-    def deficit(self, s: ScatteringAmplitudes) -> np.ndarray:
-        # a row fails where Python's abs(.) ** 2 of t or r overflows
-        self.require(~((np.isinf(s.T) & np.isfinite(s.t))
-                       | (np.isinf(s.R_right) & np.isfinite(s.r_right))), OverflowError)
-        return noise.unitarity_deficit(s)["right"]
+def _slab_rows(cells: _Cells, indices, eps, k, l: float, eta: bool, slab: bool, flux: bool):
+    """effective's formulas on the Python numbers of each live stack row: the
+    Bloch index; with eta the round trip, whose cells are written before the
+    row's slab can fail; with slab the amplitudes and, with flux, the flux
+    parts. A row stops at its first failure, one of ROW_ERRORS. Returns the
+    slab's ScatteringAmplitudes and effective.slab_flux's parts as arrays
+    over the stack's rows, nan where a row stopped."""
+    nan = complex(math.nan, math.nan)
+    ng, nl, eg, el, k = (a.tolist() for a in (*indices, *eps, k))
+    n_eff, round_trip, r, t = ([nan] * cells.n for _ in range(4))
+    modulus, failed = [math.nan] * cells.n, []
+    parts = [[False] * cells.n] + [[math.nan] * cells.n for _ in range(4)]
+    for i in cells.rows().tolist():
+        kl = k[i] * l
+        try:
+            n = effective.bloch(ng[i], nl[i], k[i], l)
+            if eta:
+                z = effective.eta(n, kl)
+                modulus[i], round_trip[i], n_eff[i] = abs(z), z, n
+            if slab:
+                r[i], t[i] = effective.slab(n, kl)
+                if flux:
+                    for column, part in zip(parts, effective.slab_flux(
+                            n, r[i], t[i], (eg[i], el[i]), kl)):
+                        column[i] = part
+        except ROW_ERRORS as exc:
+            failed.append((i, type(exc)))
+    if eta:   # the rows that fail after the round trip keep these cells
+        n_eff, round_trip = np.array(n_eff), np.array(round_trip)
+        cells.put("eta", np.arange(cells.n), {
+            "n_eff_re": n_eff.real, "n_eff_im": n_eff.imag,
+            "eta_mod": np.array(modulus), "eta_arg": np.angle(round_trip)})
+    for i, error in failed:
+        cells.fail(i, error)
+    r = np.array(r, dtype=complex)
+    return ScatteringAmplitudes(r, np.array(t, dtype=complex), r), tuple(map(np.array, parts))
 
 
 def _occupations(omega, temperature) -> np.ndarray:
@@ -498,24 +421,14 @@ def evaluate_grid(spec, xs):
                 parts[..., rows] = noise.flux_parts(terms)
                 flux["exact"] = noise.fluxes(parts, nth)
 
-    # the effective slab over the live rows of the stack, by effective's formulas
+    # the effective slab, row by row over the live rows of the stack
     if "effective" in theories or "eta" in wants:
-        on = Rows(cells)
-        k = omega_s / C_VACUUM
-        l = spec.thickness_nm * NM
-        kl = k * l
-        n_eff = effective.bloch(on, _Z(indices[0], on), _Z(indices[1], on), k, l)
-        if "eta" in wants:
-            eta = effective.eta(on, n_eff, kl)
-            # written before the effective slab can fail
-            cells.put("eta", np.arange(cells.n), {
-                "n_eff_re": n_eff.real, "n_eff_im": n_eff.imag,
-                "eta_mod": abs(eta), "eta_arg": np.angle(eta.a)})
+        s_eff, parts = _slab_rows(cells, indices, eps, omega_s / C_VACUUM, spec.thickness_nm * NM,
+                                  "eta" in wants, "effective" in theories, flux_wanted)
         if "effective" in theories:
-            s["effective"] = effective.slab(on, n_eff, kl)
+            s["effective"] = s_eff
             if flux_wanted:   # s_left = s_right
-                flux["effective"] = (effective.slab_flux(
-                    on, n_eff, s["effective"], eps, kl, nth)[0],) * 2
+                flux["effective"] = (effective.slab_flux_of(parts, nth)[0],) * 2
 
     # the families before the flux families are the stack's, whose cells then
     # spread over the grid

@@ -74,6 +74,8 @@ def layer_commutator(n, omega, thickness: float, layer: int = 2,
     mode = canonical_mode(mode)
     if layer not in (2, 3):
         raise ValueError("layer must be 2 (first slab) or 3 (second slab)")
+    if not isinstance(n, np.ndarray) and n == 0:   # n''/n' and n'/|n| are undefined
+        raise ValueError(f"layer index n = {n} must be nonzero")
     k = omega / C_VACUUM
     nr, ni = n.real, n.imag
     u, v = ni * k * thickness, nr * k * thickness

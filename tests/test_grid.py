@@ -310,75 +310,80 @@ def slab_rows(draw):
     return ng, nl, kl_cell, n, kl_slab, eps, draw(st.sampled_from([0.0, 0.3, 1e3]))
 
 
-def scalar_slab(ng, nl, kl_cell, n, kl, eps, nth, l):
-    """Each formula on effective.SCALAR, in the kernel's order: the Bloch
-    index of the cell; the round trip, the slab and its flux at n. Each
-    chain's values until it raises, and its status."""
-    on, cell, out = effective.SCALAR, {}, {}
+def scalar_slab(ng, nl, k, l, eps, nth):
+    """effective's formulas on one row's numbers, in the kernel's order: the
+    Bloch index, the round trip and its modulus, the slab and its flux. The
+    values until one raises, and the status."""
+    out = {}
     try:
-        cell["n_eff"] = effective.bloch(on, ng, nl, kl_cell / l, l)
-        cell["status"] = "ok"
+        n = out["n_eff"] = effective.bloch(ng, nl, k, l)
+        z = effective.eta(n, k * l)
+        out["eta_mod"], out["eta"] = abs(z), z
+        r, t = out["s"] = effective.slab(n, k * l)
+        out["flux"] = effective.slab_flux_of(effective.slab_flux(n, r, t, eps, k * l), nth)[0]
+        return out, "ok"
     except grid.ROW_ERRORS as exc:
-        cell["status"] = type(exc).__name__
-    try:
-        out["eta"] = effective.eta(on, n, kl)
-        s = out["s"] = effective.slab(on, n, kl)
-        out["flux"] = effective.slab_flux(on, n, s, eps, kl, nth)[0]
-        out["status"] = "ok"
-    except grid.ROW_ERRORS as exc:
-        out["status"] = type(exc).__name__
-    return cell, out
+        return out, type(exc).__name__
+
+
+def check_slab_rows(ng, nl, k, l, eps, nth):
+    """The kernel's row loop over these rows holds to scalar_slab on each row's
+    numbers bit for bit: statuses, the eta cells of each row that got through
+    the round trip, the slab and the flux."""
+    cells = grid._Cells(len(ng))
+    with np.errstate(all="ignore"):   # as in evaluate_grid: stopped rows carry nan
+        s, parts = grid._slab_rows(cells, (ng, nl), eps, k, l, True, True, True)
+        flux = effective.slab_flux_of(parts, nth)[0]
+    eta = cells.families["eta"]
+    for i in range(len(ng)):
+        ref, status = scalar_slab(complex(ng[i]), complex(nl[i]), float(k[i]), l,
+                                 (complex(eps[0][i]), complex(eps[1][i])), float(nth[i]))
+        assert cells.status[i] == status
+        if "eta_mod" in ref:
+            n, z, modulus = ref["n_eff"], ref["eta"], ref["eta_mod"]
+        else:   # the row stopped before its eta cells, which stay nan
+            n = z = complex(math.nan, math.nan)
+            modulus = math.nan
+        assert same([eta[c][i] for c in ("n_eff_re", "n_eff_im", "eta_mod", "eta_arg")],
+                    [n.real, n.imag, modulus, np.angle(z)])
+        if "s" in ref:
+            r, t = ref["s"]
+            assert same([s.r_left[i], s.t[i], s.r_right[i]], [r, t, r])
+        if "flux" in ref:
+            assert same(flux[i], ref["flux"])
 
 
 @settings(max_examples=300)
 @given(rows=st.lists(slab_rows(), min_size=1, max_size=8), l=st.floats(1e-9, 1e-6))
-def test_the_array_context_evaluates_each_slab_formula_as_the_scalar_context(rows, l):
-    # effective's formulas on grid.Rows hold to the same formulas on
-    # effective.SCALAR bit for bit, statuses included, where no media draw
-    # reaches: OverflowError, LasingPole and BranchAmbiguity rows among them
+def test_the_row_loop_evaluates_each_slab_formula_as_the_scalar_functions(rows, l):
+    # the kernel's effective stage holds to effective's formulas on numbers,
+    # statuses included, where no media draw reaches: OverflowError,
+    # LasingPole and BranchAmbiguity rows among them. The slab index is drawn
+    # apart from the cell, so Bloch is made to hand it over for the slab rows
     ng, nl, kl_cell, n, kl, eps, nth = (np.array(c) for c in zip(*rows))
     eps = (eps[:, 0], eps[:, 1])
-    with np.errstate(all="ignore"):   # as in evaluate_grid: failed rows carry inf and nan
-        cells = grid._Cells(len(rows))
-        on = grid.Rows(cells)
-        n_eff = effective.bloch(on, grid._Z(ng, on), grid._Z(nl, on), kl_cell / l, l)
-        slab_cells = grid._Cells(len(rows))
-        on = grid.Rows(slab_cells)
-        z = grid._Z(n, on)
-        eta = effective.eta(on, z, kl)
-        s = effective.slab(on, z, kl)
-        flux = effective.slab_flux(on, z, s, eps, kl, nth)[0]
-    for i, row in enumerate(rows):
-        cell, ref = scalar_slab(*row, l)
-        assert (cells.status[i], slab_cells.status[i]) == (cell["status"], ref["status"])
-        if "n_eff" in cell:
-            assert same(n_eff.a[i], cell["n_eff"])
-        if "eta" in ref:
-            assert same(eta.a[i], ref["eta"])
-        if "s" in ref:
-            assert same([s.t[i], s.r_left[i], s.r_right[i]], [ref["s"].t, ref["s"].r_left,
-                                                              ref["s"].r_right])
-        if "flux" in ref:   # the flux read T and R, so they did not raise
-            assert same([flux[i], s.T[i], s.R_right[i]], [ref["flux"], ref["s"].T,
-                                                          ref["s"].R_right])
+    check_slab_rows(ng, nl, kl_cell / l, l, eps, nth)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(effective, "bloch", lambda ng, nl, k, l: ng)
+        check_slab_rows(n, n, kl / l, l, eps, nth)
 
 
-def test_a_finite_value_whose_modulus_overflows_ends_its_row():
+def test_a_finite_value_whose_modulus_overflows_ends_its_row(monkeypatch):
     # both parts of this slab's round trip are finite, but its modulus is not:
-    # Python's abs raises OverflowError there, and the array context fails the row
+    # Python's abs raises OverflowError there, which ends the row in the kernel
     n, kl = 1000 - 1j, 177.4600135
-    eta = effective.eta(effective.SCALAR, n, kl)
+    eta = effective.eta(n, kl)
     assert math.isfinite(eta.real) and math.isfinite(eta.imag)
     with pytest.raises(OverflowError):
         abs(eta)
+    monkeypatch.setattr(effective, "bloch", lambda ng, nl, k, l: ng)   # the slab index is n
     cells = grid._Cells(2)
-    on = grid.Rows(cells)
-    with np.errstate(all="ignore"):   # as in evaluate_grid: the failed row carries inf
-        rows = effective.eta(on, grid._Z(np.array([n, 1.5 + 0j]), on), np.array([kl, 0.1]))
-        modulus = abs(rows)
-    assert same(rows.a[0], eta)
+    indices, eps = np.array([n, 1.5 + 0j]), np.array([2.0 - 0.1j, 2.0 + 0.1j])
+    grid._slab_rows(cells, (indices, indices), (eps, eps), np.array([kl, 0.1]), 1.0,
+                    True, False, False)
     assert list(cells.status) == ["OverflowError", "ok"]
-    assert same(modulus[1], abs(effective.eta(effective.SCALAR, 1.5 + 0j, 0.1)))
+    modulus = cells.families["eta"]["eta_mod"]
+    assert same(modulus, [math.nan, abs(effective.eta(1.5 + 0j, 0.1))])
 
 
 def parts(values):
@@ -447,13 +452,14 @@ def test_each_shared_rule_rounds_a_row_of_arrays_as_its_numbers(rows, l, layer, 
 ], ids=["mul-inf", "mul-signed-zero", "mul-zero", "mul-int", "div-inf", "div-signed-zero",
         "div-int", "add-signed-zero", "sub-int"])
 def test_python_takes_a_real_operand_of_complex_arithmetic_as_x_plus_0j(op, z, x):
-    # grid.Rows repeats this rule of the interpreter on arrays; C99 mixed
-    # real/complex arithmetic (Python 3.14, gh-69639) may change it at an
-    # infinite part and at a signed zero, which is unverified on 3.14
+    # scattering._mul repeats this rule of the interpreter on arrays (the real
+    # operands of D and K); C99 mixed real/complex arithmetic (Python 3.14,
+    # gh-69639) may change it at an infinite part and at a signed zero, which
+    # is unverified on 3.14
     got, rule = op(z, x), op(z, complex(x, 0.0))
     assert struct.pack("<dd", got.real, got.imag) == struct.pack("<dd", rule.real, rule.imag), (
         f"Python no longer takes z {op.__name__} x for a real x as z {op.__name__} (x + 0j): "
-        f"{got!r} against {rule!r}; grid.Rows must follow the new rule")
+        f"{got!r} against {rule!r}; scattering._mul must follow the new rule")
 
 
 def test_an_inconsistent_eigenpair_ends_its_row(monkeypatch):
@@ -677,7 +683,8 @@ def test_each_theory_runs_only_its_own_stages(monkeypatch, theory, eta, families
     # the flux's central difference) only for its families
     calls = collections.Counter()
     for owner, name in ((grid, "ExactStack"), (effective, "bloch"), (effective, "eta"),
-                        (effective, "slab"), (effective, "slab_flux")):
+                        (effective, "slab"), (effective, "slab_flux"),
+                        (effective, "slab_flux_of")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, fn=fn, name=name:
                             calls.update([name]) or fn(*a))
@@ -688,9 +695,12 @@ def test_each_theory_runs_only_its_own_stages(monkeypatch, theory, eta, families
     exact = bool(families) and theory != "effective"
     slab = bool(families) and theory != "exact"
     flux = "variance" in families
+    # the slab's formulas run per stack row (5 here, each at set1's balance,
+    # so a flux takes 3 slabs), and its flux parts meet N_th once per grid
     assert calls == collections.Counter(
-        ExactStack=exact, bloch=slab or eta, eta=eta,
-        slab=slab * (1 + 2 * flux), slab_flux=slab and flux)
+        ExactStack=exact, bloch=5 * (slab or eta), eta=5 * eta,
+        slab=5 * slab * (1 + 2 * flux), slab_flux=5 * (slab and flux),
+        slab_flux_of=slab and flux)
 
 
 def test_an_overflowing_index_ratio_gives_the_scalar_flux():

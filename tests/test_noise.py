@@ -106,6 +106,14 @@ class TestCommutatorBlocks:
         with pytest.raises(ValueError):
             noise.layer_commutator(1.5 + 0.1j, W1, 10e-9, layer=1)
 
+    @pytest.mark.parametrize("n", [0j, np.complex128(0)], ids=["complex", "complex128"])
+    @pytest.mark.parametrize("mode", [MODE_FULL, MODE_PAPER])
+    def test_zero_index_rejected(self, n, mode):
+        # K divides by n' and |n|; a chain refuses a zero index first, and a
+        # library caller gets the refusal from the commutator itself
+        with pytest.raises(ValueError, match=r"^layer index n = 0j must be nonzero$"):
+            noise.layer_commutator(n, W1, 10e-9, 2, mode)
+
 
 class TestSumRule:
     def test_random_configurations(self):

@@ -22,7 +22,10 @@ Each run is one in-process call of ``ptbilayer.sweep_cli.cli_main(argv)``:
   whatever the terminal;
 - ``MATERIALS_RUNS``: a ``locate`` over the loss amplitude and one over the
   frequency on custom materials (``MATERIALS``, a ``--config`` file written
-  to the temporary directory), each exact and with ``--theory effective``.
+  to the temporary directory), each exact and with ``--theory effective``;
+- ``DEFAULT_SIZE_RUNS``: ``compare`` tables larger than the benchmark's, at
+  the CLI's default 500 rows (a bare ``compare``, and ``set2`` with every
+  family) and at 2000 rows (``set1`` at 1000 Trad/s with every family).
 
 Each output line is the SHA-256 of the run's exit code, standard output,
 standard error and ``--out`` file, then its argv. Two checkouts that print the
@@ -75,6 +78,15 @@ MATERIALS_RUNS = [
     for theory in ([], ["--theory", "effective"])]
 
 
+_EVERY_FAMILY = ["--obs", "scattering,eigenvalues,noise,variance,mandel,eta"]
+DEFAULT_SIZE_RUNS = [
+    ["compare"],
+    ["compare", "--preset", "set2", *_EVERY_FAMILY],
+    ["compare", "--preset", "set1", "--omega-trad", "1000", "--range", "1:1000:2000",
+     *_EVERY_FAMILY],
+]
+
+
 def runs() -> list[list[str]]:
     """The argv of every run, in a fixed order."""
     out = []
@@ -88,7 +100,7 @@ def runs() -> list[list[str]]:
                 if not (spec.paper_mode or spec.check):
                     out.append(spec.argv() + ["--check"])
     return (out + [shlex.split(command)[1:] for command in COMMANDS]
-            + [["locate", "--help"]] + ERROR_RUNS + MATERIALS_RUNS)
+            + [["locate", "--help"]] + ERROR_RUNS + MATERIALS_RUNS + DEFAULT_SIZE_RUNS)
 
 
 def digest(argv: list[str], scratch: Path) -> str:
