@@ -23,9 +23,11 @@ scattering_from_transfer), which shared would cost each locate evaluation
 (ScatteringAmplitudes), flux_parts and fluxes are called on arrays, and
 effective's slab formulas (bloch, eta, slab and slab_flux, each written once
 on Python numbers) on each live stack row's numbers, which slab_flux_of then
-combines with the grid's thermal occupations. The array rules follow the
-scalar rounding with scattering's helpers (_cx, _mul, _cis, _each, _stack)
-and _py_div:
+combines with the grid's thermal occupations. D, K and flux_parts's sign
+bookkeeping also have a form for one point on Python numbers, which locate
+calls and the kernel does not; each row of their array forms equals it bit
+for bit. The array rules follow the scalar rounding with scattering's
+helpers (_cx, _mul, _cis, _each, _stack) and _py_div:
 
 - complex products that the scalar path forms on scalars are written out in
   real arithmetic, because numpy's SIMD complex multiply fuses multiply-adds

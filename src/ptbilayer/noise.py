@@ -22,12 +22,23 @@ The noise flux into output j is linear in the thermal occupation N_th,
 flux_0 + N_th E (fluxes). With Q the layer's (D K D^dagger)_jj, the
 zero-temperature part flux_0 sums -Q over the amplifying layers, and E sums
 +Q over the absorbing layers and -Q over the amplifying ones (flux_parts).
-A stack's flux_0 and E are taken once and serve every temperature. D and K
-are elementwise, on one point's numbers or the grid kernel's stack rows.
+A stack's flux_0 and E are taken once and serve every temperature.
+
+D, K and the flux serve one point (locate, the scalar library) and the grid
+kernel's stack rows, bit for bit alike. The rows take scattering's
+elementwise helpers; one point, chosen by the input's type, takes Python
+numbers instead, which builds its layer terms in about 5.2 us against
+8.7 us through the helpers: math.sin and cmath.exp for K (numpy's loops
+agree with them at every dispatch level), Python's complex products for D,
+with numpy's division for 1/a22 and its array multiply for D's scaling,
+which Python's operators do not repeat. Both contract D K D^dagger with @
+(BLAS's rounding); a point does only the sign bookkeeping on the
+contracted floats, in the rows' order.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -74,13 +85,25 @@ def layer_commutator(n, omega, thickness: float, layer: int = 2,
     mode = canonical_mode(mode)
     if layer not in (2, 3):
         raise ValueError("layer must be 2 (first slab) or 3 (second slab)")
-    if not isinstance(n, np.ndarray) and n == 0:   # n''/n' and n'/|n| are undefined
-        raise ValueError(f"layer index n = {n} must be nonzero")
     k = omega / C_VACUUM
+    if not isinstance(n, np.ndarray):   # one point, on Python numbers
+        n = complex(n)
+        if n == 0:   # n''/n' and n'/|n| are undefined
+            raise ValueError(f"layer index n = {n} must be nonzero")
+        nr, ni = n.real, n.imag
+        u, v = ni * k * thickness, nr * k * thickness
+        # the evanescent limit of (n''/n') sin(v), n'' k l, where n' = 0 or n''/n' overflows
+        if nr == 0.0 or abs(ni / nr) == math.inf:
+            x = -2.0 * ni * k * thickness
+        else:
+            x = -2.0 * (ni / nr) * math.sin(v)
+        q = x * cmath.exp(1j * (v if layer == 2 else -v))
+        scale = nr / abs(n) if mode == MODE_FULL else 1.0
+        return np.array([[scale * (1.0 - math.exp(-2 * u)), scale * q],
+                         [scale * q.conjugate(), scale * (math.exp(2 * u) - 1.0)]])
     nr, ni = n.real, n.imag
     u, v = ni * k * thickness, nr * k * thickness
-    # the evanescent limit of (n''/n') sin(v), n'' k l, where n' = 0 or n''/n'
-    # overflows; the ratio is not taken there, so that a number divides by no zero
+    # the same limit; where n' = 0 the ratio divides by 1, not by zero
     limit = (nr == 0.0) | (abs(ni / (nr + (nr == 0.0))) == math.inf)
     x = _where(limit, -2.0 * ni * k * thickness, -2.0 * (ni / (nr + limit)) * np.sin(v))
     q = _mul(x, _cis(v if layer == 2 else -v))
@@ -93,6 +116,11 @@ def layer_commutator(n, omega, thickness: float, layer: int = 2,
 def layer_coupling(total: np.ndarray, partial: np.ndarray) -> np.ndarray:
     """D of the layer whose partial product into the outputs is partial, in the
     chain whose total is total: (2, 2) matrices, or (N, 2, 2) rows of them."""
+    if total.ndim == 2:   # one point: Python's products, numpy's 1/a22 and scaling
+        (_, a12), (_, a22) = total.tolist()
+        (b11, b12), (b21, b22) = partial.tolist()
+        return (1.0 / np.complex128(a22))[..., None, None] * np.array(
+            [[-b21, -b22], [b11 * a22 - a12 * b21, b12 * a22 - a12 * b22]])
     _, a12, _, a22 = _entries(total)
     b11, b12, b21, b22 = _entries(partial)
     return (1.0 / a22)[..., None, None] * _stack(
@@ -136,16 +164,32 @@ def sum_rule_residual(bilayer: Bilayer, omega: float, mode: str = MODE_FULL) -> 
 def flux_parts(terms):
     """(flux_0, E), each (2, ...) over the outputs (left, right), of one point's
     terms [(n, D (2, 2), K (2, 2))] or a stack's [(n (N,), D (N, 2, 2), K (N, 2, 2))],
-    rounded alike; only Im n >= 0 absorbs."""
+    rounded alike; only Im n >= 0 absorbs. One point adds up each output's
+    contracted Q on Python floats, in the steps and order of a stack's arrays."""
+    if terms[0][1].ndim == 2:
+        flux0, e = [0.0, 0.0], [0.0, 0.0]
+        for n, d, k in terms:
+            absorbs = n.imag >= 0
+            for j, q in enumerate(_contract(d, k).tolist()):
+                signed = q * (2.0 * absorbs - 1.0)
+                flux0[j] += signed * (1.0 - absorbs)
+                e[j] += signed
+        return np.array(flux0), np.array(e)
     flux0 = e = 0.0
     for n, d, k in terms:
-        q = (d[..., :, None, :] @ k[..., None, :, :]) @ np.conj(d)[..., :, :, None]
-        q = q[..., 0, 0].real.T   # Q of (left, right) on the first axis
+        q = _contract(d, k)
         absorbs = np.imag(n) >= 0
         signed = q * (2.0 * absorbs - 1.0)   # +Q where the layer absorbs, -Q where it amplifies
         flux0 = flux0 + signed * (1.0 - absorbs)   # an absorbing layer adds 0 Q
         e = e + signed
     return flux0, e
+
+
+def _contract(d, k):
+    """Q = (D K D^dagger)_jj of (left, right) on the first axis, by @ (BLAS's
+    rounding, which Python's formula does not repeat) for a point and a stack."""
+    q = (d[..., :, None, :] @ k[..., None, :, :]) @ np.conj(d)[..., :, :, None]
+    return q[..., 0, 0].real.T
 
 
 def fluxes(parts, nth):

@@ -265,9 +265,7 @@ def _cis(theta):   # 1j * theta is exact, fused or not
 
 
 def _each(fn, x):
-    """fn (a math-module function) of a number, or element by element over an array."""
-    if not isinstance(x, np.ndarray):
-        return fn(x)
+    """fn (a math-module function) element by element over an array."""
     return np.array([fn(v) for v in x.tolist()], dtype=float)
 
 

@@ -207,6 +207,23 @@ class TestEffectiveNoise:
         out = effective_noise(media.preset("set2", 40.0), W2)
         assert np.isfinite(out["occupation"])
 
+    @pytest.mark.parametrize("preset, alpha_l, omega, temperature, flux, occupation", [
+        ("set1", 24.0, 900.0 * TRAD, 0.0, "0x1.2b0665f2d6e61p-4", "0x1.b01f510c8c1e9p+8"),
+        ("set1", 24.0, 900.0 * TRAD, 300.0, "0x1.2b0665f3f64a0p-4", "0x1.b01f510e2b6dcp+8"),
+        ("set2", 40.0, W2, 0.0, "0x1.a9e86811082c6p-9", "0x1.b5e58da7b1590p-5"),
+    ], ids=["set1-0K", "set1-300K", "set2-0K"])
+    def test_off_balance_flux_keeps_its_rounding(self, preset, alpha_l, omega, temperature,
+                                                 flux, occupation):
+        # off balance the flux is the deficit times the occupation; the kernel
+        # calls the same formula, so only stored bits hold its rounding (an
+        # algebraically equal deficit * S / (2 Im n^2) - deficit / 2 moves them)
+        bil = media.preset(preset, alpha_l)
+        eps = (media.permittivity(bil.gain, omega), media.permittivity(bil.loss, omega))
+        n, l = bloch_index(bil, omega), bil.layer_thickness
+        out = effective.effective_noise(n, effective.effective_amplitudes(n, omega, l), eps,
+                                        omega, l, temperature)
+        assert (out["s_right"].hex(), out["occupation"].hex()) == (flux, occupation)
+
     def test_tracks_exact_flux_at_moderate_coupling(self):
         bil = media.preset("set1", 50.0)
         eff = effective_noise(bil, W1)["s_right"]

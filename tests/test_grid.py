@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ptbilayer
@@ -413,26 +413,52 @@ def shared_rule_rows(draw):
     return n, draw(st.floats(100.0, 3000.0)) * TRAD, A, B, lam
 
 
+def overflowing_rows():
+    """Two shared_rule_rows rows at A = 1 whose partial products have entries of
+    1e200, so that every Q of D K D^dagger overflows: to +-inf on the first row,
+    whose B is diagonal, and to nan on the second."""
+    A = np.eye(2, dtype=complex)
+    lam = np.linalg.eigvals(np.array([[0, 1], [1, 0]], dtype=complex))   # S of A
+    return [(1.5 + 0.1j, 1000.0 * TRAD, A, np.diag([1e200, 1e200]).astype(complex), lam),
+            (1.5 - 0.1j, 1000.0 * TRAD, A, np.full((2, 2), 1e200, dtype=complex), lam)]
+
+
 @settings(max_examples=300)
 @given(rows=st.lists(shared_rule_rows(), min_size=1, max_size=6), l=st.floats(1e-9, 1e-7),
        layer=st.sampled_from([2, 3]),
        mode=st.sampled_from([scattering.MODE_FULL, scattering.MODE_PAPER]))
+@example(rows=overflowing_rows(), l=1e-7, layer=2, mode=scattering.MODE_FULL)
+@example(rows=overflowing_rows(), l=1e-7, layer=3, mode=scattering.MODE_PAPER)
 def test_each_shared_rule_rounds_a_row_of_arrays_as_its_numbers(rows, l, layer, mode):
-    # D, K, the closed-form check and T and R are each written once: the
-    # scalar library calls them on numbers and the kernel on a stack's rows,
-    # and each row of the array form is the number form bit for bit
+    # each rule that the scalar library and the kernel share gives a row of
+    # the kernel's arrays the bits it gives the row's numbers. The closed-form
+    # check and T and R are written once; D, K and the flux's sign
+    # bookkeeping have a number form and an array form. The flux adds a second
+    # layer, of the conjugate index (so that one of the two amplifies) and
+    # with B's rows swapped; where Q is inf or nan, an absorbing layer's 0 Q
+    # makes flux_0 nan in both forms
     n, omega, A, B, lam = (np.array(c) for c in zip(*rows))
     amplitudes = (-A[:, 1, 0] / A[:, 1, 1], 1 / A[:, 1, 1], A[:, 0, 1] / A[:, 1, 1])
+    other = 5 - layer
     # n''/n' and 2 n''/n' overflow where n' is tiny, which numpy warns about
     with np.errstate(all="ignore"):
         K = noise.layer_commutator(n, omega, l, layer, mode)
         D = noise.layer_coupling(A, B)
+        flux = noise.flux_parts([(n, D, K), (n.conj(), noise.layer_coupling(A, B[:, ::-1]),
+                                             noise.layer_commutator(n.conj(), omega, l, other,
+                                                                    mode))])
         missed = scattering.misses_closed_form(A, lam)
         s = scattering.ScatteringAmplitudes(*amplitudes)
         for i in range(len(rows)):
-            assert parts(K[i]) == parts(noise.layer_commutator(complex(n[i]), float(omega[i]),
-                                                               l, layer, mode))
-            assert parts(D[i]) == parts(noise.layer_coupling(A[i], B[i]))
+            k = noise.layer_commutator(complex(n[i]), float(omega[i]), l, layer, mode)
+            d = noise.layer_coupling(A[i], B[i])
+            assert parts(K[i]) == parts(k)
+            assert parts(D[i]) == parts(d)
+            conj = complex(n[i]).conjugate()
+            point = [(complex(n[i]), d, k),
+                     (conj, noise.layer_coupling(A[i], B[i, ::-1]),
+                      noise.layer_commutator(conj, float(omega[i]), l, other, mode))]
+            assert parts([f[:, i] for f in flux]) == parts(noise.flux_parts(point))
             assert missed[i] == scattering.misses_closed_form(A[i], lam[i])
             point = scattering.ScatteringAmplitudes(*(a[i] for a in amplitudes))
             assert parts([s.T[i], s.R_left[i], s.R_right[i]]) == parts(
@@ -452,14 +478,16 @@ def test_each_shared_rule_rounds_a_row_of_arrays_as_its_numbers(rows, l, layer, 
 ], ids=["mul-inf", "mul-signed-zero", "mul-zero", "mul-int", "div-inf", "div-signed-zero",
         "div-int", "add-signed-zero", "sub-int"])
 def test_python_takes_a_real_operand_of_complex_arithmetic_as_x_plus_0j(op, z, x):
-    # scattering._mul repeats this rule of the interpreter on arrays (the real
-    # operands of D and K); C99 mixed real/complex arithmetic (Python 3.14,
+    # K's number form multiplies its real factors with the interpreter's own
+    # operators, and scattering._mul repeats this rule of the interpreter for
+    # K's array form; C99 mixed real/complex arithmetic (Python 3.14,
     # gh-69639) may change it at an infinite part and at a signed zero, which
     # is unverified on 3.14
     got, rule = op(z, x), op(z, complex(x, 0.0))
     assert struct.pack("<dd", got.real, got.imag) == struct.pack("<dd", rule.real, rule.imag), (
         f"Python no longer takes z {op.__name__} x for a real x as z {op.__name__} (x + 0j): "
-        f"{got!r} against {rule!r}; scattering._mul must follow the new rule")
+        f"{got!r} against {rule!r}; K's number form (noise.layer_commutator) now rounds "
+        f"by the new rule and its array form by scattering._mul, which must follow it")
 
 
 def test_an_inconsistent_eigenpair_ends_its_row(monkeypatch):

@@ -25,7 +25,11 @@ Each run is one in-process call of ``ptbilayer.sweep_cli.cli_main(argv)``:
   to the temporary directory), each exact and with ``--theory effective``;
 - ``DEFAULT_SIZE_RUNS``: ``compare`` tables larger than the benchmark's, at
   the CLI's default 500 rows (a bare ``compare``, and ``set2`` with every
-  family) and at 2000 rows (``set1`` at 1000 Trad/s with every family).
+  family) and at 2000 rows (``set1`` at 1000 Trad/s with every family);
+- ``FLUX_LOCATE_RUNS``: each README ``squeeze_crossing`` and
+  ``mandel_crossing`` query again with ``--mode paper`` and with
+  ``--temperature-k 300``, the only runs whose roots read paper mode's
+  commutator scale or the flux's thermal term on one point.
 
 Each output line is the SHA-256 of the run's exit code, standard output,
 standard error and ``--out`` file, then its argv. Two checkouts that print the
@@ -86,6 +90,15 @@ DEFAULT_SIZE_RUNS = [
      *_EVERY_FAMILY],
 ]
 
+# the README's flux-kind locate queries in paper mode and at 300 K, where the
+# paper mode's K scale and the thermal E term (0 at 0 K) reach the root
+FLUX_LOCATE_RUNS = [
+    argv + extra
+    for argv in (shlex.split(command)[1:] for command in COMMANDS)
+    if argv[0] == "locate" and argv[argv.index("--kind") + 1] in ("squeeze_crossing",
+                                                                   "mandel_crossing")
+    for extra in (["--mode", "paper"], ["--temperature-k", "300"])]
+
 
 def runs() -> list[list[str]]:
     """The argv of every run, in a fixed order."""
@@ -100,7 +113,8 @@ def runs() -> list[list[str]]:
                 if not (spec.paper_mode or spec.check):
                     out.append(spec.argv() + ["--check"])
     return (out + [shlex.split(command)[1:] for command in COMMANDS]
-            + [["locate", "--help"]] + ERROR_RUNS + MATERIALS_RUNS + DEFAULT_SIZE_RUNS)
+            + [["locate", "--help"]] + ERROR_RUNS + MATERIALS_RUNS + DEFAULT_SIZE_RUNS
+            + FLUX_LOCATE_RUNS)
 
 
 def digest(argv: list[str], scratch: Path) -> str:
