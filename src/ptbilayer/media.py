@@ -78,11 +78,13 @@ class Bilayer:
 def lorentz_permittivity(eps_b, alpha, omega0, gamma, omega):
     """eps_b - alpha w0 gamma / (w^2 - w0^2 + i w gamma), elementwise.
 
-    alpha and omega may be arrays. The arithmetic is numpy's for scalars and
-    arrays alike, so an array evaluation equals the pointwise one bit for bit.
-    No argument checks.
+    alpha and omega may be arrays, and an array evaluation equals the
+    pointwise one bit for bit. The arithmetic is numpy's, except that a number
+    omega is taken as an np.float64, a float, so that 1j w gamma is Python's
+    complex product, whose zero parts are exact as numpy's are; the division
+    stays numpy's. No argument checks.
     """
-    w = np.asarray(omega, dtype=float)
+    w = np.asarray(omega, dtype=float) if isinstance(omega, np.ndarray) else np.float64(omega)
     return eps_b - alpha * omega0 * gamma / (w * w - omega0 ** 2 + 1j * w * gamma)
 
 

@@ -63,7 +63,8 @@ def homodyne_variance(s, flux_right: float, inp: SqueezedCoherentInput = None,
     inp = inp or SqueezedCoherentInput()
     t = complex(getattr(s, "t", s))   # s is ScatteringAmplitudes or t itself
     offset = inp.phi_xi - 2.0 * phi_lo
-    return variance_from(abs(t) ** 2, math.cos(offset - 2.0 * np.angle(t)), flux_right, inp)
+    arg = np.arctan2(t.imag, t.real)   # np.angle(t)'s ufunc, without its array dispatch
+    return variance_from(abs(t) ** 2, math.cos(offset - 2.0 * arg), flux_right, inp)
 
 
 def variance_from(T, cos, flux_right, inp: SqueezedCoherentInput):

@@ -59,6 +59,18 @@ def canonical_mode(mode: str) -> str:
             f"unknown mode {mode!r}; expected {MODE_FULL} or {MODE_PAPER}") from None
 
 
+class _cached(cached_property):
+    """cached_property without the lock that 3.10 and 3.11 take on every first
+    read: func(obj) is stored in obj.__dict__ on the first read of an
+    instance, which later reads find first; an exception is not stored."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class ScatteringAmplitudes:
     """Reflection/transmission amplitudes of a reciprocal two-port: numbers, or arrays over rows."""
@@ -67,9 +79,9 @@ class ScatteringAmplitudes:
     t: complex
     r_right: complex
 
-    T = cached_property(lambda self: _power(self.t))
-    R_left = cached_property(lambda self: _power(self.r_left))
-    R_right = cached_property(lambda self: _power(self.r_right))
+    T = _cached(lambda self: _power(self.t))
+    R_left = _cached(lambda self: _power(self.r_left))
+    R_right = _cached(lambda self: _power(self.r_right))
 
     def matrix(self) -> np.ndarray:
         """S, (2, 2) for numbers or (N, 2, 2) for arrays."""
@@ -94,7 +106,7 @@ class TransferChain:
     layer_thickness: float
     mode: str
 
-    @cached_property
+    @_cached
     def s(self) -> ScatteringAmplitudes:
         """scattering_from_transfer(total), extracted on first read."""
         return scattering_from_transfer(self.total)

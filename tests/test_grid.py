@@ -200,7 +200,8 @@ def test_the_flux_of_a_stack_is_the_flux_of_each_row(gain, loss, alpha_l, thickn
                                                     temperature, omegas):
     # noise.flux_parts contracts a stack's rows as it contracts one point, and
     # noise.fluxes weights them alike, bit for bit, so noise_flux and the grid
-    # kernel share them; four more rows copy
+    # kernel share them; a point's parts and fluxes are Python floats. Four
+    # more rows copy
     # row 0 with a nan in D, an inf in K, an infinite occupation and a nan index
     spec = SweepSpec(preset=None, materials=(gain, loss), variable="omega",
                      fixed_alpha_l=alpha_l, thickness_nm=thickness, mode=mode)
@@ -222,8 +223,10 @@ def test_the_flux_of_a_stack_is_the_flux_of_each_row(gain, loss, alpha_l, thickn
         assert left.shape == right.shape == (n_rows + 4,)
         for i in range(n_rows + 4):
             point = [(complex(n[i]), d[i].copy(), k[i].copy()) for n, d, k in terms]
-            assert same([left[i], right[i]],
-                        noise.fluxes(noise.flux_parts(point), float(nth[i])))
+            parts = noise.flux_parts(point)
+            flux = noise.fluxes(parts, float(nth[i]))
+            assert same([left[i], right[i]], flux)
+            assert [[type(v) for v in part] for part in (*parts, flux)] == [[float, float]] * 3
 
 
 # stacks whose effective slab takes the branches the property above never

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptbilayer import media, scattering
@@ -63,6 +63,36 @@ class TestPermittivity:
         batch = media.lorentz_permittivity(m.eps_b, m.alpha, m.omega0, m.gamma, ws)
         singles = np.array([media.permittivity(m, w) for w in ws])
         np.testing.assert_allclose(batch, singles, rtol=0, atol=0)
+
+    @settings(max_examples=300)
+    @given(eps_b=st.floats(1.0, 5.0), w0=st.floats(300.0, 2000.0), gamma=st.floats(10.0, 300.0),
+           alphas=st.lists(st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, -0.0])),
+                           min_size=1, max_size=4),
+           omegas=st.lists(st.floats(100.0, 3000.0), min_size=1, max_size=4),
+           resonant=st.booleans())
+    @example(eps_b=2.0, w0=1000.0, gamma=67.0, alphas=[-24.0, 0.0, 24.0], omegas=[1000.0],
+             resonant=True)   # set1 at 1000 Trad/s, where w w - w0^2 is exactly 0
+    def test_a_number_omega_gives_each_row_of_the_arrays_bits(self, eps_b, w0, gamma, alphas,
+                                                              omegas, resonant):
+        # a number omega takes Python's 1j w gamma and numpy's division; each
+        # row of the array form must get the same bits, signed zeros included,
+        # over omega, and over an array of amplitudes at one omega (set2's gain
+        # is a number beside an array of loss amplitudes)
+        def bits(z):
+            return [(v.real.hex(), v.imag.hex()) for v in np.atleast_1d(z).tolist()]
+
+        w0, gamma = w0 * TRAD, gamma * TRAD
+        ws = [w0] * resonant + [w * TRAD for w in omegas]
+        for alpha in alphas:
+            rows = media.lorentz_permittivity(eps_b, alpha, w0, gamma, np.array(ws))
+            assert bits(rows) == [bits(media.lorentz_permittivity(eps_b, alpha, w0, gamma, w))[0]
+                                  for w in ws]
+        for w in ws:
+            rows = media.lorentz_permittivity(eps_b, np.array(alphas), w0, gamma,
+                                              np.full(len(alphas), w))
+            assert bits(media.lorentz_permittivity(eps_b, np.array(alphas), w0, gamma, w)) \
+                == bits(rows) == [bits(media.lorentz_permittivity(eps_b, a, w0, gamma, w))[0]
+                                  for a in alphas]
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):

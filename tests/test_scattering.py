@@ -2,7 +2,7 @@
 
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -114,10 +114,11 @@ class TestChainAndSmatrix:
         # and the chain overflows to nan at 1000; a failed extraction is not cached
         bil = replace(media.preset("set1", alpha), layer_thickness=12000 * NM)
         with np.errstate(all="ignore"):
-            ch = scattering.transfer_chain(bil, W1)
+            ch = scattering.transfer_chain(bil, W1)   # builds without raising
             for _ in range(2):
                 with pytest.raises(SingularTransfer):
                     ch.s
+        assert "s" not in ch.__dict__
 
     def test_matrix_layout(self):
         s = smat("set1", 5.0)
@@ -144,6 +145,37 @@ class TestChainAndSmatrix:
         s_paper = smat("set2", 2.0, MODE_PAPER)
         for a, b in ((s_full.t, s_paper.t), (s_full.r_left, s_paper.r_left)):
             assert abs(a - b) < 2e-4
+
+
+class TestCachedReads:
+    def test_a_value_is_computed_once_per_instance(self):
+        calls = []
+
+        @dataclass(frozen=True)
+        class Point:
+            x: float
+
+            @scattering._cached
+            def square(self):
+                calls.append(self.x)
+                return self.x ** 2
+
+        a, b = Point(2.0), Point(3.0)
+        assert (a.square, b.square, a.square, b.square) == (4.0, 9.0, 4.0, 9.0)
+        assert calls == [2.0, 3.0]
+        assert a.__dict__["square"] == 4.0
+        assert isinstance(Point.square, scattering._cached)
+
+    def test_both_dataclasses_store_their_reads(self):
+        ch = chain("set1", 24.0)
+        s = ch.s
+        assert ch.s is s and ch.__dict__["s"] is s
+        for name, amplitude in (("T", s.t), ("R_left", s.r_left), ("R_right", s.r_right)):
+            assert getattr(s, name) == abs(amplitude) ** 2
+            assert s.__dict__[name] is getattr(s, name)
+            assert isinstance(getattr(ScatteringAmplitudes, name), scattering._cached)
+        assert isinstance(scattering.TransferChain.s, scattering._cached)
+        assert "first read" in scattering.TransferChain.s.__doc__
 
 
 class TestEigenvalues:
