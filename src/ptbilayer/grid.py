@@ -15,19 +15,23 @@ rows calls _Cells.fail(where, error), where picking them as a numpy index
 does. The columns come out in table order, so this module is the one place
 that names them.
 
-The kernel restates only the chain and S (transfer_chain and
-scattering_from_transfer), which shared would cost each locate evaluation
-15-19%. Each other rule is the scalar modules' own: the layer index
-(np.sqrt, as in media.refractive_index), propagation_factors, D and K
-(noise.layer_terms of the rows' chain), misses_closed_form, T and R
-(ScatteringAmplitudes), flux_parts and fluxes are called on arrays, and
-effective's slab formulas (bloch, eta, slab and slab_flux, each written once
-on Python numbers) on each live stack row's numbers, which slab_flux_of then
-combines with the grid's thermal occupations. D, K and flux_parts's sign
-bookkeeping also have a form for one point on Python numbers, which locate
-calls and the kernel does not; each row of their array forms equals it bit
-for bit. The array rules follow the scalar rounding with scattering's
-helpers (_cx, _mul, _cis, _each, _stack) and _py_div:
+The kernel restates only the eigenpair ordering, unimodularity_dev and the
+variance cosine, which shared would cost locate time. It calls each other
+rule of the scalar modules on arrays: the layer index (np.sqrt, as in
+media.refractive_index), the chain (scattering.transfer_chain over the
+stack's indices and frequencies), S (scattering_rows, the rows' form of
+scattering_from_transfer), D and K (noise.layer_terms of the rows' chain),
+misses_closed_form, T and R (ScatteringAmplitudes), flux_parts and fluxes;
+and effective's slab formulas (bloch, eta, slab and slab_flux, each written
+once on Python numbers) on each live stack row's numbers, which
+slab_flux_of then combines with the grid's thermal occupations. The
+interface matrix, S, D, K and flux_parts's sign bookkeeping also have a
+form for one point on Python numbers, which locate calls and the kernel
+does not, chosen by the input's type; each row of their array forms equals
+it bit for bit. A point gains no numpy call from the rows' forms: sending
+its arithmetic through them made each exact locate evaluation 15-19%
+slower in a prototype. The array forms follow the scalar rounding with
+scattering's helpers (_cx, _mul, _py_div, _cis, _each, _stack):
 
 - complex products that the scalar path forms on scalars are written out in
   real arithmetic, because numpy's SIMD complex multiply fuses multiply-adds
@@ -44,14 +48,13 @@ helpers (_cx, _mul, _cis, _each, _stack) and _py_div:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import effective, media, noise, observables, scattering
 from .media import C_VACUUM, K_BOLTZMANN, NM, TRAD, Bilayer
-from .scattering import ScatteringAmplitudes, _cis, _cx, _each, _mul, _stack
+from .scattering import ScatteringAmplitudes, _each
 
 OBSERVABLE_ORDER = ("scattering", "eigenvalues", "noise", "variance", "mandel", "eta")
 EXACT_FAMILIES = frozenset(OBSERVABLE_ORDER) - {"eta"}
@@ -64,7 +67,6 @@ COMPARED = {"scattering": ("T", "R_left", "R_right"), "noise": ("s_right", "s_le
 # the exceptions that end a table row (its status is the name) and not the run
 ROW_ERRORS = (scattering.SingularTransfer, OverflowError, scattering.InconsistentEigenvalues,
               effective.BranchAmbiguity, effective.LasingPole, observables.DegenerateDenominator)
-_EXP_MAX = math.log(sys.float_info.max)   # math.exp(x) overflows for x above it
 _abs = scattering._modulus   # np.hypot of the parts, as the scalar rules take moduli
 
 
@@ -101,32 +103,6 @@ def bilayer_at(spec, alpha_l: float) -> Bilayer:
                    layer_thickness=thickness)
 
 
-# ---------------------------------------------------------------------------
-# elementwise arithmetic with the scalar path's rounding (the rest is scattering's)
-
-
-def _py_div(a, b) -> np.ndarray:
-    """a / b with Python's complex-division algorithm."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_real = np.abs(br) >= np.abs(bi)
-    with np.errstate(all="ignore"):   # both branches are computed everywhere
-        ratio = np.where(by_real, bi / br, br / bi)
-        re = np.where(by_real, (ar + ai * ratio) / (br + bi * ratio),
-                      (ar * ratio + ai) / (br * ratio + bi))
-        im = np.where(by_real, (ai - ar * ratio) / (br + bi * ratio),
-                      (ai * ratio - ar) / (br * ratio + bi))
-    return _cx(re, im)
-
-
-# ---------------------------------------------------------------------------
-# exact theory: chain, S, eigenpair, noise
-
-
-def layer_arrays(spec, alpha_l, omega):
-    """layer_values over arrays of grid values, on the spec's stack built once."""
-    return layer_values(spec, bilayer_at(spec, 0.0), alpha_l, omega)
-
-
 def layer_values(spec, template: Bilayer, alpha_l, omega):
     """((eps_gain, eps_loss), (n_gain, n_loss)) at alpha_l and omega, numbers
     or arrays, n = np.sqrt(eps) as in media.refractive_index. The media are
@@ -158,59 +134,6 @@ def _anywhere(test) -> bool:
 def _everywhere(test) -> bool:
     """test, a bool or a bool array, holds everywhere."""
     return test.all() if isinstance(test, np.ndarray) else test
-
-
-def _interface(n_from, n_to, k, z, paper: bool) -> np.ndarray:
-    """scattering.interface_matrix over arrays."""
-    ar, br = n_from.real, n_to.real
-    a, b = (_cx(ar, 0.0), _cx(br, 0.0)) if paper else (n_from, n_to)
-    pre = np.sqrt(_py_div(a, b))
-    t11 = _mul(_mul(pre, b + a) / (2 * a), _cis((ar - br) * k * z))
-    t12 = _mul(_mul(pre, b - a) / (2 * a), _cis(-(ar + br) * k * z))
-    t21 = _mul(t12, _cis(2 * (ar + br) * k * z))
-    t22 = _mul(t11, _cis(-2 * (ar - br) * k * z))
-    return _stack(t11, t12, t21, t22)
-
-
-class ExactStack:
-    """Chain and S of every stack row from its layer indices (n_gain, n_loss)
-    (scattering.transfer_chain and scattering_from_transfer over arrays)."""
-
-    def __init__(self, spec, indices, omega):
-        self.mode, self.omega = spec.mode, omega
-        paper = spec.mode == scattering.MODE_PAPER
-        self.ng, self.nl = indices
-        self.l = l = spec.thickness_nm * NM
-        k = omega / C_VACUUM
-        vac = np.full(len(omega), 1.0 + 0j)
-        t1 = _interface(vac, self.ng, k, -l, paper)
-        # the (N, 1, 2) factors scale the columns of each row's matrix
-        r2 = scattering.propagation_factors(self.ng, omega, l).T[:, None, :]
-        t2 = _interface(self.ng, self.nl, k, 0.0, paper)
-        r3 = scattering.propagation_factors(self.nl, omega, l).T[:, None, :]
-        self.from_loss = _interface(self.nl, vac, k, l, paper)
-        self.from_gain = (self.from_loss * r3) @ t2
-        self.total = (self.from_gain * r2) @ t1
-
-        A = self.total
-        a22 = A[:, 1, 1]
-        t = 1.0 / a22
-        t_alt = (_mul(A[:, 0, 0], a22) - _mul(A[:, 0, 1], A[:, 1, 0])) / a22
-        # written so that a chain that overflowed to inf or nan is singular
-        self.singular = ~((_abs(a22) >= scattering.A22_MIN)
-                          & (_abs(t - t_alt)
-                             <= scattering.TRANSMISSION_TOL * np.maximum(_abs(t), 1e-300)))
-        self.s = ScatteringAmplitudes(-A[:, 1, 0] / a22, t, A[:, 0, 1] / a22)
-        # rows where noise.layer_commutator's math.exp(+-2u) overflows
-        n_imag = np.maximum(np.abs(self.ng.imag), np.abs(self.nl.imag))
-        self.exp_overflow = 2 * (n_imag * k * l) > _EXP_MAX
-
-    def layer_terms(self, rows: np.ndarray):
-        """noise.layer_terms of the chain at rows: [(n, D, K)] for the gain
-        layer, then the loss layer, each an array over rows."""
-        return noise.layer_terms(scattering.TransferChain(
-            self.total[rows], self.from_gain[rows], self.from_loss[rows],
-            (self.ng[rows], self.nl[rows]), self.omega[rows], self.l, self.mode))
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +221,14 @@ class _Cells:
         return out
 
 
-def _eigenvalue_cells(cells: _Cells, exact, s: ScatteringAmplitudes) -> None:
-    """The eigenvalues family: S's eigenvalues, checked against the exact stack's
-    closed form when there is one, and for either theory ordered as
-    scattering.eigenvalues orders them (ties in modulus by ascending argument)."""
+def _eigenvalue_cells(cells: _Cells, chain, s: ScatteringAmplitudes) -> None:
+    """The eigenvalues family: S's eigenvalues, checked against the closed form
+    of the exact stack's chain when there is one, and for either theory ordered
+    as scattering.eigenvalues orders them (ties in modulus by ascending argument)."""
     rows = cells.rows()
     lam = np.linalg.eigvals(s.matrix()[rows])
-    if exact is not None:
-        cells.fail(rows[scattering.misses_closed_form(exact.total[rows], lam)],
+    if chain is not None:
+        cells.fail(rows[scattering.misses_closed_form(chain.total[rows], lam)],
                    scattering.InconsistentEigenvalues)
     a, b = lam[:, 0], lam[:, 1]
     ma, mb = _abs(a), _abs(b)
@@ -405,19 +328,20 @@ def evaluate_grid(spec, xs):
     nth = _occupations(omega, temperature) if flux_wanted else None
     alpha_s, omega_s = np.atleast_1d(*np.broadcast_arrays(alpha_l, omega))
     cells = _Cells(len(alpha_s))
-    eps, indices = layer_arrays(spec, alpha_s, omega_s)
+    template = bilayer_at(spec, 0.0)
+    eps, indices = layer_values(spec, template, alpha_s, omega_s)
     s, flux = {}, {}   # by theory
-    exact = None
+    chain = None
     if "exact" in theories:
-        exact = ExactStack(spec, indices, omega_s)
-        cells.fail(exact.singular, scattering.SingularTransfer)
-        s["exact"] = exact.s
+        chain = scattering.transfer_chain(template, omega_s, spec.mode, indices)
+        s["exact"], singular = scattering.scattering_rows(chain.total)
+        cells.fail(singular, scattering.SingularTransfer)
         if flux_wanted or spec.check_sum_rule:
-            cells.fail(exact.exp_overflow, OverflowError)
+            cells.fail(noise.exp_overflow(chain), OverflowError)
             rows = cells.rows()
-            terms = exact.layer_terms(rows)
+            terms = noise.layer_terms(chain.at(rows))
             if spec.check_sum_rule:
-                noise.enforce_sum_rule(terms, exact.s.matrix()[rows])
+                noise.enforce_sum_rule(terms, s["exact"].matrix()[rows])
             if flux_wanted:
                 parts = np.full((2, 2, cells.n), np.nan)
                 parts[..., rows] = noise.flux_parts(terms)
@@ -441,7 +365,7 @@ def evaluate_grid(spec, xs):
             continue
         main, *compared = theories
         if family == "eigenvalues":
-            _eigenvalue_cells(cells, exact, s[main])
+            _eigenvalue_cells(cells, chain, s[main])
             continue
         every = np.arange(cells.n)
         cols = _family_cells(family, s[main], flux.get(main), spec, cells)

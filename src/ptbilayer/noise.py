@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .scattering import (MODE_FULL, TransferChain, _cis, _entries, _modulus, _mu
 
 
 SUM_RULE_TOL = 1e-10   # largest sum-rule residual a check accepts
+_EXP_MAX = math.log(sys.float_info.max)   # math.exp(x) overflows for x above it
 
 
 class SumRuleViolation(Exception):
@@ -112,6 +114,14 @@ def layer_commutator(n, omega, thickness: float, layer: int = 2,
     same = 1.0 - scattering._each(math.exp, -2 * u)
     counter = scattering._each(math.exp, 2 * u) - 1.0
     return _stack(scale * same, _mul(scale, q), _mul(scale, q.conjugate()), scale * counter)
+
+
+def exp_overflow(chain: TransferChain) -> np.ndarray:
+    """The rows of a stack's chain where layer_commutator's math.exp(+-2u)
+    overflows, so that layer_terms would raise OverflowError."""
+    ng, nl = chain.indices
+    n_imag = np.maximum(np.abs(ng.imag), np.abs(nl.imag))
+    return 2 * (n_imag * (chain.omega / C_VACUUM) * chain.layer_thickness) > _EXP_MAX
 
 
 def layer_coupling(total: np.ndarray, partial: np.ndarray) -> np.ndarray:

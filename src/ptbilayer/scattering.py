@@ -11,6 +11,10 @@ ratios keep the complex indices and the factorization reconstructs the exact
 complex propagation e^{i n w l / c}; det A = 1 identically. In
 "paper_real_part" the ratios use only the real parts of the indices, a common
 small-absorption approximation; phases are real-part phases in both modes.
+
+transfer_chain builds one point's chain from numbers, or the (N, 2, 2) rows
+of a stack from arrays of indices and frequencies, each row the point's bit
+for bit; scattering_from_transfer and scattering_rows extract their S.
 """
 
 from __future__ import annotations
@@ -96,6 +100,8 @@ class TransferChain:
     of every factor to its right in the chain); from_loss likewise for the
     loss layer. indices holds the layer indices (n_gain, n_loss), and omega,
     layer_thickness and mode (canonical) the point the chain was built at.
+    A stack's chain holds (N, 2, 2) rows and arrays of indices and omega;
+    its S is scattering_rows(total), and s reads one point's.
     """
 
     total: np.ndarray
@@ -110,6 +116,13 @@ class TransferChain:
     def s(self) -> ScatteringAmplitudes:
         """scattering_from_transfer(total), extracted on first read."""
         return scattering_from_transfer(self.total)
+
+    def at(self, rows) -> "TransferChain":
+        """The chain of a stack's rows at rows, an index array."""
+        ng, nl = self.indices
+        return TransferChain(self.total[rows], self.from_gain[rows], self.from_loss[rows],
+                             (ng[rows], nl[rows]), self.omega[rows], self.layer_thickness,
+                             self.mode)
 
 
 def interface_matrix(n_from: complex, n_to: complex, omega: float, z: float,
@@ -130,6 +143,21 @@ def interface_matrix(n_from: complex, n_to: complex, omega: float, z: float,
     return np.array([[t11, t12], [t21, t22]])
 
 
+def _interface_rows(n_from, n_to, omega, z: float, mode: str) -> np.ndarray:
+    """interface_matrix over arrays of indices and frequencies, (N, 2, 2), each
+    row rounded as the number form rounds it; mode is canonical. A row that
+    divides by a zero index is inf or nan, which scattering_rows finds singular."""
+    k = omega / C_VACUUM
+    ar, br = n_from.real, n_to.real
+    a, b = (_cx(ar, 0.0), _cx(br, 0.0)) if mode == MODE_PAPER else (n_from, n_to)
+    pre = np.sqrt(_py_div(a, b))
+    t11 = _mul(_mul(pre, b + a) / (2 * a), _cis((ar - br) * k * z))
+    t12 = _mul(_mul(pre, b - a) / (2 * a), _cis(-(ar + br) * k * z))
+    t21 = _mul(t12, _cis(2 * (ar + br) * k * z))
+    t22 = _mul(t11, _cis(-2 * (ar - br) * k * z))
+    return _stack(t11, t12, t21, t22)
+
+
 def propagation_factors(n, omega, thickness: float) -> np.ndarray:
     """Decay-only propagation over one layer (mode-independent), the diagonal
     (e^{-u}, e^{u}) of its matrix: M @ diag(f) is M * f, which rounds alike.
@@ -145,22 +173,28 @@ def layer_indices(bilayer: Bilayer, omega: float) -> tuple[complex, complex]:
     return ng, nl
 
 
-def transfer_chain(bilayer: Bilayer, omega: float, mode: str = MODE_FULL,
-                   indices: tuple[complex, complex] = None) -> TransferChain:
+def transfer_chain(bilayer: Bilayer, omega, mode: str = MODE_FULL,
+                   indices: tuple = None) -> TransferChain:
     """Assemble the five-factor chain and its internal partial products.
 
     indices, when given, is layer_indices(bilayer, omega) as the caller took
-    it; the chain then reads only the bilayer's layer thickness.
+    it; the chain then reads only the bilayer's layer thickness. Given arrays
+    of omega and of both indices, it is the chain of a stack's rows, each row
+    the chain of its numbers bit for bit.
     """
     mode = canonical_mode(mode)
     ng, nl = layer_indices(bilayer, omega) if indices is None else indices
     l = bilayer.layer_thickness
-    one = 1.0 + 0j
-    t1 = interface_matrix(one, ng, omega, -l, mode)
+    rows = isinstance(omega, np.ndarray)   # a stack's rows, or one point on numbers
+    interface = _interface_rows if rows else interface_matrix
+    one = np.full(len(omega), 1.0 + 0j) if rows else 1.0 + 0j
+    t1 = interface(one, ng, omega, -l, mode)
     r2 = propagation_factors(ng, omega, l)
-    t2 = interface_matrix(ng, nl, omega, 0.0, mode)
+    t2 = interface(ng, nl, omega, 0.0, mode)
     r3 = propagation_factors(nl, omega, l)
-    from_loss = interface_matrix(nl, one, omega, l, mode)
+    from_loss = interface(nl, one, omega, l, mode)
+    if rows:   # the (N, 1, 2) factors scale the columns of each row's matrix
+        r2, r3 = r2.T[:, None, :], r3.T[:, None, :]
     from_gain = (from_loss * r3) @ t2
     return TransferChain((from_gain * r2) @ t1, from_gain, from_loss, (ng, nl), omega, l, mode)
 
@@ -186,6 +220,18 @@ def scattering_from_transfer(transfer) -> ScatteringAmplitudes:
         raise SingularTransfer(
             f"transmission estimates disagree: {t} vs {t_alt}")
     return ScatteringAmplitudes(r_left=-A[1, 0] / a22, t=t, r_right=A[0, 1] / a22)
+
+
+def scattering_rows(total: np.ndarray) -> tuple[ScatteringAmplitudes, np.ndarray]:
+    """scattering_from_transfer over a stack's (N, 2, 2) totals: every row's
+    amplitudes, and the mask of the rows where it raises SingularTransfer."""
+    a22 = total[:, 1, 1]
+    t = 1.0 / a22
+    t_alt = (_mul(total[:, 0, 0], a22) - _mul(total[:, 0, 1], total[:, 1, 0])) / a22
+    # written so that a chain that overflowed to inf or nan is singular
+    singular = ~((_modulus(a22) >= A22_MIN)
+                 & (_modulus(t - t_alt) <= TRANSMISSION_TOL * np.maximum(_modulus(t), 1e-300)))
+    return ScatteringAmplitudes(-total[:, 1, 0] / a22, t, total[:, 0, 1] / a22), singular
 
 
 def eigenvalues(transfer) -> tuple[complex, complex]:
@@ -257,6 +303,20 @@ def _mul(a, b):
     if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
         return a * b
     return _cx(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _py_div(a, b) -> np.ndarray:
+    """a / b over arrays with Python's complex-division algorithm, which divides
+    by the denominator where numpy multiplies by its reciprocal."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(all="ignore"):   # both branches are computed everywhere
+        ratio = np.where(by_real, bi / br, br / bi)
+        re = np.where(by_real, (ar + ai * ratio) / (br + bi * ratio),
+                      (ar * ratio + ai) / (br * ratio + bi))
+        im = np.where(by_real, (ai - ar * ratio) / (br + bi * ratio),
+                      (ai * ratio - ar) / (br * ratio + bi))
+    return _cx(re, im)
 
 
 def _where(cond, a, b):

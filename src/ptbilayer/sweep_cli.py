@@ -106,6 +106,9 @@ class SweepSpec:
 
         if self.preset is None and self.materials is None:
             raise ConfigError("either a preset or explicit materials is required")
+        if self.preset is not None and self.materials is not None:
+            raise ConfigError(f"preset {self.preset!r} and explicit materials exclude each "
+                              f"other; give materials with preset=None")
         if self.preset is not None and self.preset not in media.PRESET_IDS:
             raise ConfigError(f"unknown preset {self.preset!r}")
         if self.variable not in VARIABLES:
@@ -342,7 +345,7 @@ def _threshold_scalar(spec: SweepSpec, kind: str):
     The query's stack and fixed values are read once, as the template
     grid.bilayer_at(spec, 0.0) and grid.fixed_values(spec). An evaluation
     takes only the layer permittivities and indices at x, through
-    grid.layer_values (the amplitude rule and checks that grid.layer_arrays
+    grid.layer_values (the amplitude rule and checks that evaluate_grid
     shares), as the Python complex numbers media.permittivity and
     refractive_index give; the chain is built from those indices and the
     effective slab reads both.

@@ -43,6 +43,15 @@ def ordered(lam):
     return (l2, l1) if m1 < m2 else (l1, l2)
 
 
+def stack_chain(spec, xs):
+    """The chain of the stack rows that evaluate_grid builds over the grid values
+    xs of an alpha_l or omega sweep, or of a temperature sweep's repeated stack."""
+    alpha_ls, omega, _ = np.broadcast_arrays(*grid.grid_parameters(spec, xs))
+    template = grid.bilayer_at(spec, 0.0)
+    indices = grid.layer_values(spec, template, alpha_ls, omega)[1]
+    return scattering.transfer_chain(template, omega, spec.mode, indices)
+
+
 def scalar_row(spec, x):
     """Status and values of one row, from the scalar library, in the order a
     table row meets its failures; s and flux are the main theory's."""
@@ -112,11 +121,11 @@ def test_kernel_reproduces_scalar_library(gain, loss, alpha_l, thickness, mode, 
                      temperature_k=temperature, observables=EXACT + ("eta",) * eta,
                      check_sum_rule=check and mode == scattering.MODE_FULL)
     xs = np.array(omegas if sweep else temperatures)
-    alpha_ls, omega, _ = np.broadcast_arrays(*grid.grid_parameters(spec, xs))
-    stack = grid.ExactStack(spec, grid.layer_arrays(spec, alpha_ls, omega)[1], omega)
-    ok = np.flatnonzero(~stack.singular)
+    chain = stack_chain(spec, xs)
+    s_rows, singular = scattering.scattering_rows(chain.total)
+    ok = np.flatnonzero(~singular)
     residuals = dict(zip(ok.tolist(), noise.sum_rule_residuals(
-        stack.layer_terms(ok), stack.s.matrix()[ok]).tolist()))
+        noise.layer_terms(chain.at(ok)), s_rows.matrix()[ok]).tolist()))
     violated = (spec.check_sum_rule and theory != "effective"
                 and not all(r <= noise.SUM_RULE_TOL for r in residuals.values()))
     if violated:
@@ -129,16 +138,16 @@ def test_kernel_reproduces_scalar_library(gain, loss, alpha_l, thickness, mode, 
         ref = scalar_row(spec, x)
         assert status[i] == ref["status"]
         if "chain" in ref:
-            chain = ref["chain"]
-            assert same(stack.total[i], chain.total)
-            assert same(stack.from_gain[i], chain.from_gain)
-            assert same(stack.from_loss[i], chain.from_loss)
-            assert stack.singular[i] == (ref["status"] == "SingularTransfer")
+            point = ref["chain"]
+            assert same(chain.total[i], point.total)
+            assert same(chain.from_gain[i], point.from_gain)
+            assert same(chain.from_loss[i], point.from_loss)
+            assert singular[i] == (ref["status"] == "SingularTransfer")
         if "s" not in ref:
             continue
         s = ref["s"]
         if "chain" in ref:
-            assert same(stack.s.matrix()[i], s.matrix())
+            assert same(s_rows.matrix()[i], s.matrix())
             want = ref["residual"]
             assert abs(residuals[i] - want) <= 1e-14 * max(abs(want), 1e-300)
         if eta and "n_eff" in ref:
@@ -206,12 +215,11 @@ def test_the_flux_of_a_stack_is_the_flux_of_each_row(gain, loss, alpha_l, thickn
     spec = SweepSpec(preset=None, materials=(gain, loss), variable="omega",
                      fixed_alpha_l=alpha_l, thickness_nm=thickness, mode=mode)
     xs = np.array(omegas)
-    alpha_ls, omega, _ = np.broadcast_arrays(*grid.grid_parameters(spec, xs))
-    stack = grid.ExactStack(spec, grid.layer_arrays(spec, alpha_ls, omega)[1], omega)
+    chain = stack_chain(spec, xs)
+    omega = chain.omega
     n_rows = len(xs)
     copies = np.r_[np.arange(n_rows), 0, 0, 0, 0]
-    terms = [(n[copies], d[copies], k[copies])
-             for n, d, k in stack.layer_terms(np.arange(n_rows))]
+    terms = [(n[copies], d[copies], k[copies]) for n, d, k in noise.layer_terms(chain)]
     (n_gain, d_gain, _), (_, _, k_loss) = terms
     d_gain[n_rows, 0, 1] = np.nan
     k_loss[n_rows + 1, 1, 1] = np.inf
@@ -435,12 +443,15 @@ def overflowing_rows():
 def test_each_shared_rule_rounds_a_row_of_arrays_as_its_numbers(rows, l, layer, mode):
     # each rule that the scalar library and the kernel share gives a row of
     # the kernel's arrays the bits it gives the row's numbers. The closed-form
-    # check and T and R are written once; D, K and the flux's sign
-    # bookkeeping have a number form and an array form. The flux adds a second
-    # layer, of the conjugate index (so that one of the two amplifies) and
-    # with B's rows swapped; where Q is inf or nan, an absorbing layer's 0 Q
-    # makes flux_0 nan in both forms
+    # check and T and R are written once; the chain's interface matrices, S,
+    # D, K and the flux's sign bookkeeping have a number form and an array
+    # form. The flux adds a second layer, of the conjugate index (so that one
+    # of the two amplifies) and with B's rows swapped; where Q is inf or nan,
+    # an absorbing layer's 0 Q makes flux_0 nan in both forms. The chain
+    # stacks the same two layers, and a row of it is singular exactly where
+    # the point's chain or S raises SingularTransfer
     n, omega, A, B, lam = (np.array(c) for c in zip(*rows))
+    bilayer = media.preset("set1", 2.0, l)   # the chain reads only its thickness
     amplitudes = (-A[:, 1, 0] / A[:, 1, 1], 1 / A[:, 1, 1], A[:, 0, 1] / A[:, 1, 1])
     other = 5 - layer
     # n''/n' and 2 n''/n' overflow where n' is tiny, which numpy warns about
@@ -452,7 +463,21 @@ def test_each_shared_rule_rounds_a_row_of_arrays_as_its_numbers(rows, l, layer, 
                                                                     mode))])
         missed = scattering.misses_closed_form(A, lam)
         s = scattering.ScatteringAmplitudes(*amplitudes)
+        chain = scattering.transfer_chain(bilayer, omega, mode, (n, n.conj()))
+        s_rows, singular = scattering.scattering_rows(chain.total)
         for i in range(len(rows)):
+            try:
+                point = scattering.transfer_chain(bilayer, float(omega[i]), mode,
+                                                  (complex(n[i]), complex(n[i]).conjugate()))
+                assert parts([point.total, point.from_gain, point.from_loss]) == parts(
+                    [chain.total[i], chain.from_gain[i], chain.from_loss[i]])
+                s_point = point.s
+            except scattering.SingularTransfer:
+                assert singular[i]
+            else:
+                assert not singular[i]
+                assert parts([s_rows.r_left[i], s_rows.t[i], s_rows.r_right[i]]) == parts(
+                    [s_point.r_left, s_point.t, s_point.r_right])
             k = noise.layer_commutator(complex(n[i]), float(omega[i]), l, layer, mode)
             d = noise.layer_coupling(A[i], B[i])
             assert parts(K[i]) == parts(k)
@@ -647,14 +672,11 @@ def test_each_stage_runs_once_per_distinct_value_of_what_it_reads(monkeypatch):
     # is 0 without a call; an alpha_l sweep at fixed omega and T takes one
     # occupation, which the exact and the effective flux share
     stack_rows, eigvals_shapes, occupations = [], [], []
-    stack, eigvals, occupation = grid.ExactStack, np.linalg.eigvals, noise.thermal_occupation
-
-    class CountedStack(stack):
-        def __init__(self, spec, indices, omega):
-            stack_rows.append(len(omega))
-            super().__init__(spec, indices, omega)
-
-    monkeypatch.setattr(grid, "ExactStack", CountedStack)
+    chain, eigvals, occupation = (scattering.transfer_chain, np.linalg.eigvals,
+                                  noise.thermal_occupation)
+    monkeypatch.setattr(scattering, "transfer_chain",
+                        lambda bilayer, omega, *a: stack_rows.append(len(omega))
+                        or chain(bilayer, omega, *a))
     monkeypatch.setattr(np.linalg, "eigvals",
                         lambda a: eigvals_shapes.append(a.shape) or eigvals(a))
     monkeypatch.setattr(noise, "thermal_occupation",
@@ -713,7 +735,7 @@ def test_each_theory_runs_only_its_own_stages(monkeypatch, theory, eta, families
     # eta, the round trip only for eta, and the slab (and the two slabs of
     # the flux's central difference) only for its families
     calls = collections.Counter()
-    for owner, name in ((grid, "ExactStack"), (effective, "bloch"), (effective, "eta"),
+    for owner, name in ((scattering, "transfer_chain"), (effective, "bloch"), (effective, "eta"),
                         (effective, "slab"), (effective, "slab_flux"),
                         (effective, "slab_flux_of")):
         fn = getattr(owner, name)
@@ -729,7 +751,7 @@ def test_each_theory_runs_only_its_own_stages(monkeypatch, theory, eta, families
     # the slab's formulas run per stack row (5 here, each at set1's balance,
     # so a flux takes 3 slabs), and its flux parts meet N_th once per grid
     assert calls == collections.Counter(
-        ExactStack=exact, bloch=5 * (slab or eta), eta=5 * eta,
+        transfer_chain=exact, bloch=5 * (slab or eta), eta=5 * eta,
         slab=5 * slab * (1 + 2 * flux), slab_flux=5 * (slab and flux),
         slab_flux_of=slab and flux)
 

@@ -97,6 +97,20 @@ class TestGrid:
         assert from_list == from_tuple
         assert hash(from_list) == hash(from_tuple)
 
+    def test_a_preset_and_materials_together_are_refused(self):
+        # such a spec evaluated the preset and wrote both into its metadata;
+        # a config's materials clear its preset, and --preset drops them
+        bil = media.preset("set2", 40.0)
+        with pytest.raises(ConfigError, match="^preset 'set1' and explicit materials exclude "
+                                              "each other; give materials with preset=None$"):
+            SweepSpec(materials=(bil.gain, bil.loss))
+        with pytest.raises(ConfigError, match="^preset 'set2' and explicit materials"):
+            spec(preset="set2", materials=(bil.gain, bil.loss))
+        medium = {"eps_b": 2.0, "alpha": 5.0, "omega0_trad": 1000.0, "gamma_trad": 67.0}
+        cfg = {"preset": "set2", "materials": {"gain": medium, "loss": medium}}
+        assert spec_from_config(cfg).preset is None
+        assert spec_from_config(cfg, preset="set2", materials=None).materials is None
+
     @pytest.mark.parametrize("alias", sorted(scattering._MODE_ALIASES))
     def test_every_mode_alias_is_stored_as_its_canonical_name(self, alias):
         # the kernel and the metadata read spec.mode as it is stored
@@ -456,16 +470,11 @@ class TestLocate:
         s = spec(theory=theory, check_sum_rule=check)
         main = dataclasses.replace(s, theory="exact" if theory == "both" else theory,
                                    observables=(sweep_cli.THRESHOLD_FAMILIES[kind],))
-        table, (_, status) = stages(
-            [(grid, "ExactStack", "chain"), (effective, "bloch", "slab"),
-             (grid.ExactStack, "layer_terms", "terms"), (noise, "fluxes", "flux"),
-             (effective, "slab_flux", "flux")],
-            lambda: grid.evaluate_grid(main, np.array([24.0])))
-        scalar, value = stages(
-            [(scattering, "transfer_chain", "chain"), (effective, "bloch_index", "slab"),
-             (noise, "layer_terms", "terms"), (noise, "noise_flux", "flux"),
-             (effective, "effective_noise", "flux")],
-            lambda: sweep_cli._threshold_scalar(s, kind)(24.0))
+        patches = [(scattering, "transfer_chain", "chain"), (effective, "bloch", "slab"),
+                   (noise, "layer_terms", "terms"), (noise, "fluxes", "flux"),
+                   (effective, "slab_flux", "flux")]
+        table, (_, status) = stages(patches, lambda: grid.evaluate_grid(main, np.array([24.0])))
+        scalar, value = stages(patches, lambda: sweep_cli._threshold_scalar(s, kind)(24.0))
         assert list(status) == ["ok"] and math.isfinite(value)
         assert scalar == table
 
