@@ -349,7 +349,7 @@ def evaluate_grid(spec, xs):
 
     # the effective slab, row by row over the live rows of the stack
     if "effective" in theories or "eta" in wants:
-        s_eff, parts = _slab_rows(cells, indices, eps, omega_s / C_VACUUM, spec.thickness_nm * NM,
+        s_eff, parts = _slab_rows(cells, indices, eps, omega_s / C_VACUUM, template.layer_thickness,
                                   "eta" in wants, "effective" in theories, flux_wanted)
         if "effective" in theories:
             s["effective"] = s_eff

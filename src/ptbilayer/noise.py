@@ -29,12 +29,12 @@ kernel's stack rows, bit for bit alike. The rows take scattering's
 elementwise helpers; one point, chosen by the input's type, takes Python
 numbers instead: math.sin and cmath.exp for K (numpy's loops agree with
 them at every dispatch level), Python's complex products for D, with
-numpy's division for 1/a22, taken once for both layers, and its array
-multiply for D's scaling, which Python's operators do not repeat. Both
-contract D K D^dagger with @ (BLAS's rounding); a point does only the sign
-bookkeeping on the contracted floats, in the rows' order, and its flux_0,
-E and fluxes are [left, right] lists of floats. One point's layer terms
-take about 11 us against 18.5 us through the helpers, measured together.
+numpy's division for 1/a22 and its array multiply for D's scaling, which
+Python's operators do not repeat. Both contract D K D^dagger with @
+(BLAS's rounding); a point does only the sign bookkeeping on the
+contracted floats, in the rows' order, and its flux_0, E and fluxes are
+[left, right] lists of floats. One point's layer terms take about 11 us
+against 18.5 us through the helpers, measured together.
 """
 
 from __future__ import annotations
@@ -127,41 +127,23 @@ def exp_overflow(chain: TransferChain) -> np.ndarray:
 def layer_coupling(total: np.ndarray, partial: np.ndarray) -> np.ndarray:
     """D of the layer whose partial product into the outputs is partial, in the
     chain whose total is total: (2, 2) matrices, or (N, 2, 2) rows of them."""
-    if total.ndim == 2:
-        return _point_coupling(_point_total(total), partial)
+    if total.ndim == 2:   # one point: Python's products, numpy's 1/a22 and its array multiply
+        (_, a12), (_, a22) = total.tolist()
+        (b11, b12), (b21, b22) = partial.tolist()
+        return (1.0 / np.complex128(a22))[..., None, None] * np.array(
+            [[-b21, -b22], [b11 * a22 - a12 * b21, b12 * a22 - a12 * b22]])
     _, a12, _, a22 = _entries(total)
     b11, b12, b21, b22 = _entries(partial)
     return (1.0 / a22)[..., None, None] * _stack(
         -b21, -b22, _mul(b11, a22) - _mul(a12, b21), _mul(b12, a22) - _mul(a12, b22))
 
 
-def _point_total(total):
-    """(a12, a22, 1/a22) of one point's (2, 2) total, which each layer's D reads."""
-    (_, a12), (_, a22) = total.tolist()
-    return a12, a22, 1.0 / np.complex128(a22)
-
-
-def _point_coupling(read, partial):
-    """layer_coupling on one point, from read = _point_total(total): Python's
-    products, numpy's 1/a22 and its array multiply for the scaling."""
-    a12, a22, inverse = read
-    (b11, b12), (b21, b22) = partial.tolist()
-    return inverse[..., None, None] * np.array(
-        [[-b21, -b22], [b11 * a22 - a12 * b21, b12 * a22 - a12 * b22]])
-
-
 def layer_terms(chain: TransferChain) -> list:
     """[(n, D, K)] of the gain layer, then of the loss layer, read off chain:
-    numbers, or arrays over rows for a chain whose fields hold a stack's rows;
-    one point reads its total once for both layers."""
-    l, total, partials = chain.layer_thickness, chain.total, (chain.from_gain, chain.from_loss)
-    if total.ndim == 2:
-        read = _point_total(total)
-        couplings = [_point_coupling(read, partial) for partial in partials]
-    else:
-        couplings = [layer_coupling(total, partial) for partial in partials]
-    return [(n, d, layer_commutator(n, chain.omega, l, layer, chain.mode))
-            for n, layer, d in zip(chain.indices, (2, 3), couplings)]
+    numbers, or arrays over rows for a chain whose fields hold a stack's rows."""
+    return [(n, layer_coupling(chain.total, partial),
+             layer_commutator(n, chain.omega, chain.layer_thickness, layer, chain.mode))
+            for n, layer, partial in zip(chain.indices, (2, 3), (chain.from_gain, chain.from_loss))]
 
 
 def sum_rule_residuals(terms, s):

@@ -125,11 +125,23 @@ class TransferChain:
                              self.mode)
 
 
-def interface_matrix(n_from: complex, n_to: complex, omega: float, z: float,
-                     mode: str = MODE_FULL) -> np.ndarray:
-    """Flux-normalized interface matrix at absolute position z."""
+def interface_matrix(n_from, n_to, omega, z: float, mode: str = MODE_FULL) -> np.ndarray:
+    """Flux-normalized interface matrix at absolute position z: (2, 2) for
+    numbers, or (N, 2, 2) over arrays of indices and an array omega, each row
+    rounded as the number form rounds it. A point that divides by a zero
+    index raises SingularTransfer; such a row is inf or nan, which
+    scattering_rows finds singular."""
     mode = canonical_mode(mode)
     k = omega / C_VACUUM
+    if isinstance(omega, np.ndarray):   # a stack's rows, in scattering's helpers
+        ar, br = n_from.real, n_to.real
+        a, b = (_cx(ar, 0.0), _cx(br, 0.0)) if mode == MODE_PAPER else (n_from, n_to)
+        pre = np.sqrt(_py_div(a, b))
+        t11 = _mul(_mul(pre, b + a) / (2 * a), _cis((ar - br) * k * z))
+        t12 = _mul(_mul(pre, b - a) / (2 * a), _cis(-(ar + br) * k * z))
+        t21 = _mul(t12, _cis(2 * (ar + br) * k * z))
+        t22 = _mul(t11, _cis(-2 * (ar - br) * k * z))
+        return _stack(t11, t12, t21, t22)
     nf, nt = complex(n_from), complex(n_to)
     a, b = (complex(nf.real), complex(nt.real)) if mode == MODE_PAPER else (nf, nt)
     if a == 0 or b == 0:   # a zero index, or paper mode's real part: the kernel's row is singular
@@ -141,21 +153,6 @@ def interface_matrix(n_from: complex, n_to: complex, omega: float, z: float,
     t21 = t12 * np.exp(2j * (ar + br) * k * z)
     t22 = t11 * np.exp(-2j * (ar - br) * k * z)
     return np.array([[t11, t12], [t21, t22]])
-
-
-def _interface_rows(n_from, n_to, omega, z: float, mode: str) -> np.ndarray:
-    """interface_matrix over arrays of indices and frequencies, (N, 2, 2), each
-    row rounded as the number form rounds it; mode is canonical. A row that
-    divides by a zero index is inf or nan, which scattering_rows finds singular."""
-    k = omega / C_VACUUM
-    ar, br = n_from.real, n_to.real
-    a, b = (_cx(ar, 0.0), _cx(br, 0.0)) if mode == MODE_PAPER else (n_from, n_to)
-    pre = np.sqrt(_py_div(a, b))
-    t11 = _mul(_mul(pre, b + a) / (2 * a), _cis((ar - br) * k * z))
-    t12 = _mul(_mul(pre, b - a) / (2 * a), _cis(-(ar + br) * k * z))
-    t21 = _mul(t12, _cis(2 * (ar + br) * k * z))
-    t22 = _mul(t11, _cis(-2 * (ar - br) * k * z))
-    return _stack(t11, t12, t21, t22)
 
 
 def propagation_factors(n, omega, thickness: float) -> np.ndarray:
@@ -186,13 +183,12 @@ def transfer_chain(bilayer: Bilayer, omega, mode: str = MODE_FULL,
     ng, nl = layer_indices(bilayer, omega) if indices is None else indices
     l = bilayer.layer_thickness
     rows = isinstance(omega, np.ndarray)   # a stack's rows, or one point on numbers
-    interface = _interface_rows if rows else interface_matrix
     one = np.full(len(omega), 1.0 + 0j) if rows else 1.0 + 0j
-    t1 = interface(one, ng, omega, -l, mode)
+    t1 = interface_matrix(one, ng, omega, -l, mode)
     r2 = propagation_factors(ng, omega, l)
-    t2 = interface(ng, nl, omega, 0.0, mode)
+    t2 = interface_matrix(ng, nl, omega, 0.0, mode)
     r3 = propagation_factors(nl, omega, l)
-    from_loss = interface(nl, one, omega, l, mode)
+    from_loss = interface_matrix(nl, one, omega, l, mode)
     if rows:   # the (N, 1, 2) factors scale the columns of each row's matrix
         r2, r3 = r2.T[:, None, :], r3.T[:, None, :]
     from_gain = (from_loss * r3) @ t2
@@ -286,10 +282,7 @@ def _power(a):
 
 
 def _cx(re, im):
-    """re + i im, part by part: complex(re, im) on two numbers, else an array
-    (one of re and im may be a number)."""
-    if not (isinstance(re, np.ndarray) or isinstance(im, np.ndarray)):
-        return complex(re, im)
+    """re + i im, part by part, as an array (one of re and im may be a number)."""
     re, im = np.asarray(re), np.asarray(im)
     z = np.empty(re.shape if re.ndim >= im.ndim else im.shape, dtype=complex)
     z.real = re

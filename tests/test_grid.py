@@ -436,8 +436,7 @@ def overflowing_rows():
 
 @settings(max_examples=300)
 @given(rows=st.lists(shared_rule_rows(), min_size=1, max_size=6), l=st.floats(1e-9, 1e-7),
-       layer=st.sampled_from([2, 3]),
-       mode=st.sampled_from([scattering.MODE_FULL, scattering.MODE_PAPER]))
+       layer=st.sampled_from([2, 3]), mode=st.sampled_from(sorted(scattering._MODE_ALIASES)))
 @example(rows=overflowing_rows(), l=1e-7, layer=2, mode=scattering.MODE_FULL)
 @example(rows=overflowing_rows(), l=1e-7, layer=3, mode=scattering.MODE_PAPER)
 def test_each_shared_rule_rounds_a_row_of_arrays_as_its_numbers(rows, l, layer, mode):
@@ -445,11 +444,12 @@ def test_each_shared_rule_rounds_a_row_of_arrays_as_its_numbers(rows, l, layer, 
     # the kernel's arrays the bits it gives the row's numbers. The closed-form
     # check and T and R are written once; the chain's interface matrices, S,
     # D, K and the flux's sign bookkeeping have a number form and an array
-    # form. The flux adds a second layer, of the conjugate index (so that one
-    # of the two amplifies) and with B's rows swapped; where Q is inf or nan,
-    # an absorbing layer's 0 Q makes flux_0 nan in both forms. The chain
-    # stacks the same two layers, and a row of it is singular exactly where
-    # the point's chain or S raises SingularTransfer
+    # form, and each canonicalizes the mode, drawn from every alias. The flux
+    # adds a second layer, of the conjugate index (so that one of the two
+    # amplifies) and with B's rows swapped; where Q is inf or nan, an
+    # absorbing layer's 0 Q makes flux_0 nan in both forms. The interface
+    # matrix and the chain take the same two layers, and a row of them is
+    # inf or nan, or singular, exactly where the point raises SingularTransfer
     n, omega, A, B, lam = (np.array(c) for c in zip(*rows))
     bilayer = media.preset("set1", 2.0, l)   # the chain reads only its thickness
     amplitudes = (-A[:, 1, 0] / A[:, 1, 1], 1 / A[:, 1, 1], A[:, 0, 1] / A[:, 1, 1])
@@ -463,9 +463,17 @@ def test_each_shared_rule_rounds_a_row_of_arrays_as_its_numbers(rows, l, layer, 
                                                                     mode))])
         missed = scattering.misses_closed_form(A, lam)
         s = scattering.ScatteringAmplitudes(*amplitudes)
+        interface = scattering.interface_matrix(n, n.conj(), omega, l, mode)
         chain = scattering.transfer_chain(bilayer, omega, mode, (n, n.conj()))
         s_rows, singular = scattering.scattering_rows(chain.total)
         for i in range(len(rows)):
+            try:
+                point = scattering.interface_matrix(complex(n[i]), complex(n[i]).conjugate(),
+                                                    float(omega[i]), l, mode)
+            except scattering.SingularTransfer:
+                assert not np.isfinite(interface[i]).all()
+            else:
+                assert parts(interface[i]) == parts(point)
             try:
                 point = scattering.transfer_chain(bilayer, float(omega[i]), mode,
                                                   (complex(n[i]), complex(n[i]).conjugate()))
